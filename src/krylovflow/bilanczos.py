@@ -2,8 +2,15 @@
 
 Produces the coefficient sequences a_n (diagonal), b_n (superdiagonal) and
 c_n (subdiagonal) of the generator in the bi-orthogonal Krylov basis,
-together with the bases P, Q satisfying Q' P = I and Q' L P = T. The
-Hermitian special case is handled by :func:`hermitian_lanczos`.
+together with the bases P, Q satisfying Q' P = I and Q' L P = T.
+
+One recursion serves every input. When L is complex symmetric (L^T = L, as
+for every vectorized Lindbladian with a real Hamiltonian and real jumps)
+and q0 = conj(p0), each left vector is a scalar multiple of the conjugated
+right vector (Freund, SIAM J. Sci. Stat. Comput. 13, 1992), so the
+recursion needs one matvec and one reorthogonalization per step. Any
+other input runs the full two-sided recursion. :func:`hermitian_lanczos`
+is the q0 = p0 entry point.
 """
 
 import csv
@@ -11,9 +18,10 @@ import io
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .exceptions import NumericalFailure
-from .lindbladian import as_matrix
+from .lindbladian import as_matrix, krylov_dim_bound
 
 TERM_MAX_ITER = "max_iter"
 TERM_BREAKDOWN = "breakdown"
@@ -79,45 +87,59 @@ def _check_finite(name, v):
         raise NumericalFailure(f"non-finite values encountered in {name}")
 
 
+def _is_symmetric(A):
+    if sp.issparse(A):
+        return (A - A.T).count_nonzero() == 0
+    return np.array_equal(A, A.T)
+
+
 def bilanczos(L, p0, q0, cfg=None):
     """Two-sided Lanczos iteration on a (generally non-Hermitian) matrix.
 
     Starting vectors must satisfy <q0|p0> = 1; if the overlap is nonzero p0
-    is rescaled, otherwise the pair is rejected. Each new vector pair is
-    purged against all previous basis vectors ``cfg.reorth_passes`` times.
+    is rescaled, otherwise the pair is rejected. Each new right vector (and,
+    on the two-sided path, each left vector) is purged against all previous
+    basis vectors ``cfg.reorth_passes`` times.
+
+    Left-vector rule: if L^T = L exactly and q0 = conj(p0), then
+    q_n = mu_n conj(p_n) with mu_0 = conj(<q0|p0>) and
+    mu_n = mu_{n-1} c_n / conj(b_n), and the left residual is
+    s_n = mu_n conj(r_n). The left vectors then cost no matvec and no
+    reorthogonalization of their own (the projections use the bilinear
+    form x^T y). Otherwise q_n is computed from L' as usual. Both rules
+    give the same coefficients up to roundoff, with c_n = sqrt|<r_n|s_n>|
+    and b_n = conj(<r_n|s_n>) / c_n.
     """
     if cfg is None:
         cfg = BiLanczosConfig()
     A = as_matrix(L)
     dim = A.shape[0]
-    Ah = A.conj().T
-    if cfg.max_iter is not None:
-        max_iter = cfg.max_iter
-    else:
-        # Operator Krylov spaces of a D-level system close after at most
-        # D^2 - D + 1 steps; roundoff would otherwise keep the recursion
-        # running on noise up to the full dimension.
-        D = int(round(np.sqrt(dim)))
-        max_iter = D * D - D + 1 if D * D == dim else dim
+    # Roundoff would otherwise keep the recursion running on noise up to
+    # the full dimension.
+    max_iter = krylov_dim_bound(dim) if cfg.max_iter is None else cfg.max_iter
     max_iter = min(max_iter, dim)
 
     p = np.asarray(p0, dtype=complex).copy()
     q = np.asarray(q0, dtype=complex).copy()
+    symmetric = np.array_equal(q, p.conj()) and _is_symmetric(A)
+    Ah = None if symmetric else A.conj().T
     overlap = np.vdot(q, p)
     if abs(overlap) < 1e-14 * max(np.linalg.norm(p) * np.linalg.norm(q), 1e-300):
         raise ValueError("starting vectors are (numerically) bi-orthogonal: "
                          "<q0|p0> cannot be rescaled to 1")
     p = p / overlap
+    mu = np.conj(overlap)   # q = mu conj(p) under the symmetric rule
 
-    P = np.empty((dim, max_iter), dtype=complex)
-    Q = np.empty((dim, max_iter), dtype=complex)
-    P[:, 0] = p
-    Q[:, 0] = q
+    # Row n holds p_n (q_n), so the projections read contiguous memory.
+    P = np.empty((max_iter, dim), dtype=complex)
+    Q = np.empty((max_iter, dim), dtype=complex)
+    P[0] = p
+    Q[0] = q
 
     u = A @ p
     a0 = np.vdot(q, u)
     r = u - a0 * p
-    s = Ah @ q - np.conj(a0) * q
+    s = mu * np.conj(r) if symmetric else Ah @ q - np.conj(a0) * q
 
     a = [a0]
     b = []
@@ -145,19 +167,28 @@ def bilanczos(L, p0, q0, cfg=None):
         p = r / cj
         q = s / np.conj(bj)
 
+        # Q[:j] @ conj(x), conjugated, is Q' x without a conjugated copy
+        # of the basis.
         for _ in range(cfg.reorth_passes):
-            p = p - P[:, :j] @ (Q[:, :j].conj().T @ p)
-            q = q - Q[:, :j] @ (P[:, :j].conj().T @ q)
+            p = p - np.conj(Q[:j] @ np.conj(p)) @ P[:j]
+            if not symmetric:
+                q = q - np.conj(P[:j] @ np.conj(q)) @ Q[:j]
+        if symmetric:
+            mu = mu * cj / np.conj(bj)
+            q = mu * np.conj(p)
 
         u = A @ p
         aj = np.vdot(q, u)
         _check_finite("coefficients", np.array([aj, bj, cj]))
 
-        r = u - aj * p - bj * P[:, j - 1]
-        s = Ah @ q - np.conj(aj) * q - np.conj(cj) * Q[:, j - 1]
+        r = u - aj * p - bj * P[j - 1]
+        if symmetric:
+            s = mu * np.conj(r)
+        else:
+            s = Ah @ q - np.conj(aj) * q - np.conj(cj) * Q[j - 1]
 
-        P[:, j] = p
-        Q[:, j] = q
+        P[j] = p
+        Q[j] = q
         a.append(aj)
         b.append(bj)
         c.append(cj)
@@ -171,89 +202,31 @@ def bilanczos(L, p0, q0, cfg=None):
         termination=termination,
     )
     if cfg.store_bases:
-        tri.p_basis = P[:, :K].copy()
-        tri.q_basis = Q[:, :K].copy()
-        QhP = tri.q_basis.conj().T @ tri.p_basis
+        tri.p_basis = P[:K].T
+        tri.q_basis = Q[:K].T
+        Qh = Q[:K].conj()
+        QhP = Qh @ tri.p_basis
         tri.residual_biortho = float(np.abs(QhP - np.eye(K)).max())
-        T = tri.tridiagonal_matrix()
-        QhLP = tri.q_basis.conj().T @ (A @ tri.p_basis)
-        tri.residual_tridiag = float(np.abs(QhLP - T).max())
+        QhLP = Qh @ (A @ tri.p_basis)
+        tri.residual_tridiag = float(
+            np.abs(QhLP - tri.tridiagonal_matrix()).max())
     return tri
 
 
 def hermitian_lanczos(L, v0, cfg=None):
-    """Classic Lanczos with full reorthogonalization (Hermitian generator).
+    """Lanczos on a Hermitian generator from one starting vector.
 
-    Equivalent to :func:`bilanczos` with p0 = q0 = v0; coefficients come out
-    with b = c real nonnegative and a real up to roundoff.
+    Normalizes v0 to unit 2-norm (a zero vector is rejected) and runs
+    :func:`bilanczos` with p0 = q0 = v0. A real symmetric L with a real v0
+    takes the one-matvec symmetric rule, so q_n = p_n; coefficients come
+    out with b = c real nonnegative and a real, up to roundoff.
     """
-    if cfg is None:
-        cfg = BiLanczosConfig()
-    A = as_matrix(L)
-    dim = A.shape[0]
-    if cfg.max_iter is not None:
-        max_iter = cfg.max_iter
-    else:
-        # Operator Krylov spaces of a D-level system close after at most
-        # D^2 - D + 1 steps; roundoff would otherwise keep the recursion
-        # running on noise up to the full dimension.
-        D = int(round(np.sqrt(dim)))
-        max_iter = D * D - D + 1 if D * D == dim else dim
-    max_iter = min(max_iter, dim)
-
-    v = np.asarray(v0, dtype=complex).copy()
+    v = np.asarray(v0, dtype=complex)
     nrm = np.linalg.norm(v)
     if nrm == 0:
         raise ValueError("starting vector must be nonzero")
     v = v / nrm
-
-    V = np.empty((dim, max_iter), dtype=complex)
-    V[:, 0] = v
-    u = A @ v
-    a0 = np.vdot(v, u)
-    r = u - a0 * v
-
-    a = [a0]
-    beta = []
-    termination = TERM_MAX_ITER
-    b_max = 0.0
-
-    for j in range(1, max_iter):
-        _check_finite("residual", r)
-        bj = np.linalg.norm(r)
-        scale = max(b_max, abs(a0))
-        if scale == 0.0:
-            scale = 1.0
-        if bj < cfg.breakdown_tol * scale:
-            termination = TERM_BREAKDOWN
-            break
-        v = r / bj
-        for _ in range(cfg.reorth_passes):
-            v = v - V[:, :j] @ (V[:, :j].conj().T @ v)
-        u = A @ v
-        aj = np.vdot(v, u)
-        r = u - aj * v - bj * V[:, j - 1]
-        V[:, j] = v
-        a.append(aj)
-        beta.append(bj)
-        b_max = max(b_max, bj)
-
-    K = len(a)
-    tri = TridiagonalData(
-        a=np.array(a, dtype=complex),
-        b=np.array(beta, dtype=complex),
-        c=np.array(beta, dtype=complex),
-        termination=termination,
-    )
-    if cfg.store_bases:
-        tri.p_basis = V[:, :K].copy()
-        tri.q_basis = tri.p_basis
-        VhV = tri.p_basis.conj().T @ tri.p_basis
-        tri.residual_biortho = float(np.abs(VhV - np.eye(K)).max())
-        T = tri.tridiagonal_matrix()
-        VhLV = tri.p_basis.conj().T @ (A @ tri.p_basis)
-        tri.residual_tridiag = float(np.abs(VhLV - T).max())
-    return tri
+    return bilanczos(L, v, v, cfg)
 
 
 def check_open_structure(tri, tol=1e-6, n_coeffs=None):

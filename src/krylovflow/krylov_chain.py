@@ -19,7 +19,7 @@ from scipy.linalg import expm
 
 from .bilanczos import TERM_BREAKDOWN
 from .exceptions import NumericalFailure
-from .lindbladian import as_matrix
+from .lindbladian import as_matrix, krylov_dim_bound
 
 TAIL_CUTOFF = 1e-10
 P_UNDERFLOW = 1e-300
@@ -142,10 +142,7 @@ def evolve_chain(tri, t_grid, rel_tol=1e-8, tail_cutoff=TAIL_CUTOFF,
     # its last-site amplitude is physical.
     complete = tri.termination == TERM_BREAKDOWN
     if not complete and tri.p_basis is not None:
-        dim = tri.p_basis.shape[0]
-        D = int(round(np.sqrt(dim)))
-        bound = D * D - D + 1 if D * D == dim else dim
-        complete = K >= min(bound, dim)
+        complete = K >= krylov_dim_bound(tri.p_basis.shape[0])
     if complete:
         tail_ok = True
     if not tail_ok:
@@ -202,6 +199,8 @@ def direct_evolution_oracle(L, seed, tri, t_grid):
     A = as_matrix(L)
     if A.shape[0] > 4096:
         raise ValueError("oracle limited to superoperator dimension <= 4096")
+    if sp.issparse(A):
+        A = A.toarray()
     t, dt = _uniform_step(t_grid)
 
     E = expm(1j * dt * A)

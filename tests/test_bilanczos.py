@@ -12,7 +12,7 @@ from krylovflow.bilanczos import (TERM_BREAKDOWN, TERM_MAX_ITER,
                                   TridiagonalData)
 from krylovflow.krylov_chain import evolve_chain
 from krylovflow.lindbladian import build_model_lindbladian, uniform_seed
-from krylovflow.spin_algebra import ModelSpec
+from krylovflow.spin_algebra import ModelSpec, build_tfim
 
 
 def test_symmetric_two_by_two():
@@ -210,3 +210,18 @@ def test_projected_chain_has_psi_equal_phi():
     t = np.linspace(0, 3, 61)
     traj = evolve_chain(proj, t)
     assert np.abs(traj.psi - traj.phi).max() < 1e-10
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_closed_model_hoppings_bounded_by_norm(N):
+    # With orthonormal Lanczos vectors |b_n| <= ||L||_2. The closed N = 3
+    # chain has Krylov dimension 31, but c_31 ~ 1e-8 stays above
+    # breakdown_tol * scale, so the recursion runs on to K = 57 on rounding
+    # noise; the hoppings must stay bounded there too (the two-sided
+    # recursion reached |b| ~ 1e3 at N = 4).
+    spec = ModelSpec(N=N, g=-1.05, h=0.5)
+    seed = uniform_seed(spec.dim)
+    tri = bilanczos(build_model_lindbladian(spec), seed, seed)
+    E = np.linalg.eigvalsh(build_tfim(spec))
+    norm = E.max() - E.min()   # the spectrum of L is {E_i - E_j}
+    assert np.abs(tri.b).max() <= (1 + 1e-12) * norm

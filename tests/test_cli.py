@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import krylovflow
 from krylovflow.cli import (EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK,
                             EXIT_USAGE, main)
 
@@ -184,3 +187,20 @@ def test_csv_format_is_plain_lf(tmp_path):
     raw = (out / "moments.csv").read_bytes()
     assert b"\r" not in raw
     assert raw.decode("ascii").splitlines()[0] == "t,C,P,M2,Ctilde"
+
+
+def test_full_closed_model_with_two_blas_threads(tmp_path):
+    # This closed model once exited 2 ("non-finite values encountered in
+    # coefficients") under two BLAS threads and 0 under one.  Thread
+    # counts are fixed at BLAS load time, hence the fresh process.
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, model={"N": 4, "g": -1.08593, "h": 0.498819})
+    src = os.path.dirname(os.path.dirname(krylovflow.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.update({var: "2" for var in ("OPENBLAS_NUM_THREADS",
+                                     "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+    proc = subprocess.run(
+        [sys.executable, "-m", "krylovflow.cli", "full", "--config",
+         str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == EXIT_OK, proc.stderr

@@ -41,8 +41,8 @@ def test_closed_liouvillian_single_qubit_z():
     L = build_liouvillian_closed(pauli_matrix("Z"))
     Z = pauli_matrix("Z")
     ref = np.kron(np.eye(2), Z) - np.kron(Z.T, np.eye(2))
-    assert_allclose(L.matrix, ref)
-    assert_allclose(np.diag(L.matrix), [0, -2, 2, 0])
+    assert_allclose(L.matrix.toarray(), ref)
+    assert_allclose(np.diag(L.matrix.toarray()), [0, -2, 2, 0])
     assert L.hermitian
 
 
@@ -57,7 +57,7 @@ def test_closed_liouvillian_spectrum_is_differences():
     L = build_liouvillian_closed(H)
     E = np.linalg.eigvalsh(H)
     diffs = np.sort((E[None, :] - E[:, None]).ravel())
-    assert_allclose(np.sort(np.linalg.eigvalsh(L.matrix)), diffs,
+    assert_allclose(np.sort(np.linalg.eigvalsh(L.matrix.toarray())), diffs,
                     atol=1e-10)
 
 
@@ -70,7 +70,7 @@ def test_lindbladian_reduces_to_closed():
     H = build_tfim(ModelSpec(N=2, g=-1.05, h=0.5))
     open_L = build_lindbladian(H, [])
     closed_L = build_liouvillian_closed(H)
-    assert_allclose(open_L.matrix, closed_L.matrix)
+    assert_allclose(open_L.matrix.toarray(), closed_L.matrix.toarray())
     assert open_L.hermitian
 
 
@@ -81,7 +81,7 @@ def test_single_qubit_dephasing_decay():
                           [np.sqrt(gamma) * pauli_matrix("Z")])
     v0 = vectorize(pauli_matrix("X"))
     for t in (0.1, 0.5, 2.0):
-        v = expm(1j * t * L.matrix) @ v0
+        v = expm(1j * t * L.matrix.toarray()) @ v0
         assert_allclose(v, v0 * np.exp(-2 * gamma * t), atol=1e-12)
 
 
@@ -95,8 +95,8 @@ def test_dual_trace_preservation_single_qubit():
     # and the operator-side probability P(t) = |v|^2 leaks for the
     # uniform seed (direct matrix-exponential oracle)
     v0 = uniform_seed(2)
-    v1 = expm(1j * 1.0 * L.matrix) @ v0
-    v2 = expm(1j * 3.0 * L.matrix) @ v0
+    v1 = expm(1j * 1.0 * L.matrix.toarray()) @ v0
+    v2 = expm(1j * 3.0 * L.matrix.toarray()) @ v0
     assert np.linalg.norm(v1) < 1.0
     assert np.linalg.norm(v2) < np.linalg.norm(v1)
 
@@ -121,7 +121,7 @@ def test_closed_flow_preserves_norm():
     L = build_model_lindbladian(spec)
     v0 = uniform_seed(spec.dim)
     for t in (0.5, 2.0, 7.0):
-        v = expm(1j * t * L.matrix) @ v0
+        v = expm(1j * t * L.matrix.toarray()) @ v0
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -129,9 +129,11 @@ def test_dissipator_linear_in_strength():
     H = build_tfim(ModelSpec(N=2, g=-1.05, h=0.5))
     spec1 = ModelSpec(N=2, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
     spec2 = ModelSpec(N=2, g=-1.05, h=0.5, alpha=0.02, gamma=0.02)
-    Lc = build_liouvillian_closed(H).matrix
-    D1 = build_lindbladian(H, build_jump_operators(spec1)).matrix - Lc
-    D2 = build_lindbladian(H, build_jump_operators(spec2)).matrix - Lc
+    Lc = build_liouvillian_closed(H).matrix.toarray()
+    D1 = (build_lindbladian(H, build_jump_operators(spec1)).matrix.toarray()
+          - Lc)
+    D2 = (build_lindbladian(H, build_jump_operators(spec2)).matrix.toarray()
+          - Lc)
     assert_allclose(D2, 2 * D1, atol=1e-14)
 
 

@@ -1,0 +1,73 @@
+"""The complex-symmetric Lanczos rule against the two-sided recursion.
+
+Every model Lindbladian is exactly complex symmetric, so ``bilanczos`` with
+the real uniform seed derives its left vectors from the right ones. A seed
+pair with q0 != conj(p0) forces the two-sided recursion on the same L.
+"""
+
+import numpy as np
+import pytest
+from numpy.testing import assert_array_equal
+
+from krylovflow.bilanczos import bilanczos, project_dissipative_structure
+from krylovflow.krylov_chain import evolve_chain, moments
+from krylovflow.lindbladian import build_model_lindbladian, uniform_seed
+from krylovflow.spin_algebra import (ModelSpec, build_jump_operators,
+                                     build_tfim)
+
+N_COEFFS = 20
+COEFF_RTOL = 1e-10
+CHAIN_RTOL = 1e-7
+
+
+def _models(N):
+    return [ModelSpec(N=N, g=-1.05, h=0.5),
+            ModelSpec(N=N, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)]
+
+
+def _rel_dev(x, ref):
+    return np.abs(x - ref).max() / np.abs(ref).max()
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_model_lindbladian_is_complex_symmetric(N):
+    for spec in _models(N):
+        L = build_model_lindbladian(spec).matrix
+        assert abs(L - L.T).max() == 0
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_sparse_assembly_matches_dense_kron_formula(N):
+    for spec in _models(N):
+        H = build_tfim(spec)
+        eye = np.eye(spec.dim)
+        comm = np.kron(eye, H) - np.kron(H.T, eye)
+        diss = np.zeros_like(comm)
+        for Lk in build_jump_operators(spec):
+            LdL = Lk.conj().T @ Lk
+            diss += np.kron(eye, LdL) + np.kron(LdL.T, eye)
+            diss -= 2.0 * np.kron(Lk.T, Lk.conj().T)
+        assert_array_equal(build_model_lindbladian(spec).matrix.toarray(),
+                           comm + 0.5j * diss)
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_two_sided_path_matches_symmetric_path(N):
+    spec = _models(N)[1]
+    L = build_model_lindbladian(spec)
+    seed = uniform_seed(spec.dim)
+    one_sided = bilanczos(L, seed, seed)
+    two_sided = bilanczos(L, seed, 1j * seed)   # q0 != conj(p0)
+
+    n = N_COEFFS
+    assert _rel_dev(one_sided.a[:n], two_sided.a[:n]) < COEFF_RTOL
+    bc = one_sided.b[:n] * one_sided.c[:n]
+    bc_ref = two_sided.b[:n] * two_sided.c[:n]
+    assert _rel_dev(bc, bc_ref) < COEFF_RTOL
+
+    t = np.linspace(0.0, 5.0, 101)
+    m = moments(evolve_chain(project_dissipative_structure(one_sided), t))
+    m_ref = moments(evolve_chain(project_dissipative_structure(two_sided),
+                                 t))
+    assert _rel_dev(m.C, m_ref.C) < CHAIN_RTOL
+    assert _rel_dev(m.P, m_ref.P) < CHAIN_RTOL
