@@ -9,6 +9,7 @@ centered moving average.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 MAD_SCALE = 1.4826  # consistency factor: MAD -> sigma for normal data
 
@@ -32,23 +33,18 @@ def _outlier_sweep(x, cfg):
     """One sliding-window median/MAD pass; returns (cleaned, indices)."""
     n = x.size
     w = cfg.outlier_window
-    half = w // 2
+    # Row i is the window of point i: centered, shifted inward at the edges.
+    starts = np.clip(np.arange(n) - w // 2, 0, n - w)
+    win = sliding_window_view(x, w)[starts]
+    med = np.median(win, axis=1)
+    mad = np.median(np.abs(win - med[:, None]), axis=1)
+    dev = np.abs(x - med)
+    bad = np.where(mad == 0.0, dev > 0.0,
+                   dev > cfg.outlier_k * MAD_SCALE * mad)
+    outliers = np.flatnonzero(bad)
     cleaned = x.copy()
-    outliers = []
-    for i in range(n):
-        lo = max(0, min(i - half, n - w))
-        win = x[lo:lo + w]
-        med = np.median(win)
-        mad = np.median(np.abs(win - med))
-        dev = abs(x[i] - med)
-        if mad == 0.0:
-            bad = dev > 0.0
-        else:
-            bad = dev > cfg.outlier_k * MAD_SCALE * mad
-        if bad:
-            cleaned[i] = med
-            outliers.append(i)
-    return cleaned, outliers
+    cleaned[outliers] = med[outliers]
+    return cleaned, outliers.tolist()
 
 
 def remove_outliers(series, cfg=None):

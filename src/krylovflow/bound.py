@@ -190,7 +190,9 @@ def saturation_report(alpha0, gamma0, K=400, t_max=6.0, n_samples=1201,
     tri = saturating_coefficients(alpha0, gamma0, K)
     t = np.linspace(0.0, float(t_max), int(n_samples))
     with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore", RuntimeWarning)
+        # The finite chain end is expected; the tail cutoff below handles it.
+        _warnings.filterwarnings("ignore", message="truncation tail",
+                                 category=RuntimeWarning)
         traj = evolve_chain(tri, t)
     m = moments(traj)
 

@@ -5,9 +5,12 @@ The two chain recursions
     dphi_n/dt   =  i a_n phi_n   - b_{n+1} phi_{n+1} + c_n phi_{n-1}
     dpsi*_n/dt  = -i a*_n psi*_n - c*_{n+1} psi*_{n+1} + b*_n psi*_{n-1}
 
-are both integrated (psi is never assumed equal to phi). Integration is
-fixed-step RK4 with automatic step halving until the complexity at the final
-time is converged.
+define two sparse K x K generators, A_phi and A_psi*. Both amplitude vectors
+are propagated exactly, as exp(t A) e0 on the whole uniform time grid, by
+``scipy.sparse.linalg.expm_multiply``. psi is not assumed equal to phi: only
+when the two generators agree entry for entry (a_n purely imaginary and
+b_n = c*_n, as on every projected chain) is psi* taken to be phi, which then
+holds exactly.
 """
 
 import warnings
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 from .bilanczos import TERM_BREAKDOWN
 from .exceptions import NumericalFailure
@@ -32,7 +36,7 @@ class ChainTrajectory:
     psi: np.ndarray        # K x T (psi_n(t), un-starred)
     tail_mass: np.ndarray  # |phi_{K-1}|^2 per time
     tail_ok: bool = True
-    refinements: int = 0   # step-halving levels used
+    refinements: int = 0   # always 0: expm_multiply needs no step halving
 
 
 @dataclass
@@ -61,16 +65,6 @@ def chain_generators(tri):
     return A_phi, A_psi_star
 
 
-def _rk4_segment(A, y, h, nsteps):
-    for _ in range(nsteps):
-        k1 = A @ y
-        k2 = A @ (y + 0.5 * h * k1)
-        k3 = A @ (y + 0.5 * h * k2)
-        k4 = A @ (y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
-
-
 def _uniform_step(t_grid):
     t = np.asarray(t_grid, dtype=float)
     if t.size < 2:
@@ -81,59 +75,47 @@ def _uniform_step(t_grid):
     return t, float(dt[0])
 
 
-def evolve_chain(tri, t_grid, rel_tol=1e-8, tail_cutoff=TAIL_CUTOFF,
-                 max_doublings=18):
-    """Integrate both chain recursions on ``t_grid`` (uniform, starting at 0).
+def evolve_chain(tri, t_grid, tail_cutoff=TAIL_CUTOFF):
+    """Propagate both chain recursions on ``t_grid`` (uniform, starting at 0).
 
-    RK4 substeps per grid interval are doubled until the Krylov complexity at
-    t_max changes by less than ``rel_tol`` relative between refinements.
+    The amplitudes at every grid point are exp(t A) e0 for the sparse chain
+    generators, evaluated in one ``expm_multiply`` call (Al-Mohy & Higham,
+    SIAM J. Sci. Comput. 2011), which picks its own Taylor degree and
+    substeps to double-precision accuracy.  When the two generators are
+    entry-for-entry equal (a purely imaginary and b = c*, as for every
+    projected chain and the saturating chain) psi* obeys the same equation
+    as phi, so only phi is propagated and psi* is set equal to it;
+    otherwise both are propagated as one block system.  Raises
+    NumericalFailure if the result is not finite.
     """
-    t, dt = _uniform_step(t_grid)
+    t, _ = _uniform_step(t_grid)
     if abs(t[0]) > 1e-12:
         raise ValueError("time grid must start at 0")
     A_phi, A_psi = chain_generators(tri)
     K = tri.K
-    # Single block system so each RK4 stage is one sparse matvec.
-    A = sp.block_diag([A_phi, A_psi], format="csr")
-    y0 = np.zeros(2 * K, dtype=complex)
-    y0[0] = 1.0
-    y0[K] = 1.0
-    n_idx = np.arange(K)
-
-    prev_C_end = None
-    nsub = 1
-    refinements = 0
-    for attempt in range(max_doublings + 1):
-        Y = np.empty((2 * K, t.size), dtype=complex)
-        Y[:, 0] = y0
-        y = y0
-        h = dt / nsub
-        ok = True
-        # Coarse attempts may overflow before the step-halving loop
-        # converges; non-finite results are detected and retried.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(1, t.size):
-                y = _rk4_segment(A, y, h, nsub)
-                if not np.all(np.isfinite(y)):
-                    ok = False
-                    break
-                Y[:, k] = y
-        if ok:
-            C_end = float(np.real(np.sum(n_idx * Y[K:, -1] * Y[:K, -1])))
-            if prev_C_end is not None and np.isfinite(C_end):
-                if abs(C_end - prev_C_end) <= rel_tol * max(abs(C_end), 1e-30):
-                    break
-            prev_C_end = C_end
-        else:
-            prev_C_end = None
-        if attempt == max_doublings:
-            raise NumericalFailure(
-                "chain integration did not converge under step halving")
-        nsub *= 2
-        refinements += 1
+    e0 = np.zeros(K, dtype=complex)
+    e0[0] = 1.0
+    if (A_phi != A_psi).nnz == 0:
+        A, y0 = A_phi, e0
+    else:
+        A = sp.block_diag([A_phi, A_psi], format="csr")
+        y0 = np.concatenate([e0, e0])
+    # expm_multiply sets its Taylor degree and substeps from 1-norm estimates
+    # of powers of A, and the estimator draws from NumPy's global random
+    # state.  A fixed state there makes the result depend on the chain alone,
+    # so identical runs write identical CSVs; the caller's state is restored.
+    rng_state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        Y = expm_multiply(A, y0, start=0.0, stop=t[-1], num=t.size,
+                          endpoint=True).T
+    finally:
+        np.random.set_state(rng_state)
+    if not np.all(np.isfinite(Y)):
+        raise NumericalFailure("chain propagation produced non-finite values")
 
     phi = Y[:K, :]
-    psi_star = Y[K:, :]
+    psi_star = Y[-K:, :]
     tail = np.abs(phi[-1, :]) ** 2
     tail_ok = bool(tail.max() <= tail_cutoff)
     # Tail mass only signals truncation error when the chain was cut
@@ -151,8 +133,7 @@ def evolve_chain(tri, t_grid, rel_tol=1e-8, tail_cutoff=TAIL_CUTOFF,
             f"(cutoff {tail_cutoff:.1e}); results beyond that time are "
             "affected by the finite chain", RuntimeWarning)
     return ChainTrajectory(t=t, phi=phi, psi=psi_star.conj(),
-                           tail_mass=tail, tail_ok=tail_ok,
-                           refinements=refinements)
+                           tail_mass=tail, tail_ok=tail_ok)
 
 
 def moments(traj):

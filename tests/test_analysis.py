@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from krylovflow.analysis import (FilterConfig, filter_series,
-                                 filtered_to_csv, read_series_csv,
-                                 remove_outliers, smooth)
+from krylovflow.analysis import (MAD_SCALE, FilterConfig, _outlier_sweep,
+                                 filter_series, filtered_to_csv,
+                                 read_series_csv, remove_outliers, smooth)
 from krylovflow.bilanczos import bilanczos
 from krylovflow.lindbladian import build_model_lindbladian, uniform_seed
 from krylovflow.spin_algebra import ModelSpec
@@ -33,6 +33,49 @@ def test_injected_spike_on_ramp():
     cleaned, idx = remove_outliers(x)
     assert list(idx) == [j]
     assert cleaned[j] != x[j]
+
+
+def _outlier_sweep_loop(x, cfg):
+    """Reference: the same sweep as a loop over the windows one by one."""
+    n = x.size
+    w = cfg.outlier_window
+    half = w // 2
+    cleaned = x.copy()
+    outliers = []
+    for i in range(n):
+        lo = max(0, min(i - half, n - w))
+        win = x[lo:lo + w]
+        med = np.median(win)
+        mad = np.median(np.abs(win - med))
+        dev = abs(x[i] - med)
+        if mad == 0.0:
+            bad = dev > 0.0
+        else:
+            bad = dev > cfg.outlier_k * MAD_SCALE * mad
+        if bad:
+            cleaned[i] = med
+            outliers.append(i)
+    return cleaned, outliers
+
+
+@pytest.mark.parametrize("window,k", [(3, 3.0), (9, 3.0), (11, 1.5)])
+def test_outlier_sweep_matches_loop_reference(window, k):
+    cfg = FilterConfig(outlier_window=window, outlier_k=k)
+    rng = np.random.default_rng(window)
+    for _ in range(5):
+        x = rng.normal(size=200).cumsum()
+        x[[0, -1]] += rng.choice([-50.0, 50.0], size=2)
+        x[60:90] = 2.0          # constant stretch: MAD = 0 ...
+        x[75] = 2.5             # ... with one exact deviant inside
+        x[rng.integers(0, 200, size=10)] *= 20.0
+        for sweep in range(3):  # later sweeps see already-cleaned input
+            cleaned, idx = _outlier_sweep(x, cfg)
+            ref_cleaned, ref_idx = _outlier_sweep_loop(x, cfg)
+            assert np.array_equal(cleaned, ref_cleaned)
+            assert idx == ref_idx
+            if sweep == 0:
+                assert 75 in idx    # the MAD = 0 branch was taken
+            x = cleaned
 
 
 def test_window_too_large_rejected():

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from krylovflow import bound
 from krylovflow.bilanczos import bilanczos, hermitian_lanczos
 from krylovflow.bound import (dispersion_bound_check,
                               liouvillian_variance_t0,
@@ -149,6 +152,17 @@ def test_saturation_report_ratio_near_one():
     assert ratio.min() >= 0.9999
     assert ratio.max() <= 1.0
     assert report.holds
+
+
+def test_saturation_report_ignores_only_the_truncation_tail(monkeypatch):
+    def evolve_with_overflow(tri, t):
+        warnings.warn("overflow encountered in multiply", RuntimeWarning)
+        return evolve_chain(tri, t)   # warns "truncation tail" at K = 40
+
+    monkeypatch.setattr(bound, "evolve_chain", evolve_with_overflow)
+    with pytest.warns(RuntimeWarning, match="overflow") as caught:
+        saturation_report(1.0, 1.0, K=40, t_max=2.0, n_samples=201)
+    assert not any("truncation tail" in str(w.message) for w in caught)
 
 
 def test_bound_holds_on_small_models():

@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import expm
 
-from krylovflow.bilanczos import TridiagonalData, bilanczos, \
-    hermitian_lanczos
+from krylovflow.bilanczos import TERM_BREAKDOWN, BiLanczosConfig, \
+    TridiagonalData, bilanczos, hermitian_lanczos, \
+    project_dissipative_structure
 from krylovflow.krylov_chain import (direct_evolution_oracle, evolve_chain,
                                      finite_diff, moments)
 from krylovflow.lindbladian import build_model_lindbladian, uniform_seed
@@ -13,13 +17,23 @@ from krylovflow.spin_algebra import ModelSpec
 def single_site_chain(kappa):
     return TridiagonalData(a=np.array([1j * kappa]),
                            b=np.array([], dtype=complex),
-                           c=np.array([], dtype=complex))
+                           c=np.array([], dtype=complex),
+                           termination=TERM_BREAKDOWN)
 
 
 def two_site_rotation():
     return TridiagonalData(a=np.zeros(2, dtype=complex),
                            b=np.array([1.0 + 0j]),
-                           c=np.array([1.0 + 0j]))
+                           c=np.array([1.0 + 0j]),
+                           termination=TERM_BREAKDOWN)
+
+
+def structured_four_site_chain():
+    """A complete chain with the exact structure a = i|a|, b = c = |b|."""
+    return TridiagonalData(a=1j * np.array([0.0, 0.1, 0.25, 0.3]),
+                           b=np.array([1.0, 0.8, 0.5], dtype=complex),
+                           c=np.array([1.0, 0.8, 0.5], dtype=complex),
+                           termination=TERM_BREAKDOWN)
 
 
 def test_single_site_decay():
@@ -69,7 +83,8 @@ def test_dissipative_probability_non_increasing():
                           b=(0.6 * n).astype(complex),
                           c=(0.6 * n).astype(complex))
     t = np.linspace(0, 3, 301)
-    m = moments(evolve_chain(tri, t))
+    with pytest.warns(RuntimeWarning, match="truncation tail"):
+        m = moments(evolve_chain(tri, t))
     assert np.diff(m.P).max() < 1e-10
 
 
@@ -94,15 +109,73 @@ def test_grid_refinement_converged():
 
 
 def test_psi_equals_phi_under_dissipative_structure():
-    # synthetic chain with the exact structure a = i|a|, b = c = |b|
-    tri = TridiagonalData(a=1j * np.array([0.0, 0.1, 0.25, 0.3]),
-                          b=np.array([1.0, 0.8, 0.5], dtype=complex),
-                          c=np.array([1.0, 0.8, 0.5], dtype=complex))
     t = np.linspace(0, 4, 161)
-    traj = evolve_chain(tri, t)
+    traj = evolve_chain(structured_four_site_chain(), t)
     assert np.abs(traj.psi - traj.phi).max() < 1e-8
     m = moments(traj)
     assert m.imag_residue < 1e-8
+
+
+def test_propagator_matches_dense_expm():
+    # Generators written out from the two recursions in the module
+    # docstring, for a chain with none of the dissipative structure.
+    rng = np.random.default_rng(20)
+    K = 20
+    a = 0.3 * (rng.normal(size=K) + 1j * rng.normal(size=K))
+    b = rng.normal(size=K - 1) + 1j * rng.normal(size=K - 1)
+    c = rng.normal(size=K - 1) + 1j * rng.normal(size=K - 1)
+    tri = TridiagonalData(a=a, b=b, c=c, termination=TERM_BREAKDOWN)
+    A_phi = np.diag(1j * a) - np.diag(b, 1) + np.diag(c, -1)
+    A_psi_star = (np.diag(-1j * a.conj()) - np.diag(c.conj(), 1)
+                  + np.diag(b.conj(), -1))
+    t = np.linspace(0, 3, 61)
+    traj = evolve_chain(tri, t)
+    for k, tk in enumerate(t):
+        phi = expm(tk * A_phi)[:, 0]
+        psi = expm(tk * A_psi_star)[:, 0].conj()
+        assert np.linalg.norm(traj.phi[:, k] - phi) <= \
+            1e-10 * np.linalg.norm(phi)
+        assert np.linalg.norm(traj.psi[:, k] - psi) <= \
+            1e-10 * np.linalg.norm(psi)
+
+    # Equal generators: psi* is the phi trajectory itself, with no
+    # rounding difference between the two.
+    traj = evolve_chain(structured_four_site_chain(), t)
+    assert np.array_equal(traj.psi.conj(), traj.phi)
+
+
+def test_propagation_independent_of_global_random_state():
+    # The norm estimates inside expm_multiply draw from NumPy's global
+    # random state; left to that state, the result on this chain differs
+    # in the last bits from one state to the next.
+    spec = ModelSpec(N=3, g=-1.05, h=0.5)
+    seed = uniform_seed(spec.dim)
+    tri = project_dissipative_structure(
+        bilanczos(build_model_lindbladian(spec), seed, seed))
+    t = np.linspace(0, 10, 400)
+    runs = []
+    for state in range(4):
+        np.random.seed(state)
+        runs.append(evolve_chain(tri, t).phi)
+        after = np.random.random()
+        np.random.seed(state)
+        assert after == np.random.random()   # caller's state untouched
+    assert all(np.array_equal(runs[0], phi) for phi in runs[1:])
+
+
+@pytest.mark.parametrize("max_iter", [40, None])
+def test_n5_raw_chain_evolves_without_runtime_warnings(max_iter):
+    # The 40-coefficient prefix on [0, 1] is the chain of the `full` run in
+    # test_full_skips_oracle_above_cap; the full chain spans the operator
+    # space, so its last-site amplitude raises no truncation warning.
+    spec = ModelSpec(N=5, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
+    seed = uniform_seed(spec.dim)
+    tri = bilanczos(build_model_lindbladian(spec), seed, seed,
+                    BiLanczosConfig(max_iter=max_iter))
+    t = (np.linspace(0, 1, 21) if max_iter else np.linspace(0, 10, 400))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        evolve_chain(tri, t)
 
 
 def test_oracle_matches_chain_at_zero():
