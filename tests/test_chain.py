@@ -5,9 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from krylovflow.bilanczos import TERM_BREAKDOWN, BiLanczosConfig, \
-    TridiagonalData, bilanczos, hermitian_lanczos, \
-    project_dissipative_structure
+from krylovflow.bilanczos import TERM_BREAKDOWN, TridiagonalData, \
+    bilanczos, hermitian_lanczos, project_dissipative_structure
 from krylovflow.krylov_chain import (direct_evolution_oracle, evolve_chain,
                                      finite_diff, moments)
 from krylovflow.lindbladian import build_model_lindbladian, uniform_seed
@@ -163,16 +162,13 @@ def test_propagation_independent_of_global_random_state():
     assert all(np.array_equal(runs[0], phi) for phi in runs[1:])
 
 
-@pytest.mark.parametrize("max_iter", [40, None])
-def test_n5_raw_chain_evolves_without_runtime_warnings(max_iter):
-    # The 40-coefficient prefix on [0, 1] is the chain of the `full` run in
-    # test_full_skips_oracle_above_cap; the full chain spans the operator
-    # space, so its last-site amplitude raises no truncation warning.
+def test_n5_raw_chain_evolves_without_runtime_warnings():
+    # The full chain spans the operator space, so its last-site amplitude
+    # raises no truncation warning.
     spec = ModelSpec(N=5, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
     seed = uniform_seed(spec.dim)
-    tri = bilanczos(build_model_lindbladian(spec), seed, seed,
-                    BiLanczosConfig(max_iter=max_iter))
-    t = (np.linspace(0, 1, 21) if max_iter else np.linspace(0, 10, 400))
+    tri = bilanczos(build_model_lindbladian(spec), seed, seed)
+    t = np.linspace(0, 10, 400)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         evolve_chain(tri, t)
