@@ -26,7 +26,6 @@ class Superoperator:
     """Sparse (CSR) superoperator acting on column-stacked operators."""
 
     matrix: sp.csr_array
-    hermitian: bool
 
     @property
     def dim(self):
@@ -105,7 +104,7 @@ def build_liouvillian_closed(H, herm_tol=1e-10):
     _check_dim(d)
     if hermiticity_defect(H) > herm_tol * max(1.0, np.abs(H).max()):
         raise ValueError("closed Liouvillian requires a Hermitian Hamiltonian")
-    return Superoperator(matrix=_commutator(H), hermitian=True)
+    return Superoperator(matrix=_commutator(H))
 
 
 def build_lindbladian(H, jumps):
@@ -130,8 +129,7 @@ def build_lindbladian(H, jumps):
         LdL = sp.csr_array(Lk.conj().T @ Lk)
         diss = (diss + (_kron(eye, LdL) + _kron(LdL.T, eye))
                 - 2.0 * _kron(sp.csr_array(Lk.T), sp.csr_array(Lk.conj().T)))
-    return Superoperator(matrix=_commutator(H) + 0.5j * diss,
-                         hermitian=False)
+    return Superoperator(matrix=_commutator(H) + 0.5j * diss)
 
 
 def build_model_lindbladian(spec):

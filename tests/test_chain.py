@@ -2,12 +2,17 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 from krylovflow.bilanczos import TERM_BREAKDOWN, TridiagonalData, \
     bilanczos, hermitian_lanczos, project_dissipative_structure
-from krylovflow.krylov_chain import (direct_evolution_oracle, evolve_chain,
+from krylovflow.bound import saturating_coefficients
+from krylovflow.krylov_chain import (_power_norms, _propagate,
+                                     _taylor_parameters, chain_generators,
+                                     direct_evolution_oracle, evolve_chain,
                                      finite_diff, moments)
 from krylovflow.lindbladian import build_model_lindbladian, uniform_seed
 from krylovflow.spin_algebra import ModelSpec
@@ -144,9 +149,10 @@ def test_propagator_matches_dense_expm():
 
 
 def test_propagation_independent_of_global_random_state():
-    # The norm estimates inside expm_multiply draw from NumPy's global
-    # random state; left to that state, the result on this chain differs
-    # in the last bits from one state to the next.
+    # The propagator draws nothing at random: its Taylor degree and substeps
+    # come from exact norms of powers of the generator.  Its result must
+    # therefore be the same under any global random state, and it must
+    # leave that state as it found it.
     spec = ModelSpec(N=3, g=-1.05, h=0.5)
     seed = uniform_seed(spec.dim)
     tri = project_dissipative_structure(
@@ -160,6 +166,100 @@ def test_propagation_independent_of_global_random_state():
         np.random.seed(state)
         assert after == np.random.random()   # caller's state untouched
     assert all(np.array_equal(runs[0], phi) for phi in runs[1:])
+
+
+def _taylor_plan(A, t_end):
+    """(m, s) that _propagate picks for exp(t_end A), A shifted as there."""
+    A = sp.csr_array(A - A.diagonal().mean() * sp.eye(A.shape[0]))
+    return _taylor_parameters(_power_norms(A), t_end)
+
+
+def _stiff_chain():
+    # exp(-iHt) for a real symmetric tridiagonal H with hoppings up to 80:
+    # the substeps outnumber the 10 grid steps.
+    rng = np.random.default_rng(4)
+    K = 30
+    off = rng.uniform(20.0, 80.0, size=K - 1)
+    H = sp.diags([5.0 * rng.normal(size=K), off, off], [0, 1, -1])
+    return sp.csr_array(-1j * H - 0.05 * sp.eye(K)), np.linspace(0, 1, 11)
+
+
+def _unequal_block_chain():
+    # Random complex chain without structure; 61 steps in blocks of 30,
+    # 30 and 1.
+    rng = np.random.default_rng(20)
+    K = 20
+    a = 0.3 * (rng.normal(size=K) + 1j * rng.normal(size=K))
+    b = rng.normal(size=K - 1) + 1j * rng.normal(size=K - 1)
+    c = rng.normal(size=K - 1) + 1j * rng.normal(size=K - 1)
+    A = sp.diags([1j * a, -b, c], [0, 1, -1], format="csr")
+    return sp.csr_array(A), np.linspace(0, 3, 62)
+
+
+def _real_chain():
+    # Projected-chain form: on-site decay and antisymmetric real hoppings.
+    rng = np.random.default_rng(9)
+    K = 40
+    b = rng.uniform(0.2, 3.0, size=K - 1)
+    A = sp.diags([-rng.uniform(0.0, 0.5, size=K), -b, b], [0, 1, -1],
+                 format="csr")
+    return sp.csr_array(A), np.linspace(0, 5, 201)
+
+
+@pytest.mark.parametrize("chain, path", [
+    (_stiff_chain, "per-step"),
+    (_unequal_block_chain, "unequal blocks"),
+    (_real_chain, "real"),
+])
+def test_grid_propagator_matches_dense_expm(chain, path):
+    A, t = chain()
+    q = t.size - 1
+    m, s = _taylor_plan(A, t[-1])
+    if path == "per-step":
+        assert q <= s
+    if path == "unequal blocks":
+        assert q > s and q % (q // s) != 0
+    y0 = np.zeros(A.shape[0], dtype=A.dtype)
+    y0[0] = 1.0
+    X = _propagate(A, y0, t[-1] / q, q)
+    if path == "real":
+        assert X.dtype == np.float64
+    A_dense = A.toarray()
+    for k, tk in enumerate(t):
+        ref = expm(tk * A_dense) @ y0
+        assert np.linalg.norm(X[k] - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def _assert_matches_expm_multiply(tri, t):
+    """Both trajectories against scipy's expm_multiply, grid point by grid
+    point, to 1e-10 relative."""
+    traj = evolve_chain(tri, t)
+    e0 = np.zeros(tri.K, dtype=complex)
+    e0[0] = 1.0
+    for A, Y in zip(chain_generators(tri), (traj.phi, traj.psi.conj())):
+        ref = expm_multiply(A, e0, start=0.0, stop=t[-1], num=t.size,
+                            endpoint=True).T
+        err = np.linalg.norm(Y - ref, axis=0)
+        assert np.all(err <= 1e-10 * np.linalg.norm(ref, axis=0))
+
+
+@pytest.mark.parametrize("N", [3, 4])
+@pytest.mark.parametrize("project", [False, True])
+def test_propagator_matches_expm_multiply_on_model_chains(N, project):
+    spec = ModelSpec(N=N, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
+    seed = uniform_seed(spec.dim)
+    tri = bilanczos(build_model_lindbladian(spec), seed, seed)
+    if project:
+        tri = project_dissipative_structure(tri)
+    _assert_matches_expm_multiply(tri, np.linspace(0, 10, 400))
+
+
+def test_propagator_matches_expm_multiply_on_saturating_chain():
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="truncation tail",
+                                category=RuntimeWarning)
+        _assert_matches_expm_multiply(saturating_coefficients(1.0, 1.0, 400),
+                                      np.linspace(0, 6, 1201))
 
 
 def test_n5_raw_chain_evolves_without_runtime_warnings():

@@ -43,7 +43,6 @@ def test_closed_liouvillian_single_qubit_z():
     ref = np.kron(np.eye(2), Z) - np.kron(Z.T, np.eye(2))
     assert_allclose(L.matrix.toarray(), ref)
     assert_allclose(np.diag(L.matrix.toarray()), [0, -2, 2, 0])
-    assert L.hermitian
 
 
 def test_closed_liouvillian_annihilates_identity():
@@ -71,7 +70,6 @@ def test_lindbladian_reduces_to_closed():
     open_L = build_lindbladian(H, [])
     closed_L = build_liouvillian_closed(H)
     assert_allclose(open_L.matrix.toarray(), closed_L.matrix.toarray())
-    assert open_L.hermitian
 
 
 def test_single_qubit_dephasing_decay():
