@@ -100,22 +100,3 @@ def filter_series(series, cfg=None):
     cfg = cfg or FilterConfig()
     cleaned, idx = remove_outliers(series, cfg)
     return cleaned, smooth(cleaned, cfg), idx
-
-
-def filtered_to_csv(raw, cleaned, smoothed):
-    """CSV text `n,raw,cleaned,smoothed` with 17 significant digits."""
-    lines = ["n,raw,cleaned,smoothed"]
-    for i in range(len(raw)):
-        lines.append("%d,%.17g,%.17g,%.17g" % (i, raw[i], cleaned[i],
-                                               smoothed[i]))
-    return "\n".join(lines) + "\n"
-
-
-def read_series_csv(text):
-    """Read the first numeric column after `n` from filter CSV input."""
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    header = lines[0].split(",")
-    if header[0] != "n" or len(header) < 2:
-        raise ValueError("expected CSV header starting with 'n,<series>'")
-    vals = [float(ln.split(",")[1]) for ln in lines[1:]]
-    return np.asarray(vals, dtype=float)

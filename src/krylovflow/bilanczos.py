@@ -13,9 +13,7 @@ other input runs the full two-sided recursion. :func:`hermitian_lanczos`
 is the q0 = p0 entry point.
 """
 
-import csv
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,6 +35,8 @@ class BiLanczosConfig:
     store_bases: bool = True
 
     def __post_init__(self):
+        if self.max_iter is not None and self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
         if self.breakdown_tol < 0:
             raise ValueError("breakdown_tol must be nonnegative")
         if self.reorth_passes < 0:
@@ -288,40 +288,3 @@ def project_dissipative_structure(tri):
         residual_tridiag=tri.residual_tridiag,
         termination=tri.termination,
     )
-
-
-def coefficients_to_csv(tri):
-    """Render coefficients as CSV text: n,a_re,a_im,b_re,b_im,c_re,c_im.
-
-    The b and c columns are blank on the n = 0 row.
-    """
-    buf = io.StringIO()
-    fmt = lambda x: "%.17g" % x
-    buf.write("n,a_re,a_im,b_re,b_im,c_re,c_im\n")
-    for n in range(tri.K):
-        row = [str(n), fmt(tri.a[n].real), fmt(tri.a[n].imag)]
-        if n == 0:
-            row += ["", "", "", ""]
-        else:
-            row += [fmt(tri.b[n - 1].real), fmt(tri.b[n - 1].imag),
-                    fmt(tri.c[n - 1].real), fmt(tri.c[n - 1].imag)]
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
-
-
-def write_coefficients(tri, path):
-    with open(path, "w", newline="\n") as f:
-        f.write(coefficients_to_csv(tri))
-
-
-def read_coefficients(path):
-    """Read a coefficients CSV back into a TridiagonalData (no bases)."""
-    a, b, c = [], [], []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        for row in reader:
-            a.append(float(row["a_re"]) + 1j * float(row["a_im"]))
-            if row["b_re"] != "":
-                b.append(float(row["b_re"]) + 1j * float(row["b_im"]))
-                c.append(float(row["c_re"]) + 1j * float(row["c_im"]))
-    return TridiagonalData(a=np.array(a), b=np.array(b), c=np.array(c))

@@ -216,18 +216,6 @@ def saturation_report(alpha0, gamma0, K=400, t_max=6.0, n_samples=1201,
                        saturation_ratio=full.saturation_ratio[sl], tol=tol)
 
 
-def bound_to_csv(report):
-    """CSV text `t,lhs,rhs,margin,tau_K` with 17 significant digits."""
-    lines = ["t,lhs,rhs,margin,tau_K"]
-    for i in range(report.t.size):
-        tau = report.tau_K[i]
-        tau_s = "nan" if np.isnan(tau) else "%.17g" % tau
-        lines.append("%.17g,%.17g,%.17g,%.17g,%s" % (
-            report.t[i], report.lhs[i], report.rhs[i],
-            report.margin[i], tau_s))
-    return "\n".join(lines) + "\n"
-
-
 def bound_summary(report):
     """JSON-ready summary of a bound report."""
     finite = report.saturation_ratio[np.isfinite(report.saturation_ratio)]

@@ -2,32 +2,41 @@
 
 Usage:  krylovflow <subcommand> --config <file.json> [--out DIR] [--quiet]
 
-Subcommands: lanczos, evolve, bound, oracle, continuum, saturation,
-filter, full.  The JSON config holds the model and run parameters; every
-artifact is a deterministic CSV (17 significant digits, LF endings) with
-a JSON sidecar echoing the config and version.  Exit codes: 0 success,
-1 usage error, 2 numerical failure, 3 invariant violation.
+The pipeline is one table of stages, run in this order: lanczos, evolve,
+bound, oracle, continuum, saturation, filter.  A subcommand runs its
+stage and the stages that one needs (evolve and filter need lanczos,
+filter not when the config names a ``coefficients_csv``; bound and
+oracle need evolve); ``full`` runs them all.  Oracle is skipped when N > ORACLE_MAX_N and
+continuum when the config has no ``continuum`` block: a usage error when
+requested explicitly, an entry of ``full_summary.json["skipped"]`` under
+``full``.  Every config value the chosen stages use is checked before any
+stage runs.  Each artifact is a deterministic CSV (17 significant digits,
+LF endings) with a JSON sidecar echoing the config and version.  Exit
+codes: 0 success, 1 usage error (including a bad config value), 2
+numerical failure, 3 invariant violation; on failure the run's artifacts
+are removed and ``error.json`` is written.
 """
 
 import argparse
 import json
 import os
 import sys
+from collections import namedtuple
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
-from .analysis import FilterConfig, filter_series, filtered_to_csv, \
-    read_series_csv
+from .analysis import FilterConfig, filter_series
 from .bilanczos import BiLanczosConfig, bilanczos, check_open_structure, \
-    coefficients_to_csv, project_dissipative_structure, read_coefficients
-from .bound import bound_summary, bound_to_csv, dispersion_bound_check, \
-    renormalized_bound_check, saturation_report
-from .continuum import ContinuumSpec, continuum_vs_paper_report, \
-    report_to_csv
+    project_dissipative_structure
+from .bound import bound_summary, dispersion_bound_check, \
+    renormalized_bound_check, saturating_coefficients, saturation_report
+from .continuum import ContinuumSpec, continuum_vs_paper_report
 from .exceptions import InvariantViolation, NumericalFailure
 from .krylov_chain import direct_evolution_oracle, evolve_chain, moments
-from .lindbladian import build_model_lindbladian, uniform_seed, vectorize
+from .lindbladian import MAX_QUBITS, build_model_lindbladian, \
+    uniform_seed, vectorize
 from .spin_algebra import ModelSpec
 
 EXIT_OK = 0
@@ -38,53 +47,58 @@ EXIT_INVARIANT = 3
 ORACLE_MAX_N = 4
 STRUCTURE_COEFFS = 50   # leading coefficients used for structure verdicts
 
-SUBCOMMANDS = ("lanczos", "evolve", "bound", "oracle", "continuum",
-               "saturation", "filter", "full")
-
 
 class UsageError(Exception):
     pass
 
 
-def _as_model(node):
-    try:
-        return ModelSpec(N=int(node["N"]), g=float(node["g"]),
-                         h=float(node["h"]),
-                         alpha=float(node.get("alpha", 0.0)),
-                         gamma=float(node.get("gamma", 0.0)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad model block: {exc}")
+def csv_table(columns):
+    """CSV text of ``columns``, a mapping of header name to cell values.
+
+    Integer columns print as integers, None as a blank cell and every
+    other value with 17 significant digits, which round-trips a float
+    exactly; lines end in LF.
+    """
+    cells = []
+    for values in columns.values():
+        values = np.asarray(values)
+        fmt = "%d" if values.dtype.kind in "iu" else "%.17g"
+        cells.append(["" if v is None else fmt % v
+                      for v in values.tolist()])
+    rows = [",".join(columns)] + [",".join(row) for row in zip(*cells)]
+    return "\n".join(rows) + "\n"
 
 
-def _as_bilanczos(node):
-    node = node or {}
-    try:
-        return BiLanczosConfig(
-            max_iter=node.get("max_iter"),
-            breakdown_tol=float(node.get("breakdown_tol", 1e-10)),
-            reorth_passes=int(node.get("reorth_passes", 2)))
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad bilanczos block: {exc}")
+def read_table(text):
+    """Columns of CSV text as {header name: [cell text, ...]}."""
+    rows = [line.split(",") for line in text.splitlines() if line.strip()]
+    if not rows:
+        raise ValueError("empty CSV table")
+    header = rows[0]
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError(f"CSV rows differ in length from header {header}")
+    return {name: [row[j] for row in rows[1:]]
+            for j, name in enumerate(header)}
 
 
-def _as_filter(node):
-    node = node or {}
-    try:
-        return FilterConfig(
-            outlier_window=int(node.get("outlier_window", 9)),
-            outlier_k=float(node.get("outlier_k", 3.0)),
-            smooth_window=int(node.get("smooth_window", 7)))
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad filter block: {exc}")
+def _coefficient_table(tri):
+    """coefficients.csv columns; b and c are absent on the n = 0 row."""
+    table = {"n": np.arange(tri.K), "a_re": tri.a.real, "a_im": tri.a.imag}
+    for name, x in (("b", tri.b), ("c", tri.c)):
+        table[name + "_re"] = [None] + x.real.tolist()
+        table[name + "_im"] = [None] + x.imag.tolist()
+    return table
 
 
-def _as_continuum(node):
-    try:
-        return ContinuumSpec(case=node["case"], alpha=float(node["alpha"]),
-                             beta=float(node["beta"]),
-                             c=float(node.get("c", 1.0)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad continuum block: {exc}")
+def _bound_table(report):
+    return {"t": report.t, "lhs": report.lhs, "rhs": report.rhs,
+            "margin": report.margin, "tau_K": report.tau_K}
+
+
+def _filter_inputs(a, b):
+    """(artifact, series, sidecar extra) of the two filtered coefficients."""
+    return [("filtered_b_abs.csv", np.abs(b), {"series": "b_abs"}),
+            ("filtered_a_im.csv", np.asarray(a).imag, {"series": "a_im"})]
 
 
 def load_config(path):
@@ -97,34 +111,124 @@ def load_config(path):
         raise UsageError(f"malformed config {path}: {exc}")
     if not isinstance(cfg, dict):
         raise UsageError("config must be a JSON object")
-    t_max = float(cfg.get("t_max", 10.0))
-    n_samples = int(cfg.get("n_samples", 400))
-    if t_max <= 0:
-        raise UsageError("t_max must be positive")
-    if n_samples < 3:
-        raise UsageError("n_samples must be at least 3")
     return cfg
 
 
-def _seed_vector(cfg, dim_d):
-    kind = cfg.get("seed_kind", "uniform")
+# Config parsers: each returns the values one stage uses and raises
+# KeyError, TypeError, ValueError or OSError on a bad value.
+
+def _block(cfg, key):
+    node = cfg.get(key) or {}
+    if not isinstance(node, dict):
+        raise TypeError(f"{key} must be a JSON object")
+    return node
+
+
+def _grid(node, t_max, n_samples):
+    t_max = float(node.get("t_max", t_max))
+    n_samples = int(node.get("n_samples", n_samples))
+    if not 0 < t_max < np.inf:
+        raise ValueError("t_max must be positive and finite")
+    if n_samples < 3:
+        raise ValueError("n_samples must be at least 3")
+    return t_max, n_samples
+
+
+def _seed_vector(kind, dim_d):
     if kind == "uniform":
         return uniform_seed(dim_d)
-    if isinstance(kind, dict) and kind.get("kind") == "custom":
-        path = kind.get("path")
+    if not (isinstance(kind, dict) and kind.get("kind") == "custom"):
+        raise ValueError(f"unknown seed_kind {kind!r}")
+    path = kind.get("path")
+    M = np.load(path)
+    if not isinstance(M, np.ndarray) or M.shape != (dim_d, dim_d):
+        raise ValueError(f"seed {path} is not a {dim_d}x{dim_d} .npy array")
+    v = vectorize(M.astype(complex))
+    nrm = np.linalg.norm(v)
+    if nrm == 0:
+        raise ValueError("seed matrix is zero")
+    return v / nrm
+
+
+def _parse_lanczos(cfg):
+    node = _block(cfg, "model")
+    model = ModelSpec(N=int(node["N"]), g=float(node["g"]),
+                      h=float(node["h"]),
+                      alpha=float(node.get("alpha", 0.0)),
+                      gamma=float(node.get("gamma", 0.0)))
+    if model.N > MAX_QUBITS:
+        raise ValueError(f"N = {model.N} exceeds {MAX_QUBITS} qubits")
+    node = _block(cfg, "bilanczos")
+    max_iter = node.get("max_iter")
+    lanczos_cfg = BiLanczosConfig(
+        max_iter=None if max_iter is None else int(max_iter),
+        breakdown_tol=float(node.get("breakdown_tol", 1e-10)),
+        reorth_passes=int(node.get("reorth_passes", 2)))
+    return {"model": model, "lanczos_cfg": lanczos_cfg,
+            "seed": _seed_vector(cfg.get("seed_kind", "uniform"),
+                                 model.dim)}
+
+
+def _parse_continuum(cfg):
+    if cfg.get("continuum") is None:
+        return {"continuum": None}
+    node = _block(cfg, "continuum")
+    return {"continuum": ContinuumSpec(
+        case=node["case"], alpha=float(node["alpha"]),
+        beta=float(node["beta"]), c=float(node.get("c", 1.0)))}
+
+
+def _parse_saturation(cfg):
+    node = _block(cfg, "saturation")
+    kw = {"alpha0": float(node.get("alpha0", 1.0)),
+          "gamma0": float(node.get("gamma0", 1.0)),
+          "K": int(node.get("K", 400))}
+    saturating_coefficients(**kw)  # raises on out-of-range chain values
+    kw["t_max"], kw["n_samples"] = _grid(node, 6.0, 1201)
+    return {"saturation": kw}
+
+
+def _parse_filter(cfg):
+    node = _block(cfg, "filter")
+    fcfg = FilterConfig(outlier_window=int(node.get("outlier_window", 9)),
+                        outlier_k=float(node.get("outlier_k", 3.0)),
+                        smooth_window=int(node.get("smooth_window", 7)))
+    path = cfg.get("coefficients_csv")
+    if path is None:
+        return {"filter": fcfg, "series": None}
+    with open(path, "r", encoding="utf-8") as fh:
+        table = read_table(fh.read())
+    if "a_re" in table:
+        # A coefficients.csv table: every cell is a number except the
+        # b and c cells of the n = 0 row.
+        v = {name: np.array([float(x) for x in
+                             (cells[1:] if name[0] in "bc" else cells)])
+             for name, cells in table.items()}
+        series = _filter_inputs(v["a_re"] + 1j * v["a_im"],
+                                v["b_re"] + 1j * v["b_im"])
+    else:
+        names = list(table)
+        if names[0] != "n" or len(names) < 2:
+            raise ValueError(
+                "expected CSV header starting with 'n,<series>'")
+        series = [("filtered.csv",
+                   np.array([float(x) for x in table[names[1]]]), {})]
+    return {"filter": fcfg, "series": series}
+
+
+def _parse(cfg, stages):
+    """Parse and check every config value the stages use."""
+    run = SimpleNamespace()
+    grid = lambda cfg: {"t": np.linspace(0.0, *_grid(cfg, 10.0, 400))}
+    parsers = [("time grid", grid)] + [
+        (f"{stage.name} config", stage.parse) for stage in stages
+        if stage.parse is not None]
+    for what, parse in parsers:
         try:
-            M = np.load(path)
-        except OSError as exc:
-            raise UsageError(f"cannot read seed matrix {path}: {exc}")
-        if M.shape != (dim_d, dim_d):
-            raise UsageError(
-                f"seed matrix shape {M.shape} != ({dim_d}, {dim_d})")
-        v = vectorize(M.astype(complex))
-        nrm = np.linalg.norm(v)
-        if nrm == 0:
-            raise UsageError("seed matrix is zero")
-        return v / nrm
-    raise UsageError(f"unknown seed_kind {kind!r}")
+            vars(run).update(parse(cfg))
+        except (KeyError, TypeError, ValueError, OSError) as exc:
+            raise UsageError(f"bad {what}: {exc}")
+    return run
 
 
 class ArtifactWriter:
@@ -145,26 +249,23 @@ class ArtifactWriter:
         except OSError as exc:
             raise UsageError(f"output dir {out_dir} not writable: {exc}")
 
-    def _sidecar(self, name, extra=None):
-        meta = {"artifact": name, "command": self.command,
-                "version": __version__, "config": self.cfg}
-        if extra:
-            meta.update(extra)
-        return meta
-
     def write_text(self, name, text, extra=None):
         path = os.path.join(self.out_dir, name)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         self.written.append(path)
         side = path + ".json"
+        meta = {"artifact": name, "command": self.command,
+                "version": __version__, "config": self.cfg, **(extra or {})}
         with open(side, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self._sidecar(name, extra), fh, indent=2,
-                      sort_keys=True)
+            json.dump(meta, fh, indent=2, sort_keys=True)
             fh.write("\n")
         self.written.append(side)
         if not self.quiet:
             print(f"wrote {path}")
+
+    def write_table(self, name, columns, extra=None):
+        self.write_text(name, csv_table(columns), extra)
 
     def write_json(self, name, obj):
         self.write_text(name, json.dumps(obj, indent=2, sort_keys=True)
@@ -179,41 +280,16 @@ class ArtifactWriter:
         self.written = []
 
 
-def _t_grid(cfg):
-    return np.linspace(0.0, float(cfg.get("t_max", 10.0)),
-                       int(cfg.get("n_samples", 400)))
+# Stages.  Each reads the parsed config and the results of the stages it
+# needs from ``run`` and leaves its own results there.  Layer functions
+# are looked up as module globals at call time.
 
-
-def _moments_csv(m):
-    lines = ["t,C,P,M2,Ctilde"]
-    for i in range(m.t.size):
-        lines.append("%.17g,%.17g,%.17g,%.17g,%.17g" % (
-            m.t[i], m.C[i], m.P[i], m.M2[i], m.Ctilde[i]))
-    return "\n".join(lines) + "\n"
-
-
-def _oracle_csv(t, mc, mo):
-    # Zero-crossings (e.g. C at t = 0) are compared against a floor tied
-    # to the series peak rather than the pointwise value.
-    floor_C = 1e-12 * max(float(np.abs(mo.C).max()), 1e-300)
-    floor_P = 1e-12 * max(float(np.abs(mo.P).max()), 1e-300)
-    lines = ["t,C_chain,P_chain,C_direct,P_direct,relC,relP"]
-    for i in range(t.size):
-        relC = abs(mc.C[i] - mo.C[i]) / max(abs(mo.C[i]), floor_C)
-        relP = abs(mc.P[i] - mo.P[i]) / max(abs(mo.P[i]), floor_P)
-        lines.append("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % (
-            t[i], mc.C[i], mc.P[i], mo.C[i], mo.P[i], relC, relP))
-    return "\n".join(lines) + "\n"
-
-
-def _run_lanczos(cfg, writer):
-    model = _as_model(cfg.get("model", {}))
-    L = build_model_lindbladian(model)
-    seed = _seed_vector(cfg, model.dim)
-    tri = bilanczos(L, seed, seed, _as_bilanczos(cfg.get("bilanczos")))
+def _run_lanczos(run, writer):
+    run.L = build_model_lindbladian(run.model)
+    run.tri = tri = bilanczos(run.L, run.seed, run.seed, run.lanczos_cfg)
     n_struct = min(STRUCTURE_COEFFS, tri.K)
-    report = check_open_structure(tri, n_coeffs=n_struct)
-    writer.write_text("coefficients.csv", coefficients_to_csv(tri))
+    run.structure = report = check_open_structure(tri, n_coeffs=n_struct)
+    writer.write_table("coefficients.csv", _coefficient_table(tri))
     writer.write_json("structure.json", {
         "label": report.label,
         "dissipative": report.dissipative,
@@ -228,153 +304,144 @@ def _run_lanczos(cfg, writer):
         "residual_biortho": tri.residual_biortho,
         "residual_tridiag": tri.residual_tridiag,
     })
-    return L, seed, tri
 
 
-def _run_evolve(cfg, writer, tri):
-    t = _t_grid(cfg)
-    traj = evolve_chain(tri, t)
-    m = moments(traj)
-    writer.write_text("moments.csv", _moments_csv(m))
-    return traj, m
+def _run_evolve(run, writer):
+    run.moments = m = moments(evolve_chain(run.tri, run.t))
+    writer.write_table("moments.csv", {"t": m.t, "C": m.C, "P": m.P,
+                                       "M2": m.M2, "Ctilde": m.Ctilde})
 
 
-def _run_bound(cfg, writer, tri, m):
+def _run_bound(run, writer):
     # The bound applies to the dissipative chain.  For open runs the
     # coefficients are projected onto the a = i|a|, b = c = |b| form and
     # re-evolved; closed runs already have psi = phi and are used as is.
-    structure = check_open_structure(tri, n_coeffs=min(STRUCTURE_COEFFS,
-                                                       tri.K))
-    projected = structure.label != "closed structure"
+    projected = run.structure.label != "closed structure"
     if projected:
-        tri_b = project_dissipative_structure(tri)
-        m = moments(evolve_chain(tri_b, _t_grid(cfg)))
+        tri_b = project_dissipative_structure(run.tri)
+        m = moments(evolve_chain(tri_b, run.t))
     else:
-        tri_b = tri
+        tri_b, m = run.tri, run.moments
     b1 = tri_b.b[0]
     report = dispersion_bound_check(m, b1)
     renormalized_bound_check(m, b1)  # identity check; raises if broken
-    writer.write_text("bound.csv", bound_to_csv(report))
+    writer.write_table("bound.csv", _bound_table(report))
     summary = bound_summary(report)
     summary["projected_structure"] = projected
     writer.write_json("bound_summary.json", summary)
-    return report
 
 
-def _run_oracle(cfg, writer, L, seed, tri, mc):
-    model = _as_model(cfg.get("model", {}))
-    if model.N > ORACLE_MAX_N:
-        raise UsageError(
-            f"oracle requires N <= {ORACLE_MAX_N} (got N = {model.N})")
-    t = _t_grid(cfg)
-    mo = direct_evolution_oracle(L, seed, tri, t)
-    writer.write_text("oracle.csv", _oracle_csv(t, mc, mo))
+def _run_oracle(run, writer):
+    mc = run.moments
+    mo = direct_evolution_oracle(run.L, run.seed, run.tri, run.t)
+    # Zero-crossings (e.g. C at t = 0) are compared against a floor tied
+    # to the series peak rather than the pointwise value.
+    floor_C = 1e-12 * max(float(np.abs(mo.C).max()), 1e-300)
+    floor_P = 1e-12 * max(float(np.abs(mo.P).max()), 1e-300)
+    writer.write_table("oracle.csv", {
+        "t": run.t, "C_chain": mc.C, "P_chain": mc.P,
+        "C_direct": mo.C, "P_direct": mo.P,
+        "relC": np.abs(mc.C - mo.C) / np.maximum(np.abs(mo.C), floor_C),
+        "relP": np.abs(mc.P - mo.P) / np.maximum(np.abs(mo.P), floor_P)})
 
 
-def _run_continuum(cfg, writer):
-    node = cfg.get("continuum")
-    if node is None:
-        raise UsageError("config has no continuum block")
-    spec = _as_continuum(node)
-    t = np.linspace(0.0, float(cfg.get("t_max", 3.0)),
-                    int(cfg.get("n_samples", 400)))
-    report = continuum_vs_paper_report(spec, t)
-    writer.write_text("continuum.csv", report_to_csv(report))
+def _run_continuum(run, writer):
+    writer.write_table("continuum.csv",
+                       continuum_vs_paper_report(run.continuum, run.t))
 
 
-def _run_saturation(cfg, writer):
-    node = cfg.get("saturation") or {}
-    report = saturation_report(
-        alpha0=float(node.get("alpha0", 1.0)),
-        gamma0=float(node.get("gamma0", 1.0)),
-        K=int(node.get("K", 400)),
-        t_max=float(node.get("t_max", 6.0)),
-        n_samples=int(node.get("n_samples", 1201)))
-    writer.write_text("saturation.csv", bound_to_csv(report))
+def _run_saturation(run, writer):
+    report = saturation_report(**run.saturation)
+    writer.write_table("saturation.csv", _bound_table(report))
     writer.write_json("saturation_summary.json", bound_summary(report))
 
 
-def _run_filter(cfg, writer, tri=None):
-    fcfg = _as_filter(cfg.get("filter"))
-    src = cfg.get("coefficients_csv")
-    if src is not None:
-        try:
-            with open(src, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read coefficients CSV {src}: {exc}")
-        try:
-            tri_in = read_coefficients(src)
-        except Exception:
-            series = read_series_csv(text)
-            cleaned, smoothed, _ = filter_series(series, fcfg)
-            writer.write_text("filtered.csv",
-                              filtered_to_csv(series, cleaned, smoothed),
-                              extra={"filter": fcfg.__dict__})
-            return
-    elif tri is not None:
-        tri_in = tri
-    else:
-        raise UsageError("filter needs coefficients_csv or a lanczos run")
-    for name, series in (("b_abs", np.abs(tri_in.b)),
-                         ("a_im", np.asarray(tri_in.a).imag)):
+def _run_filter(run, writer):
+    fcfg = run.filter
+    inputs = run.series or _filter_inputs(run.tri.a, run.tri.b)
+    window = max(fcfg.outlier_window, fcfg.smooth_window)
+    for name, series, extra in inputs:
+        if series.size < window:
+            raise UsageError(f"{name}: series length {series.size} < "
+                             f"filter window {window}")
         cleaned, smoothed, _ = filter_series(series, fcfg)
-        writer.write_text(f"filtered_{name}.csv",
-                          filtered_to_csv(series, cleaned, smoothed),
-                          extra={"filter": fcfg.__dict__, "series": name})
+        writer.write_table(name, {"n": np.arange(series.size),
+                                  "raw": series, "cleaned": cleaned,
+                                  "smoothed": smoothed},
+                           extra={"filter": fcfg.__dict__, **extra})
+
+
+# needs(cfg) -> stage names; skip(run) -> reason or None; parse(cfg) ->
+# parsed values (see _parse); run(run, writer) does the stage's work.
+Stage = namedtuple("Stage", "name needs artifacts skip parse run")
+
+
+def _needs(*names):
+    return lambda cfg: names
+
+
+# The pipeline in run order; a stage needs only earlier rows.
+STAGES = (
+    Stage("lanczos", _needs(), ("coefficients.csv", "structure.json"),
+          None, _parse_lanczos, _run_lanczos),
+    Stage("evolve", _needs("lanczos"), ("moments.csv",),
+          None, None, _run_evolve),
+    Stage("bound", _needs("evolve"), ("bound.csv", "bound_summary.json"),
+          None, None, _run_bound),
+    Stage("oracle", _needs("evolve"), ("oracle.csv",),
+          lambda run: (f"N > {ORACLE_MAX_N}"
+                       if run.model.N > ORACLE_MAX_N else None),
+          None, _run_oracle),
+    Stage("continuum", _needs(), ("continuum.csv",),
+          lambda run: ("no continuum block"
+                       if run.continuum is None else None),
+          _parse_continuum, _run_continuum),
+    Stage("saturation", _needs(),
+          ("saturation.csv", "saturation_summary.json"),
+          None, _parse_saturation, _run_saturation),
+    Stage("filter",
+          lambda cfg: (() if cfg.get("coefficients_csv") is not None
+                       else ("lanczos",)),
+          ("filtered_b_abs.csv", "filtered_a_im.csv", "filtered.csv"),
+          None, _parse_filter, _run_filter),
+)
+
+SUBCOMMANDS = tuple(stage.name for stage in STAGES) + ("full",)
+
+
+def _plan(command, cfg):
+    """The rows a subcommand runs: its stage and, transitively, its needs."""
+    if command == "full":
+        return STAGES
+    if command not in SUBCOMMANDS:
+        raise UsageError(f"unknown subcommand {command!r}")
+    names = {command}
+    for stage in reversed(STAGES):
+        if stage.name in names:
+            names.update(stage.needs(cfg))
+    return [stage for stage in STAGES if stage.name in names]
 
 
 def run_pipeline(cfg, command, out_dir, quiet=False):
     """Run one subcommand; returns the exit code."""
     writer = ArtifactWriter(out_dir, cfg, command, quiet)
     try:
-        if command == "lanczos":
-            _run_lanczos(cfg, writer)
-        elif command == "evolve":
-            _, _, tri = _run_lanczos(cfg, writer)
-            _run_evolve(cfg, writer, tri)
-        elif command == "bound":
-            _, _, tri = _run_lanczos(cfg, writer)
-            _, m = _run_evolve(cfg, writer, tri)
-            _run_bound(cfg, writer, tri, m)
-        elif command == "oracle":
-            model = _as_model(cfg.get("model", {}))
-            if model.N > ORACLE_MAX_N:
-                raise UsageError(
-                    f"oracle requires N <= {ORACLE_MAX_N} "
-                    f"(got N = {model.N})")
-            L, seed, tri = _run_lanczos(cfg, writer)
-            _, mc = _run_evolve(cfg, writer, tri)
-            _run_oracle(cfg, writer, L, seed, tri, mc)
-        elif command == "continuum":
-            _run_continuum(cfg, writer)
-        elif command == "saturation":
-            _run_saturation(cfg, writer)
-        elif command == "filter":
-            tri = None
-            if cfg.get("coefficients_csv") is None:
-                _, _, tri = _run_lanczos(cfg, writer)
-            _run_filter(cfg, writer, tri)
-        elif command == "full":
-            L, seed, tri = _run_lanczos(cfg, writer)
-            _, m = _run_evolve(cfg, writer, tri)
-            _run_bound(cfg, writer, tri, m)
-            model = _as_model(cfg.get("model", {}))
-            skipped = []
-            if model.N <= ORACLE_MAX_N:
-                _run_oracle(cfg, writer, L, seed, tri, m)
+        stages = _plan(command, cfg)
+        run = _parse(cfg, stages)
+        todo, skipped = [], []
+        for stage in stages:
+            reason = stage.skip(run) if stage.skip else None
+            if reason is None:
+                todo.append(stage)
+            elif command == "full":
+                skipped.append(f"{stage.name} ({reason})")
             else:
-                skipped.append("oracle (N > %d)" % ORACLE_MAX_N)
-            if cfg.get("continuum") is not None:
-                _run_continuum(cfg, writer)
-            else:
-                skipped.append("continuum (no continuum block)")
-            _run_saturation(cfg, writer)
-            _run_filter(cfg, writer, tri)
+                raise UsageError(f"{stage.name} cannot run: {reason}")
+        for stage in todo:
+            stage.run(run, writer)
+        if command == "full":
             writer.write_json("full_summary.json",
                               {"skipped": skipped, "completed": True})
-        else:
-            raise UsageError(f"unknown subcommand {command!r}")
     except UsageError as exc:
         writer.rollback()
         _emit_error(out_dir, command, "usage", str(exc), quiet)
@@ -407,7 +474,10 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="krylovflow",
         description="Krylov-complexity pipelines for dissipative spin "
-                    "chains")
+                    "chains",
+        epilog="stages, in run order: " + "; ".join(
+            f"{stage.name} ({', '.join(stage.artifacts)})"
+            for stage in STAGES))
     parser.add_argument("command", choices=SUBCOMMANDS)
     parser.add_argument("--config", required=True,
                         help="JSON configuration file")

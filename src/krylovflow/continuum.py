@@ -145,12 +145,3 @@ def continuum_vs_paper_report(spec, t_grid):
     relP = np.abs(P_p - P_s) / np.maximum(np.abs(P_s), eps)
     return {"t": t_grid, "C_paper": C_p, "P_paper": P_p,
             "C_char": C_s, "P_char": P_s, "relC": relC, "relP": relP}
-
-
-def report_to_csv(report):
-    """CSV text `t,C_paper,P_paper,C_char,P_char,relC,relP`."""
-    cols = ("t", "C_paper", "P_paper", "C_char", "P_char", "relC", "relP")
-    lines = [",".join(cols)]
-    for i in range(report["t"].size):
-        lines.append(",".join("%.17g" % report[k][i] for k in cols))
-    return "\n".join(lines) + "\n"

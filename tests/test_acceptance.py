@@ -16,10 +16,10 @@ from krylovflow.bilanczos import (bilanczos, hermitian_lanczos,
                                   project_dissipative_structure)
 from krylovflow.bound import (dispersion_bound_check, mandelstam_tamm_tau,
                               saturation_report)
-from krylovflow.cli import main
+from krylovflow.cli import csv_table, main
 from krylovflow.continuum import (CONSTANT_A, LINEAR_A, ContinuumSpec,
                                   analytic_C_P, characteristics_solver,
-                                  continuum_vs_paper_report, report_to_csv)
+                                  continuum_vs_paper_report)
 from krylovflow.krylov_chain import (direct_evolution_oracle, evolve_chain,
                                      moments)
 from krylovflow.lindbladian import build_model_lindbladian, uniform_seed
@@ -191,7 +191,7 @@ def test_criterion_09_continuum_linear_dissipation():
     os.makedirs(ARTIFACT_DIR, exist_ok=True)
     path = os.path.join(ARTIFACT_DIR, "linear_a_discrepancy.csv")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(report_to_csv(rep))
+        fh.write(csv_table(rep))
     verdict("criterion 9 (continuum, linear dissipation rate)",
             relC < 1e-10 and relP < 1e-10 and os.path.exists(path),
             f"zero-dissipation limit rel diff = {max(relC, relP):.3e} "

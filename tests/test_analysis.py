@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from krylovflow.analysis import (MAD_SCALE, FilterConfig, _outlier_sweep,
-                                 filter_series, filtered_to_csv,
-                                 read_series_csv, remove_outliers, smooth)
+                                 filter_series, remove_outliers, smooth)
 from krylovflow.bilanczos import bilanczos
+from krylovflow.cli import csv_table, read_table
 from krylovflow.lindbladian import build_model_lindbladian, uniform_seed
 from krylovflow.spin_algebra import ModelSpec
 
@@ -133,9 +133,13 @@ def test_filter_config_validation():
 
 
 def test_csv_round_trip():
-    raw = np.array([1.0, 2.0, 50.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0])
+    raw = np.array([1.0, 2.0, 50.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]) / 3
     cleaned, smoothed, _ = filter_series(raw)
-    text = filtered_to_csv(raw, cleaned, smoothed)
+    text = csv_table({"n": np.arange(raw.size), "raw": raw,
+                      "cleaned": cleaned, "smoothed": smoothed})
     assert text.splitlines()[0] == "n,raw,cleaned,smoothed"
-    back = read_series_csv(text)
-    assert_allclose(back, raw)
+    table = read_table(text)
+    assert table["n"] == [str(i) for i in range(raw.size)]
+    for name, x in (("raw", raw), ("cleaned", cleaned),
+                    ("smoothed", smoothed)):
+        assert_array_equal([float(v) for v in table[name]], x)

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from krylovflow.bilanczos import (TERM_BREAKDOWN, TERM_MAX_ITER,
                                   TERM_SERIOUS,
                                   BiLanczosConfig, bilanczos,
-                                  check_open_structure,
-                                  coefficients_to_csv, hermitian_lanczos,
+                                  check_open_structure, hermitian_lanczos,
                                   project_dissipative_structure,
-                                  read_coefficients, write_coefficients,
                                   TridiagonalData)
+from krylovflow.cli import _coefficient_table, csv_table, read_table
 from krylovflow.krylov_chain import evolve_chain
 from krylovflow.lindbladian import build_model_lindbladian, uniform_seed
 from krylovflow.spin_algebra import ModelSpec, build_tfim
@@ -171,19 +170,22 @@ def test_structure_dissipative_tfim_first_fifty():
     assert report.dissipative
 
 
-def test_coefficients_csv_round_trip(tmp_path):
-    tri = TridiagonalData(a=np.array([0.5j, 1.0 + 2.0j]),
+def test_coefficients_csv_round_trip():
+    tri = TridiagonalData(a=np.array([0.5j, 0.1 + 2.0j / 3]),
                           b=np.array([-0.5 + 0.25j]),
-                          c=np.array([0.5 + 0j]))
-    path = tmp_path / "coeffs.csv"
-    write_coefficients(tri, path)
-    back = read_coefficients(path)
-    assert_allclose(back.a, tri.a)
-    assert_allclose(back.b, tri.b)
-    assert_allclose(back.c, tri.c)
-    text = coefficients_to_csv(tri)
-    assert text.splitlines()[0] == "n,a_re,a_im,b_re,b_im,c_re,c_im"
-    assert text.splitlines()[1].endswith(",,,,")  # blank b, c at n = 0
+                          c=np.array([np.pi + 0j]))
+    text = csv_table(_coefficient_table(tri))
+    lines = text.splitlines()
+    assert lines[0] == "n,a_re,a_im,b_re,b_im,c_re,c_im"
+    assert lines[1] == "0,0,0.5,,,,"  # integer n; blank b, c at n = 0
+    table = read_table(text)
+    back = lambda name, start: np.array([float(table[name + "_re"][i]) +
+                                         1j * float(table[name + "_im"][i])
+                                         for i in range(start, tri.K)])
+    # 17 significant digits round-trip every float exactly
+    assert_array_equal(back("a", 0), tri.a)
+    assert_array_equal(back("b", 1), tri.b)
+    assert_array_equal(back("c", 1), tri.c)
 
 
 def test_project_dissipative_structure():

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from krylovflow import bound
 from krylovflow.bilanczos import bilanczos, hermitian_lanczos
@@ -11,7 +11,8 @@ from krylovflow.bound import (dispersion_bound_check,
                               mandelstam_tamm_tau,
                               renormalized_bound_check,
                               saturating_coefficients, saturation_report,
-                              bound_summary, bound_to_csv)
+                              bound_summary)
+from krylovflow.cli import _bound_table, csv_table, read_table
 from krylovflow.krylov_chain import evolve_chain, finite_diff, moments
 from krylovflow.lindbladian import build_model_lindbladian, uniform_seed
 from krylovflow.spin_algebra import ModelSpec
@@ -181,9 +182,15 @@ def test_bound_holds_on_small_models():
 def test_bound_csv_and_summary():
     m = two_site_moments()
     report = dispersion_bound_check(m, b1=1.0)
-    text = bound_to_csv(report)
+    report.tau_K[3] = np.nan  # as where dC/dt = 0
+    text = csv_table(_bound_table(report))
     assert text.splitlines()[0] == "t,lhs,rhs,margin,tau_K"
     assert len(text.splitlines()) == m.t.size + 1
+    assert text.splitlines()[4].endswith(",nan")
+    table = read_table(text)
+    for name in ("t", "lhs", "rhs", "margin", "tau_K"):
+        back = np.array([float(x) for x in table[name]])
+        assert_array_equal(back, getattr(report, name))  # 17 digits: exact
     summary = bound_summary(report)
     assert summary["verdict"] is True
     assert summary["n_violations"] == 0

@@ -9,12 +9,14 @@ import pytest
 import krylovflow
 from krylovflow.cli import (EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK,
                             EXIT_USAGE, main)
+from krylovflow.lindbladian import MAX_QUBITS
+
+MODEL = {"N": 2, "g": -1.05, "h": 0.5, "alpha": 0.01, "gamma": 0.01}
 
 
 def write_config(path, **overrides):
     cfg = {
-        "model": {"N": 2, "g": -1.05, "h": 0.5,
-                  "alpha": 0.01, "gamma": 0.01},
+        "model": dict(MODEL),
         "t_max": 3.0,
         "n_samples": 61,
         "continuum": {"case": "constant_a", "alpha": 3.0, "beta": 2.0},
@@ -50,6 +52,34 @@ def test_full_pipeline_artifacts(tmp_path):
         assert sidecar["artifact"] == name
         assert "version" in sidecar
         assert sidecar["config"]["model"]["N"] == 2
+
+
+# Exact output file sets, sidecars aside, of each subcommand on the
+# default config.
+SUBCOMMAND_ARTIFACTS = {
+    "lanczos": ["coefficients.csv", "structure.json"],
+    "evolve": ["coefficients.csv", "structure.json", "moments.csv"],
+    "bound": ["coefficients.csv", "structure.json", "moments.csv",
+              "bound.csv", "bound_summary.json"],
+    "oracle": ["coefficients.csv", "structure.json", "moments.csv",
+               "oracle.csv"],
+    "continuum": ["continuum.csv"],
+    "saturation": ["saturation.csv", "saturation_summary.json"],
+    "filter": ["coefficients.csv", "structure.json", "filtered_b_abs.csv",
+               "filtered_a_im.csv"],
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMAND_ARTIFACTS)
+def test_subcommand_artifact_set(tmp_path, command):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out),
+                 "--quiet"]) == EXIT_OK
+    expected = SUBCOMMAND_ARTIFACTS[command]
+    assert sorted(os.listdir(out)) == sorted(
+        expected + [name + ".json" for name in expected])
 
 
 def test_full_runs_are_byte_identical(tmp_path):
@@ -102,6 +132,66 @@ def test_filter_external_csv(tmp_path):
     table = read_csv(out / "filtered.csv")
     assert table["raw"][4] == 50
     assert table["cleaned"][4] == 1
+
+
+def test_filter_rejects_malformed_coefficients_csv(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    out = tmp_path / "out"
+    assert main(["lanczos", "--config", str(cfg_path), "--out", str(out),
+                 "--quiet"]) == EXIT_OK
+    lines = (out / "coefficients.csv").read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[3] = "x"  # the b_re cell of n = 2
+    lines[3] = ",".join(cells)
+    src = tmp_path / "bad.csv"
+    src.write_text("\n".join(lines) + "\n")
+    write_config(cfg_path, coefficients_csv=str(src))
+    out = tmp_path / "filtered"
+    assert main(["filter", "--config", str(cfg_path), "--out", str(out),
+                 "--quiet"]) == EXIT_USAGE
+    assert os.listdir(out) == ["error.json"]
+
+
+def test_continuum_time_grid_defaults_to_pipeline_grid(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg = write_config(cfg_path)
+    del cfg["t_max"]
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["continuum", "--config", str(cfg_path), "--out",
+                 str(out), "--quiet"]) == EXIT_OK
+    assert read_csv(out / "continuum.csv")["t"][-1] == 10.0
+
+
+# Config values that must stop a `full` run before or during its stages
+# with exit 1, error.json and no artifacts left behind.
+BAD_CONFIGS = {
+    "t_max": {"t_max": "abc"},
+    "n_samples": {"n_samples": "x"},
+    "qubit_cap": {"model": dict(MODEL, N=MAX_QUBITS + 1)},
+    "max_iter": {"bilanczos": {"max_iter": "abc"}},
+    "max_iter_zero": {"bilanczos": {"max_iter": 0}},
+    "saturation_K": {"saturation": {"K": 1}},
+    "seed_not_npy": {"seed_kind": {"kind": "custom", "path": "seed.txt"}},
+    # t_max keeps the truncated chain's tail under its warning cutoff
+    "chain_shorter_than_filter": {"bilanczos": {"max_iter": 5},
+                                  "t_max": 0.02},
+}
+
+
+@pytest.mark.parametrize("overrides", BAD_CONFIGS.values(), ids=BAD_CONFIGS)
+def test_bad_config_value_is_usage_error(tmp_path, monkeypatch, overrides):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "seed.txt").write_text("not an array\n")
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, **overrides)
+    out = tmp_path / "out"
+    assert main(["full", "--config", str(cfg_path), "--out", str(out),
+                 "--quiet"]) == EXIT_USAGE
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "usage"
+    assert os.listdir(out) == ["error.json"]
 
 
 def test_unknown_subcommand_is_usage_error(tmp_path, capsys):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
+from krylovflow.cli import csv_table, read_table
 from krylovflow.continuum import (CONSTANT_A, LINEAR_A, ContinuumSpec,
                                   analytic_C_P, characteristics_solver,
-                                  continuum_vs_paper_report, report_to_csv)
+                                  continuum_vs_paper_report)
 from krylovflow.exceptions import NumericalFailure
 
 
@@ -86,9 +87,11 @@ def test_report_linear_a_discrepancy_documented():
     spec = ContinuumSpec(case=LINEAR_A, alpha=3.0, beta=2.0)
     report = continuum_vs_paper_report(spec, np.linspace(0, 1, 21))
     assert report["relP"].max() > 1e-3
-    text = report_to_csv(report)
+    text = csv_table(report)
     header = "t,C_paper,P_paper,C_char,P_char,relC,relP"
     assert text.splitlines()[0] == header
+    for name, cells in read_table(text).items():
+        assert_array_equal([float(x) for x in cells], report[name])
 
 
 def test_solver_probability_non_increasing():
