@@ -11,22 +11,20 @@ __version__ = "0.1.0"
 
 from .analysis import FilterConfig, filter_series, remove_outliers, smooth
 from .bilanczos import (BiLanczosConfig, StructureReport, TridiagonalData,
-                        bilanczos, check_open_structure, hermitian_lanczos,
+                        bilanczos, check_open_structure,
                         project_dissipative_structure)
 from .bound import (BoundReport, MandelstamTammReport,
-                    dispersion_bound_check, liouvillian_variance_t0,
-                    mandelstam_tamm_tau, renormalized_bound_check,
-                    saturating_coefficients, saturation_report)
+                    dispersion_bound_check, mandelstam_tamm_tau,
+                    renormalized_bound_check, saturating_coefficients,
+                    saturation_report)
 from .continuum import (CONSTANT_A, LINEAR_A, ContinuumSpec, analytic_C_P,
                         characteristics_solver, continuum_vs_paper_report)
 from .exceptions import InvariantViolation, NumericalFailure
 from .krylov_chain import (ChainTrajectory, MomentSeries,
                            direct_evolution_oracle, evolve_chain,
                            finite_diff, moments)
-from .lindbladian import (Superoperator, build_lindbladian,
-                          build_liouvillian_closed,
-                          build_model_lindbladian, devectorize,
-                          uniform_seed, vectorize)
+from .lindbladian import (build_lindbladian, build_model_lindbladian,
+                          devectorize, uniform_seed, vectorize)
 from .spin_algebra import (ModelSpec, build_jump_operators, build_tfim,
                            pauli_matrix, site_operator)
 
@@ -34,19 +32,17 @@ __all__ = [
     "__version__",
     "FilterConfig", "filter_series", "remove_outliers", "smooth",
     "BiLanczosConfig", "StructureReport", "TridiagonalData", "bilanczos",
-    "check_open_structure", "hermitian_lanczos",
-    "project_dissipative_structure",
+    "check_open_structure", "project_dissipative_structure",
     "BoundReport", "MandelstamTammReport", "dispersion_bound_check",
-    "liouvillian_variance_t0", "mandelstam_tamm_tau",
-    "renormalized_bound_check", "saturating_coefficients",
-    "saturation_report",
+    "mandelstam_tamm_tau", "renormalized_bound_check",
+    "saturating_coefficients", "saturation_report",
     "CONSTANT_A", "LINEAR_A", "ContinuumSpec", "analytic_C_P",
     "characteristics_solver", "continuum_vs_paper_report",
     "InvariantViolation", "NumericalFailure",
     "ChainTrajectory", "MomentSeries", "direct_evolution_oracle",
     "evolve_chain", "finite_diff", "moments",
-    "Superoperator", "build_lindbladian", "build_liouvillian_closed",
-    "build_model_lindbladian", "devectorize", "uniform_seed", "vectorize",
+    "build_lindbladian", "build_model_lindbladian", "devectorize",
+    "uniform_seed", "vectorize",
     "ModelSpec", "build_jump_operators", "build_tfim", "pauli_matrix",
     "site_operator",
 ]

@@ -9,11 +9,11 @@ for every vectorized Lindbladian with a real Hamiltonian and real jumps)
 and q0 = conj(p0), each left vector is a scalar multiple of the conjugated
 right vector (Freund, SIAM J. Sci. Stat. Comput. 13, 1992), so the
 recursion needs one matvec and one reorthogonalization per step. Any
-other input runs the full two-sided recursion. :func:`hermitian_lanczos`
-is the q0 = p0 entry point.
+other input runs the full two-sided recursion. :func:`bilanczos` is the
+one entry point: a Hermitian generator runs with q0 = p0, a unit vector.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,16 +31,12 @@ TERM_SYNTHETIC = "synthetic"
 class BiLanczosConfig:
     max_iter: int = None          # default: full dimension of L
     breakdown_tol: float = 1e-10  # relative to the running max of c_j
-    reorth_passes: int = 2
-    store_bases: bool = True
 
     def __post_init__(self):
         if self.max_iter is not None and self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.breakdown_tol < 0:
             raise ValueError("breakdown_tol must be nonnegative")
-        if self.reorth_passes < 0:
-            raise ValueError("reorth_passes must be nonnegative")
 
 
 @dataclass
@@ -98,8 +94,8 @@ def bilanczos(L, p0, q0, cfg=None):
 
     Starting vectors must satisfy <q0|p0> = 1; if the overlap is nonzero p0
     is rescaled, otherwise the pair is rejected. Each new right vector (and,
-    on the two-sided path, each left vector) is purged against all previous
-    basis vectors ``cfg.reorth_passes`` times.
+    on the two-sided path, each left vector) is purged twice against all
+    previous basis vectors; both bases are returned.
 
     Left-vector rule: if L^T = L exactly and q0 = conj(p0), then
     q_n = mu_n conj(p_n) with mu_0 = conj(<q0|p0>) and
@@ -168,8 +164,9 @@ def bilanczos(L, p0, q0, cfg=None):
         q = s / np.conj(bj)
 
         # Q[:j] @ conj(x), conjugated, is Q' x without a conjugated copy
-        # of the basis.
-        for _ in range(cfg.reorth_passes):
+        # of the basis.  Two passes: the second removes what rounding left
+        # after the first ("twice is enough": Kahan, in Parlett 1980).
+        for _ in range(2):
             p = p - np.conj(Q[:j] @ np.conj(p)) @ P[:j]
             if not symmetric:
                 q = q - np.conj(P[:j] @ np.conj(q)) @ Q[:j]
@@ -199,34 +196,17 @@ def bilanczos(L, p0, q0, cfg=None):
         a=np.array(a, dtype=complex),
         b=np.array(b, dtype=complex),
         c=np.array(c, dtype=complex),
+        p_basis=P[:K].T,
+        q_basis=Q[:K].T,
         termination=termination,
     )
-    if cfg.store_bases:
-        tri.p_basis = P[:K].T
-        tri.q_basis = Q[:K].T
-        Qh = Q[:K].conj()
-        QhP = Qh @ tri.p_basis
-        tri.residual_biortho = float(np.abs(QhP - np.eye(K)).max())
-        QhLP = Qh @ (A @ tri.p_basis)
-        tri.residual_tridiag = float(
-            np.abs(QhLP - tri.tridiagonal_matrix()).max())
+    Qh = Q[:K].conj()
+    QhP = Qh @ tri.p_basis
+    tri.residual_biortho = float(np.abs(QhP - np.eye(K)).max())
+    QhLP = Qh @ (A @ tri.p_basis)
+    tri.residual_tridiag = float(
+        np.abs(QhLP - tri.tridiagonal_matrix()).max())
     return tri
-
-
-def hermitian_lanczos(L, v0, cfg=None):
-    """Lanczos on a Hermitian generator from one starting vector.
-
-    Normalizes v0 to unit 2-norm (a zero vector is rejected) and runs
-    :func:`bilanczos` with p0 = q0 = v0. A real symmetric L with a real v0
-    takes the one-matvec symmetric rule, so q_n = p_n; coefficients come
-    out with b = c real nonnegative and a real, up to roundoff.
-    """
-    v = np.asarray(v0, dtype=complex)
-    nrm = np.linalg.norm(v)
-    if nrm == 0:
-        raise ValueError("starting vector must be nonzero")
-    v = v / nrm
-    return bilanczos(L, v, v, cfg)
 
 
 def check_open_structure(tri, tol=1e-6, n_coeffs=None):
@@ -278,13 +258,5 @@ def project_dissipative_structure(tri):
     evolution.  Bases and termination metadata are carried over unchanged.
     """
     b_abs = np.abs(np.asarray(tri.b, dtype=complex)).astype(complex)
-    return TridiagonalData(
-        a=1j * np.abs(np.asarray(tri.a, dtype=complex)),
-        b=b_abs,
-        c=b_abs.copy(),
-        p_basis=tri.p_basis,
-        q_basis=tri.q_basis,
-        residual_biortho=tri.residual_biortho,
-        residual_tridiag=tri.residual_tridiag,
-        termination=tri.termination,
-    )
+    return replace(tri, a=1j * np.abs(np.asarray(tri.a, dtype=complex)),
+                   b=b_abs, c=b_abs.copy())

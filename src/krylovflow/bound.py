@@ -8,8 +8,8 @@ For a chain run with moments C(t), P(t), M2(t) the bound compares
 and holds when margin = rhs - lhs >= 0 up to finite-difference noise.
 The renormalized form uses Ctilde = C/P and is algebraically identical.
 Also provided: the Mandelstam-Tamm-style time scale tau_K = DeltaK/|dC/dt|
-for closed systems, the t=0 generator variance b1*c1, and the synthetic
-coefficient family that saturates the bound exactly.
+for closed systems and the synthetic coefficient family that saturates the
+bound exactly.
 """
 
 import warnings as _warnings
@@ -125,16 +125,6 @@ def renormalized_bound_check(m, b1, tol=BOUND_TOL):
             f"renormalized lhs deviates from plain lhs by {defect:.3e} "
             f"(> {IDENTITY_TOL:.0e} * {scale:.3e})")
     return _assemble(m, b1, lhs, tol)
-
-
-def liouvillian_variance_t0(a0, b1, c1):
-    """Variance of the (non-Hermitian) generator in the seed state.
-
-    <L^2> - <L>^2 = (a0^2 + b1 c1) - a0^2 = b1 * c1; equals |b1|^2 when
-    b1 = c1 = |b1| (closed / structured dissipative chains).
-    """
-    del a0  # cancels exactly
-    return complex(b1) * complex(c1)
 
 
 def mandelstam_tamm_tau(report, b1, tol=1e-4, noise_floor=MT_NOISE_FLOOR):

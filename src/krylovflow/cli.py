@@ -5,16 +5,18 @@ Usage:  krylovflow <subcommand> --config <file.json> [--out DIR] [--quiet]
 The pipeline is one table of stages, run in this order: lanczos, evolve,
 bound, oracle, continuum, saturation, filter.  A subcommand runs its
 stage and the stages that one needs (evolve and filter need lanczos,
-filter not when the config names a ``coefficients_csv``; bound and
-oracle need evolve); ``full`` runs them all.  Oracle is skipped when N > ORACLE_MAX_N and
-continuum when the config has no ``continuum`` block: a usage error when
-requested explicitly, an entry of ``full_summary.json["skipped"]`` under
-``full``.  Every config value the chosen stages use is checked before any
-stage runs.  Each artifact is a deterministic CSV (17 significant digits,
-LF endings) with a JSON sidecar echoing the config and version.  Exit
-codes: 0 success, 1 usage error (including a bad config value), 2
-numerical failure, 3 invariant violation; on failure the run's artifacts
-are removed and ``error.json`` is written.
+filter not when the config names a ``coefficients_csv``; bound and oracle
+need evolve); ``full`` runs them all.  A skip rule is checked just before
+its stage (oracle: N > ORACLE_MAX_N; continuum: no ``continuum`` block;
+filter: a chain that ended by breakdown is shorter than the filter
+window).  A skipped stage is a usage error when requested by name and an
+entry of ``full_summary.json["skipped"]`` under ``full``.  Every config
+value the chosen stages use is checked before any stage runs.  Each
+artifact is a deterministic CSV (17 significant digits, LF endings) with
+a JSON sidecar echoing the config and version.  Exit codes: 0 success, 1
+usage error (including a bad config value), 2 numerical failure, 3
+invariant violation; on failure the run's artifacts are removed and
+``error.json`` is written.
 """
 
 import argparse
@@ -28,8 +30,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import FilterConfig, filter_series
-from .bilanczos import BiLanczosConfig, bilanczos, check_open_structure, \
-    project_dissipative_structure
+from .bilanczos import TERM_BREAKDOWN, BiLanczosConfig, bilanczos, \
+    check_open_structure, project_dissipative_structure
 from .bound import bound_summary, dispersion_bound_check, \
     renormalized_bound_check, saturating_coefficients, saturation_report
 from .continuum import ContinuumSpec, continuum_vs_paper_report
@@ -162,8 +164,7 @@ def _parse_lanczos(cfg):
     max_iter = node.get("max_iter")
     lanczos_cfg = BiLanczosConfig(
         max_iter=None if max_iter is None else int(max_iter),
-        breakdown_tol=float(node.get("breakdown_tol", 1e-10)),
-        reorth_passes=int(node.get("reorth_passes", 2)))
+        breakdown_tol=float(node.get("breakdown_tol", 1e-10)))
     return {"model": model, "lanczos_cfg": lanczos_cfg,
             "seed": _seed_vector(cfg.get("seed_kind", "uniform"),
                                  model.dim)}
@@ -322,7 +323,8 @@ def _run_bound(run, writer):
         m = moments(evolve_chain(tri_b, run.t))
     else:
         tri_b, m = run.tri, run.moments
-    b1 = tri_b.b[0]
+    # A K = 1 chain has no b1 and C = M2 = 0 on it: b1 = 0 gives 0 <= 0.
+    b1 = tri_b.b[0] if tri_b.K > 1 else 0.0
     report = dispersion_bound_check(m, b1)
     renormalized_bound_check(m, b1)  # identity check; raises if broken
     writer.write_table("bound.csv", _bound_table(report))
@@ -356,14 +358,24 @@ def _run_saturation(run, writer):
     writer.write_json("saturation_summary.json", bound_summary(report))
 
 
+def _filter_skip(run):
+    """A series shorter than the filter window: a reason to skip when it
+    comes from a complete chain (ended by breakdown), else a usage error."""
+    window = max(run.filter.outlier_window, run.filter.smooth_window)
+    for name, series, _ in (run.series or
+                            _filter_inputs(run.tri.a, run.tri.b)):
+        if series.size < window:
+            reason = f"series length {series.size} < filter window {window}"
+            if run.series is None and run.tri.termination == TERM_BREAKDOWN:
+                return reason
+            raise UsageError(f"{name}: {reason}")
+    return None
+
+
 def _run_filter(run, writer):
     fcfg = run.filter
-    inputs = run.series or _filter_inputs(run.tri.a, run.tri.b)
-    window = max(fcfg.outlier_window, fcfg.smooth_window)
-    for name, series, extra in inputs:
-        if series.size < window:
-            raise UsageError(f"{name}: series length {series.size} < "
-                             f"filter window {window}")
+    for name, series, extra in (run.series or
+                                _filter_inputs(run.tri.a, run.tri.b)):
         cleaned, smoothed, _ = filter_series(series, fcfg)
         writer.write_table(name, {"n": np.arange(series.size),
                                   "raw": series, "cleaned": cleaned,
@@ -403,7 +415,7 @@ STAGES = (
           lambda cfg: (() if cfg.get("coefficients_csv") is not None
                        else ("lanczos",)),
           ("filtered_b_abs.csv", "filtered_a_im.csv", "filtered.csv"),
-          None, _parse_filter, _run_filter),
+          _filter_skip, _parse_filter, _run_filter),
 )
 
 SUBCOMMANDS = tuple(stage.name for stage in STAGES) + ("full",)
@@ -422,38 +434,35 @@ def _plan(command, cfg):
     return [stage for stage in STAGES if stage.name in names]
 
 
+# The error.json kind and exit code of each failure a run reports.
+ERRORS = {UsageError: ("usage", EXIT_USAGE),
+          NumericalFailure: ("numerical", EXIT_NUMERICAL),
+          InvariantViolation: ("invariant", EXIT_INVARIANT)}
+
+
 def run_pipeline(cfg, command, out_dir, quiet=False):
     """Run one subcommand; returns the exit code."""
     writer = ArtifactWriter(out_dir, cfg, command, quiet)
     try:
         stages = _plan(command, cfg)
         run = _parse(cfg, stages)
-        todo, skipped = [], []
+        skipped = []
         for stage in stages:
             reason = stage.skip(run) if stage.skip else None
             if reason is None:
-                todo.append(stage)
+                stage.run(run, writer)
             elif command == "full":
                 skipped.append(f"{stage.name} ({reason})")
             else:
                 raise UsageError(f"{stage.name} cannot run: {reason}")
-        for stage in todo:
-            stage.run(run, writer)
         if command == "full":
             writer.write_json("full_summary.json",
                               {"skipped": skipped, "completed": True})
-    except UsageError as exc:
+    except tuple(ERRORS) as exc:
         writer.rollback()
-        _emit_error(out_dir, command, "usage", str(exc), quiet)
-        return EXIT_USAGE
-    except NumericalFailure as exc:
-        writer.rollback()
-        _emit_error(out_dir, command, "numerical", str(exc), quiet)
-        return EXIT_NUMERICAL
-    except InvariantViolation as exc:
-        writer.rollback()
-        _emit_error(out_dir, command, "invariant", str(exc), quiet)
-        return EXIT_INVARIANT
+        kind, code = next(v for k, v in ERRORS.items() if isinstance(exc, k))
+        _emit_error(out_dir, command, kind, str(exc), quiet)
+        return code
     return EXIT_OK
 
 

@@ -36,7 +36,6 @@ class ChainTrajectory:
     phi: np.ndarray        # K x T, real when the chain generator is
     psi: np.ndarray        # K x T (psi_n(t), un-starred)
     tail_mass: np.ndarray  # |phi_{K-1}|^2 per time
-    tail_ok: bool = True
     # always 0; kept only because perfbench/worker.py reads it
     refinements: int = 0
 
@@ -264,7 +263,6 @@ def evolve_chain(tri, t_grid, tail_cutoff=TAIL_CUTOFF):
     phi = Y[:K, :]
     psi_star = Y[-K:, :]
     tail = np.abs(phi[-1, :]) ** 2
-    tail_ok = bool(tail.max() <= tail_cutoff)
     # Tail mass only signals truncation error when the chain was cut
     # short; a chain spanning the full space (up to the operator-space
     # bound D^2 - D + 1) or ending at an exact breakdown is complete and
@@ -272,15 +270,13 @@ def evolve_chain(tri, t_grid, tail_cutoff=TAIL_CUTOFF):
     complete = tri.termination == TERM_BREAKDOWN
     if not complete and tri.p_basis is not None:
         complete = K >= krylov_dim_bound(tri.p_basis.shape[0])
-    if complete:
-        tail_ok = True
-    if not tail_ok:
+    if not complete and tail.max() > tail_cutoff:
         warnings.warn(
             f"truncation tail |phi_K-1|^2 reached {tail.max():.3e} "
             f"(cutoff {tail_cutoff:.1e}); results beyond that time are "
             "affected by the finite chain", RuntimeWarning)
     return ChainTrajectory(t=t, phi=phi, psi=psi_star.conj(),
-                           tail_mass=tail, tail_ok=tail_ok)
+                           tail_mass=tail)
 
 
 def moments(traj):
@@ -352,10 +348,8 @@ def direct_evolution_oracle(L, seed, tri, t_grid):
         phi[:, k] = phase_q * (Qh @ v)
         psi_star[:, k] = phase_p * (Ph @ w)
 
-    tail = np.abs(phi[-1, :]) ** 2
     traj = ChainTrajectory(t=t, phi=phi, psi=psi_star.conj(),
-                           tail_mass=tail,
-                           tail_ok=bool(tail.max() <= TAIL_CUTOFF))
+                           tail_mass=np.abs(phi[-1, :]) ** 2)
     return moments(traj)
 
 

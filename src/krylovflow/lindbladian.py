@@ -4,12 +4,11 @@ Vectorization is column-major (Fortran order), so that
 vec(A X B) = (B^T kron A) vec(X). With this convention the commutator
 superoperator is I kron H - H^T kron I acting on vec(X).
 
-Superoperators are assembled with ``scipy.sparse.kron`` into one CSR
-matrix. For the transverse-field Ising chain and its local jumps that is
-about 13 nonzeros per row, against 4^N for a dense matrix.
+The superoperator is assembled with ``scipy.sparse.kron`` into one CSR
+matrix; the builders return that ``scipy.sparse.csr_array`` itself. For
+the transverse-field Ising chain and its local jumps that is about 13
+nonzeros per row, against 4^N for a dense matrix.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,27 +18,11 @@ import scipy.sparse as sp
 # N = 6, 4.3 GB at N = 7).
 MAX_QUBITS = 6
 MAX_DIM = 4 ** MAX_QUBITS
-
-
-@dataclass(frozen=True)
-class Superoperator:
-    """Sparse (CSR) superoperator acting on column-stacked operators."""
-
-    matrix: sp.csr_array
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
-    @property
-    def d(self):
-        return int(round(np.sqrt(self.dim)))
+HERM_TOL = 1e-10   # largest |H - H'| entry allowed, relative to max|H|
 
 
 def as_matrix(L):
-    """The matrix of a Superoperator; a square sparse or dense array as is."""
-    if isinstance(L, Superoperator):
-        return L.matrix
+    """L as a square matrix: sparse input as is, dense as a complex array."""
     M = L if sp.issparse(L) else np.asarray(L, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("superoperator must be a square matrix")
@@ -54,12 +37,6 @@ def krylov_dim_bound(dim):
     """
     D = int(round(np.sqrt(dim)))
     return D * D - D + 1 if D * D == dim else dim
-
-
-def hermiticity_defect(M):
-    """Max entrywise |M - M^dagger|."""
-    M = np.asarray(M)
-    return float(np.abs(M - M.conj().T).max())
 
 
 def vectorize(M):
@@ -79,13 +56,6 @@ def devectorize(v):
     return v.reshape((d, d), order="F")
 
 
-def _check_dim(d):
-    if d * d > MAX_DIM:
-        raise ValueError(
-            f"superoperator dimension {d * d} exceeds the supported "
-            f"ceiling ({MAX_DIM}, i.e. {MAX_QUBITS} qubits)")
-
-
 def _kron(A, B):
     return sp.kron(A, B, format="csr")
 
@@ -97,29 +67,24 @@ def _commutator(H):
     return _kron(eye, Hs) - _kron(Hs.T, eye)
 
 
-def build_liouvillian_closed(H, herm_tol=1e-10):
-    """Commutator superoperator I kron H - H^T kron I. Requires Hermitian H."""
-    H = np.asarray(H, dtype=complex)
-    d = H.shape[0]
-    _check_dim(d)
-    if hermiticity_defect(H) > herm_tol * max(1.0, np.abs(H).max()):
-        raise ValueError("closed Liouvillian requires a Hermitian Hamiltonian")
-    return Superoperator(matrix=_commutator(H))
-
-
 def build_lindbladian(H, jumps):
-    """Vectorized Lindblad generator.
+    """Vectorized Lindblad generator as a CSR matrix.
 
     L_o = (I kron H - H^T kron I)
           + (i/2) sum_k [I kron Lk'Lk + Lk^T Lk* kron I - 2 Lk^T kron Lk'].
 
-    Reduces to :func:`build_liouvillian_closed` for an empty jump list.
+    H must be Hermitian; an empty jump list gives the commutator alone.
     """
     H = np.asarray(H, dtype=complex)
     d = H.shape[0]
-    _check_dim(d)
+    if d * d > MAX_DIM:
+        raise ValueError(
+            f"superoperator dimension {d * d} exceeds the supported "
+            f"ceiling ({MAX_DIM}, i.e. {MAX_QUBITS} qubits)")
+    if np.abs(H - H.conj().T).max() > HERM_TOL * max(1.0, np.abs(H).max()):
+        raise ValueError("Lindbladian requires a Hermitian Hamiltonian")
     if not jumps:
-        return build_liouvillian_closed(H)
+        return _commutator(H)
     eye = sp.eye_array(d, dtype=complex, format="csr")
     diss = sp.csr_array((d * d, d * d), dtype=complex)
     for Lk in jumps:
@@ -129,7 +94,7 @@ def build_lindbladian(H, jumps):
         LdL = sp.csr_array(Lk.conj().T @ Lk)
         diss = (diss + (_kron(eye, LdL) + _kron(LdL.T, eye))
                 - 2.0 * _kron(sp.csr_array(Lk.T), sp.csr_array(Lk.conj().T)))
-    return Superoperator(matrix=_commutator(H) + 0.5j * diss)
+    return _commutator(H) + 0.5j * diss
 
 
 def build_model_lindbladian(spec):

@@ -12,8 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from krylovflow.bilanczos import (bilanczos, hermitian_lanczos,
-                                  project_dissipative_structure)
+from krylovflow.bilanczos import bilanczos, project_dissipative_structure
 from krylovflow.bound import (dispersion_bound_check, mandelstam_tamm_tau,
                               saturation_report)
 from krylovflow.cli import csv_table, main
@@ -52,8 +51,8 @@ def n5_dissipative():
 @pytest.fixture(scope="module")
 def n3_closed():
     spec = ModelSpec(N=3, g=-1.05, h=0.5)
-    tri = hermitian_lanczos(build_model_lindbladian(spec),
-                            uniform_seed(spec.dim))
+    seed = uniform_seed(spec.dim)
+    tri = bilanczos(build_model_lindbladian(spec), seed, seed)
     t = np.linspace(0.0, 10.0, 2001)
     m = moments(evolve_chain(tri, t))
     return tri, t, m
@@ -62,8 +61,8 @@ def n3_closed():
 def test_criterion_01_closed_system_conservation():
     spec = ModelSpec(N=4, g=-1.05, h=0.5, alpha=0.0, gamma=0.0)
     t0 = time.perf_counter()
-    tri = hermitian_lanczos(build_model_lindbladian(spec),
-                            uniform_seed(spec.dim))
+    seed = uniform_seed(spec.dim)
+    tri = bilanczos(build_model_lindbladian(spec), seed, seed)
     t = np.linspace(0.0, 10.0, 400)
     m = moments(evolve_chain(tri, t))
     elapsed = time.perf_counter() - t0

@@ -3,9 +3,8 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from krylovflow.bilanczos import (TERM_BREAKDOWN, TERM_MAX_ITER,
-                                  TERM_SERIOUS,
-                                  BiLanczosConfig, bilanczos,
-                                  check_open_structure, hermitian_lanczos,
+                                  TERM_SERIOUS, bilanczos,
+                                  check_open_structure,
                                   project_dissipative_structure,
                                   TridiagonalData)
 from krylovflow.cli import _coefficient_table, csv_table, read_table
@@ -64,22 +63,10 @@ def test_orthogonal_start_vectors_rejected():
                   np.array([0, 1], dtype=complex))
 
 
-def test_hermitian_matches_bilanczos_single_qubit():
-    spec = ModelSpec(N=1, g=1.0, h=0.0)
-    L = build_model_lindbladian(spec)
-    seed = uniform_seed(2)
-    tri_h = hermitian_lanczos(L, seed)
-    tri_b = bilanczos(L, seed, seed)
-    assert tri_h.K == tri_b.K
-    assert_allclose(tri_h.a, tri_b.a, atol=1e-12)
-    assert_allclose(tri_h.b, tri_b.b, atol=1e-12)
-    assert_allclose(tri_h.c, tri_b.c, atol=1e-12)
-
-
 def test_hermitian_coefficients_real():
     spec = ModelSpec(N=2, g=-1.05, h=0.5)
-    tri = hermitian_lanczos(build_model_lindbladian(spec),
-                            uniform_seed(4))
+    seed = uniform_seed(4)
+    tri = bilanczos(build_model_lindbladian(spec), seed, seed)
     assert np.abs(np.asarray(tri.a).imag).max() < 1e-10
     assert_allclose(tri.b, tri.c)
     assert np.asarray(tri.b).real.min() >= 0
@@ -88,7 +75,7 @@ def test_hermitian_coefficients_real():
 def test_hermitian_eigenvector_seed():
     L = np.diag([1.0, 2.0, 3.0]).astype(complex)
     v = np.array([0, 1, 0], dtype=complex)
-    tri = hermitian_lanczos(L, v)
+    tri = bilanczos(L, v, v)
     assert tri.K == 1
     assert tri.a[0] == pytest.approx(2.0)
 
@@ -117,7 +104,7 @@ def test_third_reorth_pass_is_idempotent():
     spec = ModelSpec(N=3, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
     L = build_model_lindbladian(spec)
     seed = uniform_seed(8)
-    tri = bilanczos(L, seed, seed, BiLanczosConfig(reorth_passes=2))
+    tri = bilanczos(L, seed, seed)
     P, Q = tri.p_basis, tri.q_basis
     worst = 0.0
     for j in range(1, tri.K):
@@ -128,21 +115,10 @@ def test_third_reorth_pass_is_idempotent():
     assert worst < 1e-12
 
 
-def test_hermitian_reduction_closed_model():
-    spec = ModelSpec(N=2, g=-1.05, h=0.5)
-    L = build_model_lindbladian(spec)
-    seed = uniform_seed(4)
-    tri_b = bilanczos(L, seed, seed)
-    tri_h = hermitian_lanczos(L, seed)
-    K = min(tri_b.K, tri_h.K)
-    assert_allclose(tri_b.a[:K], tri_h.a[:K], atol=1e-10)
-    assert_allclose(tri_b.b[:K - 1], tri_h.b[:K - 1], atol=1e-10)
-
-
 def test_structure_report_closed():
     spec = ModelSpec(N=2, g=-1.05, h=0.5)
-    tri = hermitian_lanczos(build_model_lindbladian(spec),
-                            uniform_seed(4))
+    seed = uniform_seed(4)
+    tri = bilanczos(build_model_lindbladian(spec), seed, seed)
     report = check_open_structure(tri)
     assert not report.dissipative
     assert report.label == "closed structure"

@@ -5,9 +5,8 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from krylovflow import bound
-from krylovflow.bilanczos import bilanczos, hermitian_lanczos
+from krylovflow.bilanczos import bilanczos
 from krylovflow.bound import (dispersion_bound_check,
-                              liouvillian_variance_t0,
                               mandelstam_tamm_tau,
                               renormalized_bound_check,
                               saturating_coefficients, saturation_report,
@@ -70,16 +69,12 @@ def test_renormalized_identity_dissipative():
     assert np.abs(renorm.lhs - plain.lhs).max() < 1e-8 * scale
 
 
-def test_variance_trivial():
-    assert liouvillian_variance_t0(0.3, 0.5, 0.5) == pytest.approx(0.25)
-
-
 def test_variance_nilpotent_example():
     # from the 2x2 upper-triangular hand run: b1 = -1/2, c1 = 1/2
     L = np.array([[0, 1], [0, 0]], dtype=complex)
     v = np.array([1, 1], dtype=complex) / np.sqrt(2)
     tri = bilanczos(L, v, v)
-    var = liouvillian_variance_t0(tri.a[0], tri.b[0], tri.c[0])
+    var = tri.b[0] * tri.c[0]   # <L^2> - <L>^2 = (a0^2 + b1 c1) - a0^2
     assert var == pytest.approx(-0.25)
 
 
@@ -88,10 +83,9 @@ def test_variance_matches_dense_expectation():
     L = build_model_lindbladian(spec)
     seed = uniform_seed(4)
     tri = bilanczos(L, seed, seed)
-    var = liouvillian_variance_t0(tri.a[0], tri.b[0], tri.c[0])
-    A = L.matrix
-    mean = np.vdot(seed, A @ seed)
-    second = np.vdot(seed, A @ (A @ seed))
+    var = tri.b[0] * tri.c[0]
+    mean = np.vdot(seed, L @ seed)
+    second = np.vdot(seed, L @ (L @ seed))
     assert abs(var - (second - mean ** 2)) < 1e-12
 
 
@@ -108,7 +102,8 @@ def test_mandelstam_tamm_two_site():
 
 def test_mandelstam_tamm_closed_three_site():
     spec = ModelSpec(N=3, g=-1.05, h=0.5)
-    tri = hermitian_lanczos(build_model_lindbladian(spec), uniform_seed(8))
+    seed = uniform_seed(8)
+    tri = bilanczos(build_model_lindbladian(spec), seed, seed)
     t = np.linspace(0, 10, 2001)
     m = moments(evolve_chain(tri, t))
     report = dispersion_bound_check(m, tri.b[0])
@@ -171,8 +166,7 @@ def test_bound_holds_on_small_models():
         spec = ModelSpec(N=3, g=-1.05, h=0.5, alpha=alpha, gamma=gamma)
         L = build_model_lindbladian(spec)
         seed = uniform_seed(8)
-        tri = (bilanczos(L, seed, seed) if alpha > 0
-               else hermitian_lanczos(L, seed))
+        tri = bilanczos(L, seed, seed)
         t = np.linspace(0, 10, 400)
         m = moments(evolve_chain(tri, t))
         report = dispersion_bound_check(m, tri.b[0])

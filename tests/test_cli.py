@@ -194,6 +194,54 @@ def test_bad_config_value_is_usage_error(tmp_path, monkeypatch, overrides):
     assert os.listdir(out) == ["error.json"]
 
 
+CLOSED_MODEL = dict(MODEL, alpha=0.0, gamma=0.0)
+
+
+def identity_seed_config(tmp_path):
+    """Closed N = 2 with the identity as seed: L I = 0, so K = 1."""
+    np.save(tmp_path / "eye.npy", np.eye(4))
+    return {"model": dict(CLOSED_MODEL),
+            "seed_kind": {"kind": "custom",
+                          "path": str(tmp_path / "eye.npy")}}
+
+
+def test_bound_on_one_coefficient_chain(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, **identity_seed_config(tmp_path))
+    out = tmp_path / "out"
+    assert main(["bound", "--config", str(cfg_path), "--out", str(out),
+                 "--quiet"]) == EXIT_OK
+    assert json.loads((out / "structure.json").read_text())["K"] == 1
+    assert json.loads((out / "bound_summary.json").read_text())["verdict"]
+
+
+# A chain that ended by breakdown short of the filter window: `full`
+# skips the filter and keeps every other artifact.
+@pytest.mark.parametrize("identity_seed,n", [(False, 6), (True, 0)],
+                         ids=["closed_n2", "identity_seed"])
+def test_full_skips_filter_on_short_complete_chain(tmp_path, identity_seed,
+                                                   n):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, **(identity_seed_config(tmp_path)
+                              if identity_seed else {"model": CLOSED_MODEL}))
+    out = tmp_path / "out"
+    assert main(["full", "--config", str(cfg_path), "--out", str(out),
+                 "--quiet"]) == EXIT_OK
+    summary = json.loads((out / "full_summary.json").read_text())
+    assert summary["skipped"] == [
+        f"filter (series length {n} < filter window 9)"]
+    expected = SUBCOMMAND_ARTIFACTS["bound"] + [
+        "oracle.csv", "continuum.csv", "saturation.csv",
+        "saturation_summary.json", "full_summary.json"]
+    assert sorted(os.listdir(out)) == sorted(
+        expected + [name + ".json" for name in expected])
+    # Requested by name, the same filter is a usage error.
+    out = tmp_path / "filter"
+    assert main(["filter", "--config", str(cfg_path), "--out", str(out),
+                 "--quiet"]) == EXIT_USAGE
+    assert os.listdir(out) == ["error.json"]
+
+
 def test_unknown_subcommand_is_usage_error(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path)

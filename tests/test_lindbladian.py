@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from krylovflow.lindbladian import (build_lindbladian,
-                                    build_liouvillian_closed,
                                     build_model_lindbladian, devectorize,
                                     uniform_seed, vectorize)
 from krylovflow.spin_algebra import (ModelSpec, build_jump_operators,
@@ -38,38 +37,34 @@ def test_vectorize_rejects_non_square():
 
 
 def test_closed_liouvillian_single_qubit_z():
-    L = build_liouvillian_closed(pauli_matrix("Z"))
+    L = build_lindbladian(pauli_matrix("Z"), [])
     Z = pauli_matrix("Z")
     ref = np.kron(np.eye(2), Z) - np.kron(Z.T, np.eye(2))
-    assert_allclose(L.matrix.toarray(), ref)
-    assert_allclose(np.diag(L.matrix.toarray()), [0, -2, 2, 0])
+    assert_allclose(L.toarray(), ref)
+    assert_allclose(np.diag(L.toarray()), [0, -2, 2, 0])
 
 
 def test_closed_liouvillian_annihilates_identity():
     H = build_tfim(ModelSpec(N=2, g=-1.05, h=0.5))
-    L = build_liouvillian_closed(H)
-    assert np.linalg.norm(L.matrix @ vectorize(np.eye(4))) < 1e-12
+    L = build_lindbladian(H, [])
+    assert np.linalg.norm(L @ vectorize(np.eye(4))) < 1e-12
 
 
 def test_closed_liouvillian_spectrum_is_differences():
     H = build_tfim(ModelSpec(N=2, g=-1.05, h=0.5))
-    L = build_liouvillian_closed(H)
+    L = build_lindbladian(H, [])
     E = np.linalg.eigvalsh(H)
     diffs = np.sort((E[None, :] - E[:, None]).ravel())
-    assert_allclose(np.sort(np.linalg.eigvalsh(L.matrix.toarray())), diffs,
+    assert_allclose(np.sort(np.linalg.eigvalsh(L.toarray())), diffs,
                     atol=1e-10)
 
 
 def test_closed_liouvillian_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        build_liouvillian_closed(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-def test_lindbladian_reduces_to_closed():
-    H = build_tfim(ModelSpec(N=2, g=-1.05, h=0.5))
-    open_L = build_lindbladian(H, [])
-    closed_L = build_liouvillian_closed(H)
-    assert_allclose(open_L.matrix.toarray(), closed_L.matrix.toarray())
+    # The Hermiticity check holds for closed and open models alike.
+    H = np.array([[0, 1], [0, 0]], dtype=complex)
+    for jumps in ([], [pauli_matrix("MINUS")]):
+        with pytest.raises(ValueError):
+            build_lindbladian(H, jumps)
 
 
 def test_single_qubit_dephasing_decay():
@@ -79,7 +74,7 @@ def test_single_qubit_dephasing_decay():
                           [np.sqrt(gamma) * pauli_matrix("Z")])
     v0 = vectorize(pauli_matrix("X"))
     for t in (0.1, 0.5, 2.0):
-        v = expm(1j * t * L.matrix.toarray()) @ v0
+        v = expm(1j * t * L.toarray()) @ v0
         assert_allclose(v, v0 * np.exp(-2 * gamma * t), atol=1e-12)
 
 
@@ -89,12 +84,12 @@ def test_dual_trace_preservation_single_qubit():
     g, h, alpha = -1.05, 0.5, 0.04
     H = -g * pauli_matrix("X") - h * pauli_matrix("Z")
     L = build_lindbladian(H, [np.sqrt(alpha) * pauli_matrix("MINUS")])
-    assert np.linalg.norm(L.matrix @ vectorize(np.eye(2))) < 1e-12
+    assert np.linalg.norm(L @ vectorize(np.eye(2))) < 1e-12
     # and the operator-side probability P(t) = |v|^2 leaks for the
     # uniform seed (direct matrix-exponential oracle)
     v0 = uniform_seed(2)
-    v1 = expm(1j * 1.0 * L.matrix.toarray()) @ v0
-    v2 = expm(1j * 3.0 * L.matrix.toarray()) @ v0
+    v1 = expm(1j * 1.0 * L.toarray()) @ v0
+    v2 = expm(1j * 3.0 * L.toarray()) @ v0
     assert np.linalg.norm(v1) < 1.0
     assert np.linalg.norm(v2) < np.linalg.norm(v1)
 
@@ -119,7 +114,7 @@ def test_closed_flow_preserves_norm():
     L = build_model_lindbladian(spec)
     v0 = uniform_seed(spec.dim)
     for t in (0.5, 2.0, 7.0):
-        v = expm(1j * t * L.matrix.toarray()) @ v0
+        v = expm(1j * t * L.toarray()) @ v0
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -127,10 +122,10 @@ def test_dissipator_linear_in_strength():
     H = build_tfim(ModelSpec(N=2, g=-1.05, h=0.5))
     spec1 = ModelSpec(N=2, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
     spec2 = ModelSpec(N=2, g=-1.05, h=0.5, alpha=0.02, gamma=0.02)
-    Lc = build_liouvillian_closed(H).matrix.toarray()
-    D1 = (build_lindbladian(H, build_jump_operators(spec1)).matrix.toarray()
+    Lc = build_lindbladian(H, []).toarray()
+    D1 = (build_lindbladian(H, build_jump_operators(spec1)).toarray()
           - Lc)
-    D2 = (build_lindbladian(H, build_jump_operators(spec2)).matrix.toarray()
+    D2 = (build_lindbladian(H, build_jump_operators(spec2)).toarray()
           - Lc)
     assert_allclose(D2, 2 * D1, atol=1e-14)
 

@@ -32,7 +32,7 @@ def _rel_dev(x, ref):
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 def test_model_lindbladian_is_complex_symmetric(N):
     for spec in _models(N):
-        L = build_model_lindbladian(spec).matrix
+        L = build_model_lindbladian(spec)
         assert abs(L - L.T).max() == 0
 
 
@@ -47,7 +47,7 @@ def test_sparse_assembly_matches_dense_kron_formula(N):
             LdL = Lk.conj().T @ Lk
             diss += np.kron(eye, LdL) + np.kron(LdL.T, eye)
             diss -= 2.0 * np.kron(Lk.T, Lk.conj().T)
-        assert_array_equal(build_model_lindbladian(spec).matrix.toarray(),
+        assert_array_equal(build_model_lindbladian(spec).toarray(),
                            comm + 0.5j * diss)
 
 
