@@ -26,6 +26,8 @@ TERM_BREAKDOWN = "breakdown"
 TERM_SERIOUS = "serious_breakdown"
 TERM_SYNTHETIC = "synthetic"
 
+STRUCTURE_TOL = 1e-6   # relative tolerance of the structure verdicts
+
 
 @dataclass
 class BiLanczosConfig:
@@ -56,11 +58,18 @@ class TridiagonalData:
     def K(self):
         return len(self.a)
 
+    @property
+    def complete(self):
+        """The chain spans its Krylov space: it ended by breakdown, or K
+        reached the bound D^2 - D + 1 of its stored basis' operator space."""
+        return self.termination == TERM_BREAKDOWN or (
+            self.p_basis is not None
+            and self.K >= krylov_dim_bound(self.p_basis.shape[0]))
+
     def tridiagonal_matrix(self):
         T = np.diag(self.a.astype(complex))
-        if self.K > 1:
-            T += np.diag(self.b.astype(complex), k=1)
-            T += np.diag(self.c.astype(complex), k=-1)
+        T += np.diag(self.b.astype(complex), k=1)   # 1 x 1 zero when K = 1
+        T += np.diag(self.c.astype(complex), k=-1)
         return T
 
 
@@ -75,7 +84,6 @@ class StructureReport:
     min_im_a: float
     dissipative: bool
     label: str
-    tol: float
 
 
 def _check_finite(name, v):
@@ -209,24 +217,21 @@ def bilanczos(L, p0, q0, cfg=None):
     return tri
 
 
-def check_open_structure(tri, tol=1e-6, n_coeffs=None):
-    """Test the empirical open-system structure b_n = c_n = |b_n|, a_n = i|a_n|."""
-    n_a = tri.K if n_coeffs is None else min(n_coeffs, tri.K)
-    n_b = len(tri.b) if n_coeffs is None else min(n_coeffs, len(tri.b))
-    a = tri.a[:n_a]
-    b = tri.b[:n_b]
-    c = tri.c[:n_b]
+def check_open_structure(tri, n_coeffs=None):
+    """Test the empirical open-system structure b_n = c_n = |b_n|, a_n = i|a_n|
+    on the leading ``n_coeffs`` coefficients, to ``STRUCTURE_TOL`` relative."""
+    a, b, c = tri.a[:n_coeffs], tri.b[:n_coeffs], tri.c[:n_coeffs]
 
-    max_abs_b = float(np.abs(b).max()) if n_b else 0.0
-    max_bc = float(np.abs(b - c).max()) if n_b else 0.0
+    max_abs_b = float(np.abs(b).max()) if b.size else 0.0
+    max_bc = float(np.abs(b - c).max()) if b.size else 0.0
     max_re_a = float(np.abs(a.real).max())
     max_im_a = float(np.abs(a.imag).max())
     min_im_a = float(a.imag.min())
 
-    bc_ok = max_bc <= tol * max(max_abs_b, 1e-300)
-    a_dissipative = (max_re_a <= tol * max(max_im_a, 1e-300)
-                     and min_im_a >= -tol * max(max_im_a, 1e-300))
-    a_closed = max_im_a <= tol * max(max_re_a, max_abs_b, 1e-300)
+    bc_ok = max_bc <= STRUCTURE_TOL * max(max_abs_b, 1e-300)
+    a_dissipative = (max_re_a <= STRUCTURE_TOL * max(max_im_a, 1e-300)
+                     and min_im_a >= -STRUCTURE_TOL * max(max_im_a, 1e-300))
+    a_closed = max_im_a <= STRUCTURE_TOL * max(max_re_a, max_abs_b, 1e-300)
 
     dissipative = bool(bc_ok and a_dissipative)
     if dissipative:
@@ -243,7 +248,6 @@ def check_open_structure(tri, tol=1e-6, n_coeffs=None):
         min_im_a=min_im_a,
         dissipative=dissipative,
         label=label,
-        tol=tol,
     )
 
 

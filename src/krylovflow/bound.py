@@ -5,11 +5,11 @@ For a chain run with moments C(t), P(t), M2(t) the bound compares
     lhs(t) = |dP/dt * C - dC/dt|^2        (growth-rate side)
     rhs(t) = 4 |b1|^2 (M2 - C^2)          (variance side)
 
-and holds when margin = rhs - lhs >= 0 up to finite-difference noise.
-The renormalized form uses Ctilde = C/P and is algebraically identical.
-Also provided: the Mandelstam-Tamm-style time scale tau_K = DeltaK/|dC/dt|
-for closed systems and the synthetic coefficient family that saturates the
-bound exactly.
+and holds when rhs - lhs >= -BOUND_TOL * max(rhs) (finite-difference noise).
+The renormalized form uses Ctilde = C/P and agrees to IDENTITY_TOL.  Also
+provided: the Mandelstam-Tamm-style time scale tau_K = DeltaK/|dC/dt| for
+closed systems (MT_TOL, MT_NOISE_FLOOR) and the synthetic coefficient
+family that saturates the bound exactly.
 """
 
 import warnings as _warnings
@@ -19,10 +19,11 @@ import numpy as np
 
 from .bilanczos import TERM_SYNTHETIC, TridiagonalData
 from .exceptions import InvariantViolation, NumericalFailure
-from .krylov_chain import evolve_chain, finite_diff, moments
+from .krylov_chain import TAIL_CUTOFF, evolve_chain, finite_diff, moments
 
 BOUND_TOL = 1e-6          # relative noise floor for bound violations
 IDENTITY_TOL = 1e-8       # renormalized-vs-plain lhs agreement
+MT_TOL = 1e-4             # slack on the verdict tau_K * b1 >= 1/2
 MT_NOISE_FLOOR = 1e-6     # |dC/dt| cutoff (relative) for tau_K samples
 
 
@@ -32,10 +33,9 @@ class BoundReport:
     lhs: np.ndarray               # |dP*C - dC|^2
     rhs: np.ndarray               # 4|b1|^2 (M2 - C^2)
     margin: np.ndarray            # rhs - lhs
-    violations: np.ndarray        # indices with margin < -tol*max(rhs)
+    violations: np.ndarray        # indices with margin < -BOUND_TOL*max(rhs)
     tau_K: np.ndarray             # sqrt(M2 - C^2) / |dC|, nan where guarded
     saturation_ratio: np.ndarray  # lhs/rhs where rhs > 0, nan elsewhere
-    tol: float = BOUND_TOL
 
     @property
     def holds(self):
@@ -53,31 +53,26 @@ class MandelstamTammReport:
     tau_b1: np.ndarray       # tau_K * b1 per sample, nan where excluded
     valid: np.ndarray        # boolean mask of samples above the noise floor
     min_product: float       # min of tau_b1 over valid samples
-    verdict: bool            # min_product >= 1/2 - tol
-    tol: float
+    verdict: bool            # min_product >= 1/2 - MT_TOL
 
 
-def _derivatives(m):
-    """Finite-difference dC/dt and dP/dt on the series' uniform grid."""
+def _plain_lhs(m):
+    """|dP/dt * C - dC/dt|^2, dC/dt and dP/dt by finite differences."""
     dC = finite_diff(m.C, m.t)
     dP = finite_diff(m.P, m.t)
-    return dC, dP
+    return np.abs(dP * m.C - dC) ** 2, dC, dP
 
 
-def _variance(m):
-    """Krylov-index variance M2 - C^2 (clipped at 0; Cauchy-Schwarz
-    guarantees nonnegativity up to roundoff when P <= 1)."""
-    return np.maximum(m.M2 - m.C ** 2, 0.0)
-
-
-def _assemble(m, b1, lhs, tol):
-    var = _variance(m)
+def _report(m, b1, lhs, dC, keep=slice(None)):
+    """Bound report of ``lhs`` against 4|b1|^2 (M2 - C^2) on the samples
+    ``keep`` of ``m``; M2 - C^2 is clipped at 0 (Cauchy-Schwarz makes it
+    nonnegative up to roundoff when P <= 1)."""
+    lhs, dC = lhs[keep], dC[keep]
+    var = np.maximum(m.M2[keep] - m.C[keep] ** 2, 0.0)
     rhs = 4.0 * abs(b1) ** 2 * var
     margin = rhs - lhs
-    floor = tol * max(float(rhs.max()), 0.0)
-    violations = np.flatnonzero(margin < -floor)
+    floor = BOUND_TOL * float(rhs.max())
 
-    dC, _ = _derivatives(m)
     with np.errstate(divide="ignore", invalid="ignore"):
         tau = np.sqrt(var) / np.abs(dC)
     tau[np.abs(dC) == 0.0] = np.nan
@@ -86,56 +81,54 @@ def _assemble(m, b1, lhs, tol):
     pos = rhs > 0
     ratio[pos] = lhs[pos] / rhs[pos]
 
-    return BoundReport(t=m.t, lhs=lhs, rhs=rhs, margin=margin,
-                       violations=violations, tau_K=tau,
-                       saturation_ratio=ratio, tol=tol)
+    return BoundReport(t=m.t[keep], lhs=lhs, rhs=rhs, margin=margin,
+                       violations=np.flatnonzero(margin < -floor),
+                       tau_K=tau, saturation_ratio=ratio)
 
 
-def dispersion_bound_check(m, b1, tol=BOUND_TOL):
+def dispersion_bound_check(m, b1):
     """Evaluate the dispersion bound for a moment series.
 
     ``b1`` is the first off-diagonal coefficient of the run.  Violations
-    smaller than ``tol * max(rhs)`` are attributed to finite-difference
-    noise and not listed.
+    smaller than ``BOUND_TOL * max(rhs)`` are attributed to
+    finite-difference noise and not listed.
     """
-    dC, dP = _derivatives(m)
-    lhs = np.abs(dP * m.C - dC) ** 2
-    return _assemble(m, b1, lhs, tol)
+    lhs, dC, _ = _plain_lhs(m)
+    return _report(m, b1, lhs, dC)
 
 
-def renormalized_bound_check(m, b1, tol=BOUND_TOL):
+def renormalized_bound_check(m, b1):
     """Same bound written in terms of the renormalized complexity C/P.
 
     lhs' = |(1 - P) dP Ctilde + P dCtilde|^2, with dCtilde obtained from
     dC and dP by the quotient rule so that the algebraic identity
     lhs' == lhs survives the finite differencing.  A disagreement beyond
-    1e-8 relative is an invariant violation.
+    ``IDENTITY_TOL`` relative is an invariant violation.
     """
     if np.any(m.P <= 0):
         raise NumericalFailure("total probability underflowed to <= 0")
-    dC, dP = _derivatives(m)
+    lhs_plain, dC, dP = _plain_lhs(m)
     dCt = (dC - m.Ctilde * dP) / m.P
     lhs = np.abs((1.0 - m.P) * dP * m.Ctilde + m.P * dCt) ** 2
 
-    lhs_plain = np.abs(dP * m.C - dC) ** 2
     scale = max(float(lhs_plain.max()), 1.0)
     defect = float(np.abs(lhs - lhs_plain).max())
     if defect > IDENTITY_TOL * scale:
         raise InvariantViolation(
             f"renormalized lhs deviates from plain lhs by {defect:.3e} "
             f"(> {IDENTITY_TOL:.0e} * {scale:.3e})")
-    return _assemble(m, b1, lhs, tol)
+    return _report(m, b1, lhs, dC)
 
 
-def mandelstam_tamm_tau(report, b1, tol=1e-4, noise_floor=MT_NOISE_FLOOR):
-    """Check the speed-limit product tau_K * b1 >= 1/2 for a closed run.
+def mandelstam_tamm_tau(report, b1):
+    """Check the speed limit tau_K * b1 >= 1/2 - MT_TOL of a closed run.
 
     ``report`` must come from a closed-system bound check, where
-    lhs = |dC/dt|^2; samples with |dC/dt| below ``noise_floor`` times its
-    maximum (turning points of C) are excluded.
+    lhs = |dC/dt|^2; samples with |dC/dt| below ``MT_NOISE_FLOOR`` times
+    its maximum (turning points of C) are excluded.
     """
     dC_abs = np.sqrt(report.lhs)
-    valid = dC_abs > noise_floor * float(dC_abs.max())
+    valid = dC_abs > MT_NOISE_FLOOR * float(dC_abs.max())
     tau_b1 = np.full_like(dC_abs, np.nan)
     tau_b1[valid] = report.tau_K[valid] * abs(b1)
     if not np.any(valid):
@@ -143,7 +136,7 @@ def mandelstam_tamm_tau(report, b1, tol=1e-4, noise_floor=MT_NOISE_FLOOR):
     min_product = float(np.nanmin(tau_b1[valid]))
     return MandelstamTammReport(t=report.t, tau_b1=tau_b1, valid=valid,
                                 min_product=min_product,
-                                verdict=min_product >= 0.5 - tol, tol=tol)
+                                verdict=min_product >= 0.5 - MT_TOL)
 
 
 def saturating_coefficients(alpha0, gamma0, K):
@@ -165,15 +158,15 @@ def saturating_coefficients(alpha0, gamma0, K):
                            termination=TERM_SYNTHETIC)
 
 
-def saturation_report(alpha0, gamma0, K=400, t_max=6.0, n_samples=1201,
-                      tail_cutoff=1e-10, tol=BOUND_TOL):
+def saturation_report(alpha0, gamma0, K=400, t_max=6.0, n_samples=1201):
     """Bound report for the saturating synthetic chain.
 
     The chain is evolved on [0, t_max]; the report is restricted to times
-    where the packet has not reached the finite chain end
-    (tail_mass < ``tail_cutoff``).  Because a_n = 0 makes C, P and M2
-    exactly even in t, the series is mirror-extended across t = 0 so
-    every reported derivative uses a central stencil; samples past the
+    where the packet has not reached the finite chain end (tail mass below
+    ``krylov_chain.TAIL_CUTOFF``) and lists violations beyond
+    ``BOUND_TOL * max(rhs)`` of those times.  Because a_n = 0 makes C, P
+    and M2 exactly even in t, the series is mirror-extended across t = 0
+    so every reported derivative uses a central stencil; samples past the
     tail cutoff stay available as stencil neighbours but are not
     reported.
     """
@@ -187,23 +180,15 @@ def saturation_report(alpha0, gamma0, K=400, t_max=6.0, n_samples=1201,
     m = moments(traj)
 
     h = t[1] - t[0]
-    t_ext = np.concatenate(([-2 * h, -h], m.t))
     mirror = lambda y: np.concatenate((y[2:0:-1], y))
-    m_ext = type(m)(t=t_ext, C=mirror(m.C), P=mirror(m.P),
-                    M2=mirror(m.M2), Ctilde=mirror(m.Ctilde))
-    full = dispersion_bound_check(m_ext, tri.b[0], tol)
+    m_ext = type(m)(t=np.concatenate(([-2 * h, -h], m.t)), C=mirror(m.C),
+                    P=mirror(m.P), M2=mirror(m.M2), Ctilde=mirror(m.Ctilde))
+    lhs, dC, _ = _plain_lhs(m_ext)
 
-    keep = traj.tail_mass[:m.t.size] < tail_cutoff
+    keep = traj.tail_mass[:m.t.size] < TAIL_CUTOFF
     stop = int(np.argmin(keep)) if not np.all(keep) else m.t.size
-    sl = slice(2, 2 + stop)  # drop the two ghost samples, then the tail
-    rhs = full.rhs[sl]
-    margin = full.margin[sl]
-    floor = tol * max(float(rhs.max()), 0.0)
-    return BoundReport(t=full.t[sl], lhs=full.lhs[sl], rhs=rhs,
-                       margin=margin,
-                       violations=np.flatnonzero(margin < -floor),
-                       tau_K=full.tau_K[sl],
-                       saturation_ratio=full.saturation_ratio[sl], tol=tol)
+    # Drop the two ghost samples, then the tail.
+    return _report(m_ext, tri.b[0], lhs, dC, slice(2, 2 + stop))
 
 
 def bound_summary(report):
@@ -216,5 +201,5 @@ def bound_summary(report):
         "n_violations": int(report.violations.size),
         "saturation_ratio_range": sat_range,
         "verdict": bool(report.holds),
-        "tol": report.tol,
+        "tol": BOUND_TOL,
     }

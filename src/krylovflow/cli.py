@@ -8,15 +8,15 @@ stage and the stages that one needs (evolve and filter need lanczos,
 filter not when the config names a ``coefficients_csv``; bound and oracle
 need evolve); ``full`` runs them all.  A skip rule is checked just before
 its stage (oracle: N > ORACLE_MAX_N; continuum: no ``continuum`` block;
-filter: a chain that ended by breakdown is shorter than the filter
-window).  A skipped stage is a usage error when requested by name and an
-entry of ``full_summary.json["skipped"]`` under ``full``.  Every config
-value the chosen stages use is checked before any stage runs.  Each
-artifact is a deterministic CSV (17 significant digits, LF endings) with
-a JSON sidecar echoing the config and version.  Exit codes: 0 success, 1
-usage error (including a bad config value), 2 numerical failure, 3
-invariant violation; on failure the run's artifacts are removed and
-``error.json`` is written.
+filter: a complete chain is shorter than the filter window).  A skipped
+stage is a usage error when requested by name and an entry of
+``full_summary.json["skipped"]`` under ``full``.  Every config value the
+chosen stages use is checked before any stage runs; no number in a config
+may be non-finite.  Each artifact is a deterministic CSV (17 significant
+digits, LF endings) with a JSON sidecar echoing the config and version.
+Exit codes: 0 success, 1 usage error (including a bad config value), 2
+numerical failure, 3 invariant violation; on failure the run's artifacts
+are removed and ``error.json`` is written.
 """
 
 import argparse
@@ -24,14 +24,15 @@ import json
 import os
 import sys
 from collections import namedtuple
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
 from .analysis import FilterConfig, filter_series
-from .bilanczos import TERM_BREAKDOWN, BiLanczosConfig, bilanczos, \
-    check_open_structure, project_dissipative_structure
+from .bilanczos import BiLanczosConfig, bilanczos, check_open_structure, \
+    project_dissipative_structure
 from .bound import bound_summary, dispersion_bound_check, \
     renormalized_bound_check, saturating_coefficients, saturation_report
 from .continuum import ContinuumSpec, continuum_vs_paper_report
@@ -103,13 +104,21 @@ def _filter_inputs(a, b):
             ("filtered_a_im.csv", np.asarray(a).imag, {"series": "a_im"})]
 
 
+def _finite(value):
+    """A config number (JSON literal or value) as a finite float."""
+    x = float(value)
+    if not np.isfinite(x):
+        raise ValueError(f"non-finite number {value}")
+    return x
+
+
 def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, non-finite, bad UTF-8
         raise UsageError(f"malformed config {path}: {exc}")
     if not isinstance(cfg, dict):
         raise UsageError("config must be a JSON object")
@@ -127,10 +136,10 @@ def _block(cfg, key):
 
 
 def _grid(node, t_max, n_samples):
-    t_max = float(node.get("t_max", t_max))
+    t_max = _finite(node.get("t_max", t_max))
     n_samples = int(node.get("n_samples", n_samples))
-    if not 0 < t_max < np.inf:
-        raise ValueError("t_max must be positive and finite")
+    if t_max <= 0:
+        raise ValueError("t_max must be positive")
     if n_samples < 3:
         raise ValueError("n_samples must be at least 3")
     return t_max, n_samples
@@ -154,17 +163,17 @@ def _seed_vector(kind, dim_d):
 
 def _parse_lanczos(cfg):
     node = _block(cfg, "model")
-    model = ModelSpec(N=int(node["N"]), g=float(node["g"]),
-                      h=float(node["h"]),
-                      alpha=float(node.get("alpha", 0.0)),
-                      gamma=float(node.get("gamma", 0.0)))
+    model = ModelSpec(N=int(node["N"]), g=_finite(node["g"]),
+                      h=_finite(node["h"]),
+                      alpha=_finite(node.get("alpha", 0.0)),
+                      gamma=_finite(node.get("gamma", 0.0)))
     if model.N > MAX_QUBITS:
         raise ValueError(f"N = {model.N} exceeds {MAX_QUBITS} qubits")
     node = _block(cfg, "bilanczos")
     max_iter = node.get("max_iter")
     lanczos_cfg = BiLanczosConfig(
         max_iter=None if max_iter is None else int(max_iter),
-        breakdown_tol=float(node.get("breakdown_tol", 1e-10)))
+        breakdown_tol=_finite(node.get("breakdown_tol", 1e-10)))
     return {"model": model, "lanczos_cfg": lanczos_cfg,
             "seed": _seed_vector(cfg.get("seed_kind", "uniform"),
                                  model.dim)}
@@ -175,14 +184,14 @@ def _parse_continuum(cfg):
         return {"continuum": None}
     node = _block(cfg, "continuum")
     return {"continuum": ContinuumSpec(
-        case=node["case"], alpha=float(node["alpha"]),
-        beta=float(node["beta"]), c=float(node.get("c", 1.0)))}
+        case=node["case"], alpha=_finite(node["alpha"]),
+        beta=_finite(node["beta"]), c=_finite(node.get("c", 1.0)))}
 
 
 def _parse_saturation(cfg):
     node = _block(cfg, "saturation")
-    kw = {"alpha0": float(node.get("alpha0", 1.0)),
-          "gamma0": float(node.get("gamma0", 1.0)),
+    kw = {"alpha0": _finite(node.get("alpha0", 1.0)),
+          "gamma0": _finite(node.get("gamma0", 1.0)),
           "K": int(node.get("K", 400))}
     saturating_coefficients(**kw)  # raises on out-of-range chain values
     kw["t_max"], kw["n_samples"] = _grid(node, 6.0, 1201)
@@ -192,7 +201,7 @@ def _parse_saturation(cfg):
 def _parse_filter(cfg):
     node = _block(cfg, "filter")
     fcfg = FilterConfig(outlier_window=int(node.get("outlier_window", 9)),
-                        outlier_k=float(node.get("outlier_k", 3.0)),
+                        outlier_k=_finite(node.get("outlier_k", 3.0)),
                         smooth_window=int(node.get("smooth_window", 7)))
     path = cfg.get("coefficients_csv")
     if path is None:
@@ -202,7 +211,7 @@ def _parse_filter(cfg):
     if "a_re" in table:
         # A coefficients.csv table: every cell is a number except the
         # b and c cells of the n = 0 row.
-        v = {name: np.array([float(x) for x in
+        v = {name: np.array([_finite(x) for x in
                              (cells[1:] if name[0] in "bc" else cells)])
              for name, cells in table.items()}
         series = _filter_inputs(v["a_re"] + 1j * v["a_im"],
@@ -213,7 +222,7 @@ def _parse_filter(cfg):
             raise ValueError(
                 "expected CSV header starting with 'n,<series>'")
         series = [("filtered.csv",
-                   np.array([float(x) for x in table[names[1]]]), {})]
+                   np.array([_finite(x) for x in table[names[1]]]), {})]
     return {"filter": fcfg, "series": series}
 
 
@@ -244,8 +253,7 @@ class ArtifactWriter:
         try:
             os.makedirs(out_dir, exist_ok=True)
             probe = os.path.join(out_dir, ".write_probe")
-            with open(probe, "w") as fh:
-                fh.write("")
+            open(probe, "w").close()
             os.remove(probe)
         except OSError as exc:
             raise UsageError(f"output dir {out_dir} not writable: {exc}")
@@ -292,16 +300,10 @@ def _run_lanczos(run, writer):
     run.structure = report = check_open_structure(tri, n_coeffs=n_struct)
     writer.write_table("coefficients.csv", _coefficient_table(tri))
     writer.write_json("structure.json", {
-        "label": report.label,
-        "dissipative": report.dissipative,
+        **asdict(report),
         "n_coeffs": n_struct,
         "K": tri.K,
         "termination": tri.termination,
-        "max_bc_diff": report.max_bc_diff,
-        "max_abs_b": report.max_abs_b,
-        "max_re_a": report.max_re_a,
-        "max_im_a": report.max_im_a,
-        "min_im_a": report.min_im_a,
         "residual_biortho": tri.residual_biortho,
         "residual_tridiag": tri.residual_tridiag,
     })
@@ -360,13 +362,13 @@ def _run_saturation(run, writer):
 
 def _filter_skip(run):
     """A series shorter than the filter window: a reason to skip when it
-    comes from a complete chain (ended by breakdown), else a usage error."""
+    comes from a complete Lanczos chain, else a usage error."""
     window = max(run.filter.outlier_window, run.filter.smooth_window)
     for name, series, _ in (run.series or
                             _filter_inputs(run.tri.a, run.tri.b)):
         if series.size < window:
             reason = f"series length {series.size} < filter window {window}"
-            if run.series is None and run.tri.termination == TERM_BREAKDOWN:
+            if run.series is None and run.tri.complete:
                 return reason
             raise UsageError(f"{name}: {reason}")
     return None
@@ -461,12 +463,12 @@ def run_pipeline(cfg, command, out_dir, quiet=False):
     except tuple(ERRORS) as exc:
         writer.rollback()
         kind, code = next(v for k, v in ERRORS.items() if isinstance(exc, k))
-        _emit_error(out_dir, command, kind, str(exc), quiet)
+        _emit_error(out_dir, command, kind, str(exc))
         return code
     return EXIT_OK
 
 
-def _emit_error(out_dir, command, kind, message, quiet):
+def _emit_error(out_dir, command, kind, message):
     payload = {"error": kind, "command": command, "message": message,
                "version": __version__}
     text = json.dumps(payload, indent=2, sort_keys=True)

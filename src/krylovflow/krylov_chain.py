@@ -22,11 +22,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
 
-from .bilanczos import TERM_BREAKDOWN
 from .exceptions import NumericalFailure
-from .lindbladian import as_matrix, krylov_dim_bound
+from .lindbladian import as_matrix
 
-TAIL_CUTOFF = 1e-10
+TAIL_CUTOFF = 1e-10   # last-site mass that signals chain truncation
 P_UNDERFLOW = 1e-300
 
 
@@ -226,7 +225,7 @@ def _taylor_sum(F, matvec, h, m):
     return F
 
 
-def evolve_chain(tri, t_grid, tail_cutoff=TAIL_CUTOFF):
+def evolve_chain(tri, t_grid):
     """Propagate both chain recursions on ``t_grid`` (uniform, starting at 0).
 
     The amplitudes at every grid point are exp(t A) e0 for the sparse chain
@@ -238,8 +237,9 @@ def evolve_chain(tri, t_grid, tail_cutoff=TAIL_CUTOFF):
     equation as phi, so only phi is propagated and psi* is set equal to it;
     otherwise both are propagated as one block system.  The block system
     would give the same amplitudes in the equal case too; the K-system
-    alone only halves the work.
-    Raises NumericalFailure if the result is not finite.
+    alone only halves the work.  A chain that is not ``tri.complete`` warns
+    once its last-site mass passes ``TAIL_CUTOFF``.  Raises
+    NumericalFailure if the result is not finite.
     """
     t, _ = _uniform_step(t_grid)
     if abs(t[0]) > 1e-12:
@@ -263,17 +263,11 @@ def evolve_chain(tri, t_grid, tail_cutoff=TAIL_CUTOFF):
     phi = Y[:K, :]
     psi_star = Y[-K:, :]
     tail = np.abs(phi[-1, :]) ** 2
-    # Tail mass only signals truncation error when the chain was cut
-    # short; a chain spanning the full space (up to the operator-space
-    # bound D^2 - D + 1) or ending at an exact breakdown is complete and
-    # its last-site amplitude is physical.
-    complete = tri.termination == TERM_BREAKDOWN
-    if not complete and tri.p_basis is not None:
-        complete = K >= krylov_dim_bound(tri.p_basis.shape[0])
-    if not complete and tail.max() > tail_cutoff:
+    # On a complete chain the last-site amplitude is physical.
+    if not tri.complete and tail.max() > TAIL_CUTOFF:
         warnings.warn(
             f"truncation tail |phi_K-1|^2 reached {tail.max():.3e} "
-            f"(cutoff {tail_cutoff:.1e}); results beyond that time are "
+            f"(cutoff {TAIL_CUTOFF:.1e}); results beyond that time are "
             "affected by the finite chain", RuntimeWarning)
     return ChainTrajectory(t=t, phi=phi, psi=psi_star.conj(),
                            tail_mass=tail)

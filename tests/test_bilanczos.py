@@ -142,7 +142,7 @@ def test_structure_dissipative_tfim_first_fifty():
     spec = ModelSpec(N=4, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
     tri = bilanczos(build_model_lindbladian(spec),
                     uniform_seed(16), uniform_seed(16))
-    report = check_open_structure(tri, tol=1e-6, n_coeffs=50)
+    report = check_open_structure(tri, n_coeffs=50)
     assert report.dissipative
 
 

@@ -161,6 +161,34 @@ def test_saturation_report_ignores_only_the_truncation_tail(monkeypatch):
     assert not any("truncation tail" in str(w.message) for w in caught)
 
 
+# Both reports stop at the tail cut-off: K = 40 at t = 1.79 of [0, 2], and
+# the default K = 400 at t = 4.165 of [0, 6].
+@pytest.mark.parametrize("kw", [dict(K=40, t_max=2.0, n_samples=201), {}],
+                         ids=["tail_cut", "default"])
+def test_saturation_report_is_the_plain_check_sliced(kw):
+    report = saturation_report(1.0, 1.0, **kw)
+    # The plain check on the mirror-extended series, built here anew.
+    tri = saturating_coefficients(1.0, 1.0, kw.get("K", 400))
+    t = np.linspace(0.0, kw.get("t_max", 6.0), kw.get("n_samples", 1201))
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="truncation tail")
+        m = moments(evolve_chain(tri, t))
+    h = t[1] - t[0]
+    mirror = lambda y: np.concatenate((y[2:0:-1], y))
+    m_ext = type(m)(t=np.concatenate(([-2 * h, -h], m.t)), C=mirror(m.C),
+                    P=mirror(m.P), M2=mirror(m.M2), Ctilde=mirror(m.Ctilde))
+    full = dispersion_bound_check(m_ext, tri.b[0])
+    n = report.t.size
+    assert n < t.size
+    sl = slice(2, 2 + n)
+    for name in ("t", "lhs", "rhs", "margin", "tau_K", "saturation_ratio"):
+        assert np.array_equal(getattr(report, name), getattr(full, name)[sl],
+                              equal_nan=True), name
+    assert_array_equal(report.violations, np.flatnonzero(
+        full.margin[sl] < -1e-6 * full.rhs[sl].max()))
+    assert bound_summary(report)["tol"] == 1e-6
+
+
 def test_bound_holds_on_small_models():
     for alpha, gamma in ((0.0, 0.0), (0.01, 0.01)):
         spec = ModelSpec(N=3, g=-1.05, h=0.5, alpha=alpha, gamma=gamma)

@@ -141,16 +141,17 @@ def test_filter_rejects_malformed_coefficients_csv(tmp_path):
     assert main(["lanczos", "--config", str(cfg_path), "--out", str(out),
                  "--quiet"]) == EXIT_OK
     lines = (out / "coefficients.csv").read_text().splitlines()
-    cells = lines[3].split(",")
-    cells[3] = "x"  # the b_re cell of n = 2
-    lines[3] = ",".join(cells)
-    src = tmp_path / "bad.csv"
-    src.write_text("\n".join(lines) + "\n")
-    write_config(cfg_path, coefficients_csv=str(src))
-    out = tmp_path / "filtered"
-    assert main(["filter", "--config", str(cfg_path), "--out", str(out),
-                 "--quiet"]) == EXIT_USAGE
-    assert os.listdir(out) == ["error.json"]
+    for bad in ("x", "nan", "inf"):
+        cells = lines[3].split(",")
+        cells[3] = bad  # the b_re cell of n = 2
+        src = tmp_path / f"bad_{bad}.csv"
+        src.write_text("\n".join(lines[:3] + [",".join(cells)] + lines[4:])
+                       + "\n")
+        write_config(cfg_path, coefficients_csv=str(src))
+        out = tmp_path / f"filtered_{bad}"
+        assert main(["filter", "--config", str(cfg_path), "--out", str(out),
+                     "--quiet"]) == EXIT_USAGE
+        assert os.listdir(out) == ["error.json"]
 
 
 def test_continuum_time_grid_defaults_to_pipeline_grid(tmp_path):
@@ -173,6 +174,7 @@ BAD_CONFIGS = {
     "max_iter": {"bilanczos": {"max_iter": "abc"}},
     "max_iter_zero": {"bilanczos": {"max_iter": 0}},
     "saturation_K": {"saturation": {"K": 1}},
+    "saturation_nan_string": {"saturation": {"alpha0": "nan"}},
     "seed_not_npy": {"seed_kind": {"kind": "custom", "path": "seed.txt"}},
     # t_max keeps the truncated chain's tail under its warning cutoff
     "chain_shorter_than_filter": {"bilanczos": {"max_iter": 5},
@@ -215,15 +217,18 @@ def test_bound_on_one_coefficient_chain(tmp_path):
     assert json.loads((out / "bound_summary.json").read_text())["verdict"]
 
 
-# A chain that ended by breakdown short of the filter window: `full`
-# skips the filter and keeps every other artifact.
-@pytest.mark.parametrize("identity_seed,n", [(False, 6), (True, 0)],
-                         ids=["closed_n2", "identity_seed"])
-def test_full_skips_filter_on_short_complete_chain(tmp_path, identity_seed,
-                                                   n):
+# A complete chain short of the filter window: `full` skips the filter
+# and keeps every other artifact.  Closed N = 2 and the identity seed end
+# by breakdown; open N = 1 runs to max_iter at K = 3 = D^2 - D + 1, the
+# whole operator space.
+@pytest.mark.parametrize("model,n", [
+    (CLOSED_MODEL, 6), (None, 0),
+    ({"N": 1, "g": -1.05, "h": 0.5, "alpha": 0.1}, 2)],
+    ids=["closed_n2", "identity_seed", "open_n1"])
+def test_full_skips_filter_on_short_complete_chain(tmp_path, model, n):
     cfg_path = tmp_path / "cfg.json"
-    write_config(cfg_path, **(identity_seed_config(tmp_path)
-                              if identity_seed else {"model": CLOSED_MODEL}))
+    write_config(cfg_path, **({"model": model} if model is not None
+                              else identity_seed_config(tmp_path)))
     out = tmp_path / "out"
     assert main(["full", "--config", str(cfg_path), "--out", str(out),
                  "--quiet"]) == EXIT_OK
@@ -249,11 +254,40 @@ def test_unknown_subcommand_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_malformed_config_is_usage_error(tmp_path):
+def config_text(**overrides):
+    """JSON text of the default model plus ``overrides``; non-finite
+    floats come out as NaN, Infinity or -Infinity."""
+    return json.dumps(dict({"model": MODEL}, **overrides))
+
+
+# Config text that is not plain JSON, with the subcommand it would reach.
+# Python's json module reads NaN and +-Infinity and overflows 1e999 to
+# inf; such a number would get past the range checks.
+MALFORMED_CONFIGS = {
+    "not_json": ("lanczos", "{ not json"),
+    "saturation_nan": ("saturation",
+                       config_text(saturation={"alpha0": float("nan")})),
+    "continuum_nan": ("continuum", config_text(continuum={
+        "case": "constant_a", "alpha": 3.0, "beta": float("nan")})),
+    "outlier_k_nan": ("filter",
+                      config_text(filter={"outlier_k": float("nan")})),
+    "outlier_k_overflow": ("filter", config_text(
+        filter={"outlier_k": 1e300}).replace("1e+300", "1e999")),
+    "breakdown_tol_nan": ("lanczos", config_text(
+        bilanczos={"breakdown_tol": float("nan")})),
+    "breakdown_tol_inf": ("lanczos", config_text(
+        bilanczos={"breakdown_tol": float("inf")})),
+}
+
+
+@pytest.mark.parametrize("command,text", MALFORMED_CONFIGS.values(),
+                         ids=MALFORMED_CONFIGS)
+def test_malformed_config_is_usage_error(tmp_path, command, text):
     bad = tmp_path / "bad.json"
-    bad.write_text("{ not json")
-    assert main(["lanczos", "--config", str(bad),
+    bad.write_text(text)
+    assert main([command, "--config", str(bad),
                  "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_config_is_usage_error(tmp_path):
