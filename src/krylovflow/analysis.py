@@ -85,8 +85,6 @@ def smooth(series, cfg=None):
     w = cfg.smooth_window
     if x.size < w:
         raise ValueError(f"series length {x.size} < smooth_window {w}")
-    if w == 1:
-        return x.copy()
     half = w // 2
     out = np.empty_like(x)
     for i in range(x.size):

@@ -112,6 +112,13 @@ def _finite(value):
     return x
 
 
+def _count(value):
+    """A config count as an int: 5 and 5.0 pass, 2.9 and true do not."""
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError(f"count {value!r} is not an integer")
+    return int(value)
+
+
 def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -137,7 +144,7 @@ def _block(cfg, key):
 
 def _grid(node, t_max, n_samples):
     t_max = _finite(node.get("t_max", t_max))
-    n_samples = int(node.get("n_samples", n_samples))
+    n_samples = _count(node.get("n_samples", n_samples))
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     if n_samples < 3:
@@ -163,7 +170,7 @@ def _seed_vector(kind, dim_d):
 
 def _parse_lanczos(cfg):
     node = _block(cfg, "model")
-    model = ModelSpec(N=int(node["N"]), g=_finite(node["g"]),
+    model = ModelSpec(N=_count(node["N"]), g=_finite(node["g"]),
                       h=_finite(node["h"]),
                       alpha=_finite(node.get("alpha", 0.0)),
                       gamma=_finite(node.get("gamma", 0.0)))
@@ -172,7 +179,7 @@ def _parse_lanczos(cfg):
     node = _block(cfg, "bilanczos")
     max_iter = node.get("max_iter")
     lanczos_cfg = BiLanczosConfig(
-        max_iter=None if max_iter is None else int(max_iter),
+        max_iter=None if max_iter is None else _count(max_iter),
         breakdown_tol=_finite(node.get("breakdown_tol", 1e-10)))
     return {"model": model, "lanczos_cfg": lanczos_cfg,
             "seed": _seed_vector(cfg.get("seed_kind", "uniform"),
@@ -192,7 +199,7 @@ def _parse_saturation(cfg):
     node = _block(cfg, "saturation")
     kw = {"alpha0": _finite(node.get("alpha0", 1.0)),
           "gamma0": _finite(node.get("gamma0", 1.0)),
-          "K": int(node.get("K", 400))}
+          "K": _count(node.get("K", 400))}
     saturating_coefficients(**kw)  # raises on out-of-range chain values
     kw["t_max"], kw["n_samples"] = _grid(node, 6.0, 1201)
     return {"saturation": kw}
@@ -200,9 +207,9 @@ def _parse_saturation(cfg):
 
 def _parse_filter(cfg):
     node = _block(cfg, "filter")
-    fcfg = FilterConfig(outlier_window=int(node.get("outlier_window", 9)),
+    fcfg = FilterConfig(outlier_window=_count(node.get("outlier_window", 9)),
                         outlier_k=_finite(node.get("outlier_k", 3.0)),
-                        smooth_window=int(node.get("smooth_window", 7)))
+                        smooth_window=_count(node.get("smooth_window", 7)))
     path = cfg.get("coefficients_csv")
     if path is None:
         return {"filter": fcfg, "series": None}

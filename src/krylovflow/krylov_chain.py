@@ -142,87 +142,64 @@ def _propagate(A, y0, h, q):
 
     A is a sparse tridiagonal matrix.  This is algorithm 5.2 of Al-Mohy &
     Higham, SIAM J. Sci. Comput. 33 (2011): A is shifted by its mean
-    diagonal mu, and the Taylor degree m and substep count s for the whole
-    interval [0, q h] come from exact 1-norms of powers of the shifted A.
-    When the grid is finer than the substeps (q > s), the grid points are
-    cut into blocks of d = q // s steps (the last block shorter when d
-    does not divide q).  A block shares the Taylor vectors
-    T_p = (hA)^p Z / p! about its first point Z, and exp(k h A) Z =
-    sum_p k^p T_p for all its points is one matrix product.  Otherwise
-    every grid step gets its own Taylor loop over substeps.  Both cut the
-    series once two successive terms fall below unit roundoff of the sum.
-    The arithmetic is real when A and y0 are.
+    diagonal mu, and the Taylor degree m and substep count s for [0, q h]
+    come from exact 1-norms of powers of the shifted A.  One Taylor loop
+    walks [0, q h] in blocks.  If q > s, a block is d = q // s grid steps
+    (the last one shorter when d does not divide q).  Otherwise the plan
+    for one grid step sets m and a substep count r, a block is one
+    substep of h / r, and every r-th block ends on a grid point.  A block
+    of length tau sums T_p = (tau A)^p Z / p! from its first point Z into
+    its last point, cut once two successive terms fall below unit roundoff
+    of the sum; its inner points sum_p (k h / tau)^p T_p are one matrix
+    product.  The arithmetic is real when A and y0 are.
     """
     n = y0.size
     mu = A.diagonal().mean()
     A = A - mu * sp.eye(n, dtype=A.dtype, format="csr")
     lo, dg, up = A.diagonal(-1), A.diagonal(), A.diagonal(1)
 
-    def matvec(x, scale):
-        y = dg * x
-        y[:-1] += up * x[1:]
-        y[1:] += lo * x[:-1]
-        y *= scale
-        return y
+    def matvec(x, scale, out):
+        np.multiply(dg, x, out=out)
+        out[:-1] += up * x[1:]
+        out[1:] += lo * x[:-1]
+        out *= scale
 
     norms = _power_norms(A)
     m, s = _taylor_parameters(norms, q * h)
+    r, d = 1, max(q // s, 1)
+    if q <= s:
+        m, r = _taylor_parameters(norms, h)
     X = np.empty((q + 1, n), dtype=np.result_type(A.dtype, y0.dtype))
     X[0] = y0
-    if q <= s:
-        m, s = _taylor_parameters(norms, h)
-        eta = np.exp(h * mu / s)
-        for k in range(q):
-            F = X[k]
-            for _ in range(s):
-                F = eta * _taylor_sum(F, matvec, h / s, m)
-            X[k + 1] = F
-        return X
-
-    d = q // s
     T = np.empty((m + 1, n), dtype=X.dtype)
-    for start in range(0, q, d):
-        size = min(d, q - start)
-        T[0] = X[start]
-        # The cut-off is tested at the block's last point, the one farthest
-        # from Z; at the earlier points term p is smaller by (k / size)^p.
-        F = T[0].copy()
-        c1 = _inf_norm(F)
+    T[0] = y0
+    rows = list(T)   # views made once: they are indexed per term
+    for start in range(0, q * r, d):
+        size = min(d, q * r - start)
+        tau = size * h / r
+        F = rows[0].copy()
+        c1 = F_norm = _inf_norm(F)
         p = 0
-        while p < m:
-            p += 1
-            T[p] = matvec(T[p - 1], h / p)
-            term = float(size) ** p * T[p]
-            c2 = _inf_norm(term)
-            F += term
-            if c1 + c2 <= _TOL * _inf_norm(F):
-                break
-            c1 = c2
-        k = np.arange(1, size + 1)[:, None]
-        W = np.exp(k * h * mu) * k.astype(float) ** np.arange(p + 1)
-        X[start + 1:start + size + 1] = W @ T[:p + 1]
-    return X
-
-
-def _taylor_sum(F, matvec, h, m):
-    """Taylor series of exp(hA) F up to degree m, cut off once two
-    successive terms fall below unit roundoff of the partial sum."""
-    B = F
-    F = F.copy()
-    c1 = F_norm = _inf_norm(F)
-    for j in range(1, m + 1):
-        B = matvec(B, h / j)
-        c2 = _inf_norm(B)
-        F += B
-        # F_norm bounds ||F|| from above, so the exact norm is only taken
-        # once the cut-off test can pass.
-        F_norm += c2
-        if c1 + c2 <= _TOL * F_norm:
-            F_norm = _inf_norm(F)
+        for p in range(1, m + 1):
+            matvec(rows[p - 1], tau / p, rows[p])
+            c2 = _inf_norm(rows[p])
+            F += rows[p]
+            # F_norm bounds ||F|| from above, so the exact norm is only
+            # taken once the cut-off test can pass.
+            F_norm += c2
             if c1 + c2 <= _TOL * F_norm:
-                break
-        c1 = c2
-    return F
+                F_norm = _inf_norm(F)
+                if c1 + c2 <= _TOL * F_norm:
+                    break
+            c1 = c2
+        if size > 1:
+            k = np.arange(1, size)[:, None]
+            W = np.exp(k * h * mu) * (k / size) ** np.arange(p + 1)
+            X[start + 1:start + size] = W @ T[:p + 1]
+        np.multiply(F, np.exp(size * h * mu / r), out=rows[0])
+        if (start + size) % r == 0:
+            X[(start + size) // r] = rows[0]
+    return X
 
 
 def evolve_chain(tri, t_grid):

@@ -185,6 +185,20 @@ def _stiff_chain():
     return sp.csr_array(-1j * H - 0.05 * sp.eye(K)), np.linspace(0, 1, 11)
 
 
+def _stiff_two_point_chain():
+    # The stiff chain on the grid {0, 1}: one grid step, many substeps.
+    return _stiff_chain()[0], np.linspace(0, 1, 2)
+
+
+def _one_site_chain():
+    # K = 1: the shifted generator is zero, so only exp(t mu) is left.
+    return sp.csr_array([[-0.3 + 2.0j]]), np.linspace(0, 2, 21)
+
+
+def _zero_chain():
+    return sp.csr_array((6, 6), dtype=float), np.linspace(0, 1, 5)
+
+
 def _unequal_block_chain():
     # Random complex chain without structure; 61 steps in blocks of 30,
     # 30 and 1.
@@ -211,15 +225,20 @@ def _real_chain():
     (_stiff_chain, "per-step"),
     (_unequal_block_chain, "unequal blocks"),
     (_real_chain, "real"),
+    (_stiff_two_point_chain, "per-step"),
+    (_one_site_chain, "zero plan"),
+    (_zero_chain, "zero plan"),
 ])
 def test_grid_propagator_matches_dense_expm(chain, path):
     A, t = chain()
     q = t.size - 1
     m, s = _taylor_plan(A, t[-1])
-    if path == "per-step":
-        assert q <= s
+    if path == "per-step":   # several substeps per grid step
+        assert q <= s and _taylor_plan(A, t[-1] / q)[1] > 1
     if path == "unequal blocks":
         assert q > s and q % (q // s) != 0
+    if path == "zero plan":
+        assert m == 0
     y0 = np.zeros(A.shape[0], dtype=A.dtype)
     y0[0] = 1.0
     X = _propagate(A, y0, t[-1] / q, q)

@@ -173,6 +173,11 @@ BAD_CONFIGS = {
     "qubit_cap": {"model": dict(MODEL, N=MAX_QUBITS + 1)},
     "max_iter": {"bilanczos": {"max_iter": "abc"}},
     "max_iter_zero": {"bilanczos": {"max_iter": 0}},
+    # A count must be an integer, not a number int() would truncate.
+    "fractional_N": {"model": dict(MODEL, N=2.9)},
+    "boolean_N": {"model": dict(MODEL, N=True)},
+    "fractional_max_iter": {"bilanczos": {"max_iter": 7.8}},
+    "fractional_filter_window": {"filter": {"smooth_window": 7.5}},
     "saturation_K": {"saturation": {"K": 1}},
     "saturation_nan_string": {"saturation": {"alpha0": "nan"}},
     "seed_not_npy": {"seed_kind": {"kind": "custom", "path": "seed.txt"}},
@@ -194,6 +199,16 @@ def test_bad_config_value_is_usage_error(tmp_path, monkeypatch, overrides):
     error = json.loads((out / "error.json").read_text())
     assert error["error"] == "usage"
     assert os.listdir(out) == ["error.json"]
+
+
+def test_integral_float_counts_parse(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, model=dict(MODEL, N=2.0),
+                 bilanczos={"max_iter": 5.0})
+    out = tmp_path / "out"
+    assert main(["lanczos", "--config", str(cfg_path), "--out", str(out),
+                 "--quiet"]) == EXIT_OK
+    assert json.loads((out / "structure.json").read_text())["K"] == 5
 
 
 CLOSED_MODEL = dict(MODEL, alpha=0.0, gamma=0.0)
