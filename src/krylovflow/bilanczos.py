@@ -53,6 +53,7 @@ class TridiagonalData:
     residual_biortho: float = None
     residual_tridiag: float = None
     termination: str = TERM_MAX_ITER
+    space_dim: int = None          # dimension the recursion ran in
 
     @property
     def K(self):
@@ -61,10 +62,11 @@ class TridiagonalData:
     @property
     def complete(self):
         """The chain spans its Krylov space: it ended by breakdown, or K
-        reached the bound D^2 - D + 1 of its stored basis' operator space."""
+        reached ``krylov_dim_bound`` of the space the recursion ran in (a
+        reflection sector's dimension, not that of a lifted basis)."""
         return self.termination == TERM_BREAKDOWN or (
-            self.p_basis is not None
-            and self.K >= krylov_dim_bound(self.p_basis.shape[0]))
+            self.space_dim is not None
+            and self.K >= krylov_dim_bound(self.space_dim))
 
     def tridiagonal_matrix(self):
         T = np.diag(self.a.astype(complex))
@@ -207,13 +209,18 @@ def bilanczos(L, p0, q0, cfg=None):
         p_basis=P[:K].T,
         q_basis=Q[:K].T,
         termination=termination,
+        space_dim=dim,
     )
-    Qh = Q[:K].conj()
-    QhP = Qh @ tri.p_basis
-    tri.residual_biortho = float(np.abs(QhP - np.eye(K)).max())
-    QhLP = Qh @ (A @ tri.p_basis)
-    tri.residual_tridiag = float(
-        np.abs(QhLP - tri.tridiagonal_matrix()).max())
+    tri.residual_biortho = float(
+        np.abs(Q[:K].conj() @ tri.p_basis - np.eye(K)).max())
+    # L p_n = b_n p_{n-1} + a_n p_n + c_{n+1} p_{n+1} for every n < K - 1;
+    # the last column holds the residual r_K.  Row n of T^T P[:K] is
+    # column n of P T, so the check costs K matvecs, not a K x dim x K
+    # product.
+    Tt = sp.diags_array([tri.c, tri.a, tri.b], offsets=[1, 0, -1],
+                       shape=(K, K))
+    defect = (A @ tri.p_basis).T - Tt @ P[:K]
+    tri.residual_tridiag = float(np.abs(defect[:-1]).max(initial=0.0))
     return tri
 
 

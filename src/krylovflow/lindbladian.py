@@ -8,6 +8,9 @@ The superoperator is assembled with ``scipy.sparse.kron`` into one CSR
 matrix; the builders return that ``scipy.sparse.csr_array`` itself. For
 the transverse-field Ising chain and its local jumps that is about 13
 nonzeros per row, against 4^N for a dense matrix.
+
+:func:`reflection_sector` finds the site-reversal symmetry of L and a seed,
+vec(X) -> vec(R X R), and returns the isometry onto its even sector.
 """
 
 import numpy as np
@@ -19,6 +22,10 @@ import scipy.sparse as sp
 MAX_QUBITS = 6
 MAX_DIM = 4 ** MAX_QUBITS
 HERM_TOL = 1e-10   # largest |H - H'| entry allowed, relative to max|H|
+# Largest |R L R - L| entry, relative to max|L|, for L to count as
+# reflection symmetric: for the paper model the sparse sums leave 6.9e-18
+# at N = 5 and 6, against max|L| = 11 and 13.
+REFLECTION_TOL = 16 * np.finfo(float).eps
 
 
 def as_matrix(L):
@@ -103,6 +110,34 @@ def build_model_lindbladian(spec):
 
     H = build_tfim(spec)
     return build_lindbladian(H, build_jump_operators(spec))
+
+
+def reflection_sector(L, seed):
+    """Isometry B onto the reflection-even sector of L and ``seed``, or None.
+
+    Site reversal R maps vec index k = i + d j to perm[k] = r(i) + d r(j),
+    where r reverses the sites (bits) of a basis state.  When the seed is
+    exactly even under it and L commutes with it to ``REFLECTION_TOL``,
+    every Krylov vector of L from the seed is even, so Lanczos can run on
+    B^T L B from B^T seed.  B has one unit column per index R fixes and
+    one (e_i + e_j)/sqrt(2) column per swapped pair, ordered by the pair's
+    smaller index.  None also when L is not a superoperator of N >= 2
+    qubits: one site has no reversal.
+    """
+    d = int(round(np.sqrt(L.shape[0])))
+    N = d.bit_length() - 1
+    if d * d != L.shape[0] or d != 1 << N or N < 2:
+        return None
+    r = np.arange(d).reshape((2,) * N).T.ravel()
+    perm = np.add.outer(d * r, r).ravel()
+    if not np.array_equal(np.asarray(seed)[perm], seed):
+        return None
+    L = sp.csr_array(L)
+    if abs(L[perm][:, perm] - L).max() > REFLECTION_TOL * abs(L).max():
+        return None
+    k = np.arange(perm.size)
+    col = np.unique(np.minimum(k, perm), return_inverse=True)[1]
+    return sp.csr_array((np.where(perm == k, 1.0, np.sqrt(0.5)), (k, col)))
 
 
 def uniform_seed(d):

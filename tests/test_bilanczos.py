@@ -3,12 +3,13 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from krylovflow.bilanczos import (TERM_BREAKDOWN, TERM_MAX_ITER,
-                                  TERM_SERIOUS, bilanczos,
+                                  TERM_SERIOUS, BiLanczosConfig, bilanczos,
                                   check_open_structure,
                                   project_dissipative_structure,
                                   TridiagonalData)
-from krylovflow.cli import _coefficient_table, csv_table, read_table
-from krylovflow.krylov_chain import evolve_chain
+from krylovflow.cli import (_coefficient_table, _lanczos_chain, csv_table,
+                            read_table)
+from krylovflow.krylov_chain import evolve_chain, moments
 from krylovflow.lindbladian import build_model_lindbladian, uniform_seed
 from krylovflow.spin_algebra import ModelSpec, build_tfim
 
@@ -87,6 +88,22 @@ def test_biorthogonality_and_tridiagonality_residuals():
                         uniform_seed(spec.dim), uniform_seed(spec.dim))
         assert tri.residual_biortho < 1e-10
         assert tri.residual_tridiag < 1e-8
+
+
+def test_tridiagonal_residual_skips_last_column():
+    # L P = P T holds in every column but the last, which carries the
+    # residual r_K of a chain cut by max_iter.
+    spec = ModelSpec(N=3, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
+    L = build_model_lindbladian(spec)
+    seed = uniform_seed(spec.dim)
+    tri = bilanczos(L, seed, seed, BiLanczosConfig(max_iter=10))
+    defect = np.abs(L @ tri.p_basis - tri.p_basis @ tri.tridiagonal_matrix())
+    assert defect[:, -1].max() > 1e-2
+    assert tri.residual_tridiag == pytest.approx(defect[:, :-1].max(),
+                                                 rel=1e-6)
+    assert tri.residual_tridiag < 1e-13
+    assert bilanczos(L, seed, seed,
+                     BiLanczosConfig(max_iter=1)).residual_tridiag == 0.0
 
 
 def test_krylov_dimension_bound():
@@ -203,3 +220,46 @@ def test_closed_model_hoppings_bounded_by_norm(N):
     E = np.linalg.eigvalsh(build_tfim(spec))
     norm = E.max() - E.min()   # the spectrum of L is {E_i - E_j}
     assert np.abs(tri.b).max() <= (1 + 1e-12) * norm
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_sector_chain_matches_full_space(N):
+    # The reflection-even chain and the full-space one share their leading
+    # coefficients and, on the paper's grid, their projected-chain moments;
+    # only the full-space one runs on past the sector dimension.
+    spec = ModelSpec(N=N, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
+    L = build_model_lindbladian(spec)
+    seed = uniform_seed(spec.dim)
+    full = bilanczos(L, seed, seed)
+    sector = _lanczos_chain(L, seed, None)
+    assert sector.K == (4 ** N + 4 ** ((N + 1) // 2)) // 2 < full.K
+    assert sector.p_basis.shape == sector.q_basis.shape == (4 ** N, sector.K)
+    n = 20
+    assert np.abs(sector.a[:n] - full.a[:n]).max() \
+        <= 1e-10 * np.abs(full.a[:n]).max()
+    bc_full = (full.b * full.c)[:n]
+    assert np.abs((sector.b * sector.c)[:n] - bc_full).max() \
+        <= 1e-10 * np.abs(bc_full).max()
+    t = np.linspace(0.0, 10.0, 400)
+    ms, mf = (moments(evolve_chain(project_dissipative_structure(tri), t))
+              for tri in (sector, full))
+    for x, ref in ((ms.C, mf.C), (ms.P, mf.P)):
+        assert np.abs(x - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("N,K", [(2, 10), (3, 40)])
+def test_sector_chain_is_complete_at_sector_dimension(N, K):
+    # An open chain exhausts its reflection-even sector (dimension 10 at
+    # N = 2, 40 at N = 3) below the full-space bound D^2 - D + 1 (13, 57)
+    # of its lifted basis, and is complete there.
+    spec = ModelSpec(N=N, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
+    L = build_model_lindbladian(spec)
+    seed = uniform_seed(spec.dim)
+    tri = _lanczos_chain(L, seed, None)
+    assert (tri.K, tri.termination, tri.space_dim) == (K, TERM_MAX_ITER, K)
+    assert tri.p_basis.shape == (4 ** N, K)
+    assert tri.complete
+    # At N = 2 the last-site mass reaches 7e-10 by t = 10, past
+    # TAIL_CUTOFF: an incomplete chain would warn (an error in tier-1).
+    evolve_chain(tri, np.linspace(0.0, 10.0, 400))
+    assert not bilanczos(L, seed, seed, BiLanczosConfig(max_iter=K)).complete

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 import krylovflow
+from krylovflow.bilanczos import bilanczos
 from krylovflow.cli import (EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK,
-                            EXIT_USAGE, main)
-from krylovflow.lindbladian import MAX_QUBITS
+                            EXIT_USAGE, _coefficient_table, _seed_vector,
+                            csv_table, main)
+from krylovflow.lindbladian import MAX_QUBITS, build_model_lindbladian
+from krylovflow.spin_algebra import ModelSpec, pauli_matrix
 
 MODEL = {"N": 2, "g": -1.05, "h": 0.5, "alpha": 0.01, "gamma": 0.01}
 
@@ -235,21 +238,24 @@ def test_bound_on_one_coefficient_chain(tmp_path):
 # A complete chain short of the filter window: `full` skips the filter
 # and keeps every other artifact.  Closed N = 2 and the identity seed end
 # by breakdown; open N = 1 runs to max_iter at K = 3 = D^2 - D + 1, the
-# whole operator space.
-@pytest.mark.parametrize("model,n", [
-    (CLOSED_MODEL, 6), (None, 0),
-    ({"N": 1, "g": -1.05, "h": 0.5, "alpha": 0.1}, 2)],
-    ids=["closed_n2", "identity_seed", "open_n1"])
-def test_full_skips_filter_on_short_complete_chain(tmp_path, model, n):
+# whole operator space; open N = 2 exhausts its 10-dimensional
+# reflection-even sector at K = 10, below D^2 - D + 1 = 13.
+@pytest.mark.parametrize("model,n,window", [
+    (CLOSED_MODEL, 6, 9), (None, 0, 9),
+    ({"N": 1, "g": -1.05, "h": 0.5, "alpha": 0.1}, 2, 9), (MODEL, 9, 11)],
+    ids=["closed_n2", "identity_seed", "open_n1", "open_n2_sector"])
+def test_full_skips_filter_on_short_complete_chain(tmp_path, model, n,
+                                                   window):
     cfg_path = tmp_path / "cfg.json"
-    write_config(cfg_path, **({"model": model} if model is not None
-                              else identity_seed_config(tmp_path)))
+    write_config(cfg_path, filter={"outlier_window": window},
+                 **({"model": model} if model is not None
+                    else identity_seed_config(tmp_path)))
     out = tmp_path / "out"
     assert main(["full", "--config", str(cfg_path), "--out", str(out),
                  "--quiet"]) == EXIT_OK
     summary = json.loads((out / "full_summary.json").read_text())
     assert summary["skipped"] == [
-        f"filter (series length {n} < filter window 9)"]
+        f"filter (series length {n} < filter window {window})"]
     expected = SUBCOMMAND_ARTIFACTS["bound"] + [
         "oracle.csv", "continuum.csv", "saturation.csv",
         "saturation_summary.json", "full_summary.json"]
@@ -376,18 +382,75 @@ def test_csv_format_is_plain_lf(tmp_path):
     assert raw.decode("ascii").splitlines()[0] == "t,C,P,M2,Ctilde"
 
 
-def test_full_closed_model_with_two_blas_threads(tmp_path):
-    # This closed model once exited 2 ("non-finite values encountered in
-    # coefficients") under two BLAS threads and 0 under one.  Thread
-    # counts are fixed at BLAS load time, hence the fresh process.
-    cfg_path = tmp_path / "cfg.json"
-    write_config(cfg_path, model={"N": 4, "g": -1.08593, "h": 0.498819})
+def run_cli(command, cfg_path, out, threads):
+    """Run the CLI in a fresh process with ``threads`` BLAS threads (BLAS
+    fixes the count at load time); returns the exit code and stderr."""
     src = os.path.dirname(os.path.dirname(krylovflow.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    env.update({var: "2" for var in ("OPENBLAS_NUM_THREADS",
-                                     "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+    env.update({var: str(threads) for var in (
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
     proc = subprocess.run(
-        [sys.executable, "-m", "krylovflow.cli", "full", "--config",
-         str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"],
+        [sys.executable, "-m", "krylovflow.cli", command, "--config",
+         str(cfg_path), "--out", str(out), "--quiet"],
         env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == EXIT_OK, proc.stderr
+    return proc.returncode, proc.stderr
+
+
+def test_full_closed_model_with_two_blas_threads(tmp_path):
+    # This closed model once exited 2 ("non-finite values encountered in
+    # coefficients") under two BLAS threads and 0 under one.
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, model={"N": 4, "g": -1.08593, "h": 0.498819})
+    code, stderr = run_cli("full", cfg_path, tmp_path / "out", 2)
+    assert code == EXIT_OK, stderr
+
+
+# Closed chains run in the reflection-even sector, where they end by
+# breakdown at their Krylov dimension; in full space roundoff carried them
+# on to the max_iter cap (57 and 241).
+@pytest.mark.parametrize("N,K", [(3, 31), (4, 123)])
+def test_closed_model_ends_by_breakdown(tmp_path, N, K):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, model=dict(CLOSED_MODEL, N=N))
+    out = tmp_path / "out"
+    assert main(["lanczos", "--config", str(cfg_path), "--out", str(out),
+                 "--quiet"]) == EXIT_OK
+    report = json.loads((out / "structure.json").read_text())
+    assert (report["K"], report["termination"]) == (K, "breakdown")
+
+
+def test_lanczos_is_thread_count_deterministic(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, model=dict(CLOSED_MODEL, N=4))
+    outs = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        code, stderr = run_cli("lanczos", cfg_path, out, threads)
+        assert code == EXIT_OK, stderr
+        outs.append(out)
+    reports = [json.loads((out / "structure.json").read_text())
+               for out in outs]
+    assert [(r["K"], r["termination"]) for r in reports] == \
+        [(123, "breakdown")] * 2
+    one, two = (read_csv(out / "coefficients.csv") for out in outs)
+    for name in one.dtype.names[1:]:
+        np.testing.assert_allclose(two[name], one[name], rtol=0,
+                                   atol=1e-12, equal_nan=True)
+
+
+def test_non_even_seed_runs_in_full_space(tmp_path):
+    # sigma^z on site 1 is not reversal-even (it maps to site 3), so the
+    # run takes the full-space recursion: K = 57 = 8^2 - 8 + 1.
+    model = dict(MODEL, N=3)
+    seed = {"kind": "custom", "path": str(tmp_path / "z1.npy")}
+    np.save(seed["path"], np.kron(pauli_matrix("Z"), np.eye(4)).real)
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, model=model, seed_kind=seed)
+    out = tmp_path / "out"
+    assert main(["lanczos", "--config", str(cfg_path), "--out", str(out),
+                 "--quiet"]) == EXIT_OK
+    assert json.loads((out / "structure.json").read_text())["K"] == 57
+    v = _seed_vector(seed, 8)
+    tri = bilanczos(build_model_lindbladian(ModelSpec(**model)), v, v)
+    assert (out / "coefficients.csv").read_text() == \
+        csv_table(_coefficient_table(tri))

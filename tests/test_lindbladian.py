@@ -5,7 +5,8 @@ from scipy.linalg import expm
 
 from krylovflow.lindbladian import (build_lindbladian,
                                     build_model_lindbladian, devectorize,
-                                    uniform_seed, vectorize)
+                                    reflection_sector, uniform_seed,
+                                    vectorize)
 from krylovflow.spin_algebra import (ModelSpec, build_jump_operators,
                                      build_tfim, pauli_matrix)
 
@@ -149,3 +150,45 @@ def test_dimension_mismatch_rejected():
     H = build_tfim(ModelSpec(N=2, g=1.0, h=0.0))
     with pytest.raises(ValueError):
         build_lindbladian(H, [pauli_matrix("Z")])
+
+
+def site_reversal(N):
+    """R of an N-qubit chain as a permutation matrix, from the tensor axes."""
+    d = 2 ** N
+    idx = np.arange(d).reshape((2,) * N).transpose(range(N - 1, -1, -1))
+    return np.eye(d)[idx.ravel()]
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("rate", [0.01, 0.0], ids=["open", "closed"])
+def test_reflection_sector_of_paper_models(N, rate):
+    spec = ModelSpec(N=N, g=-1.05, h=0.5, alpha=rate, gamma=rate)
+    seed = uniform_seed(spec.dim)
+    B = reflection_sector(build_model_lindbladian(spec), seed)
+    assert B is not None
+    assert B.shape == (4 ** N, (4 ** N + 4 ** ((N + 1) // 2)) // 2)
+    assert np.abs(B.T @ B - np.eye(B.shape[1])).max() < 1e-15
+    assert_allclose(B @ (B.T @ seed), seed, rtol=0, atol=1e-15)
+    if N <= 4:
+        # B B^T is the projector (1 + R (x) R) / 2 onto even operators.
+        R = site_reversal(N)
+        X = np.random.default_rng(N).normal(size=(spec.dim, spec.dim))
+        assert_allclose(B @ (B.T @ vectorize(X)),
+                        vectorize((X + R @ X @ R) / 2), atol=1e-14)
+
+
+def test_reflection_sector_absent():
+    spec = ModelSpec(N=3, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
+    L = build_model_lindbladian(spec)
+    seed = uniform_seed(spec.dim)
+    # Damping on the first site only breaks the reflection of L.
+    asymmetric = build_model_lindbladian(
+        ModelSpec(N=3, g=-1.05, h=0.5, alpha=0.01, boundary_sites=(1,)))
+    assert reflection_sector(asymmetric, seed) is None
+    # sigma^z on site 1 reverses to sigma^z on site 3: not an even seed.
+    Z1 = vectorize(np.kron(pauli_matrix("Z"), np.eye(4)))
+    assert reflection_sector(L, Z1) is None
+    # One site has no reversal, and a matrix that is not 4^N square none.
+    one = build_model_lindbladian(ModelSpec(N=1, g=-1.05, h=0.5))
+    assert reflection_sector(one, uniform_seed(2)) is None
+    assert reflection_sector(np.eye(9), np.ones(9)) is None
