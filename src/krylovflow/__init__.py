@@ -10,9 +10,8 @@ continuum closed forms and a method-of-characteristics reference solver.
 __version__ = "0.1.0"
 
 from .analysis import FilterConfig, filter_series, remove_outliers, smooth
-from .bilanczos import (BiLanczosConfig, StructureReport, TridiagonalData,
-                        bilanczos, check_open_structure,
-                        project_dissipative_structure)
+from .bilanczos import (StructureReport, TridiagonalData, bilanczos,
+                        check_open_structure, project_dissipative_structure)
 from .bound import (BoundReport, MandelstamTammReport,
                     dispersion_bound_check, mandelstam_tamm_tau,
                     renormalized_bound_check, saturating_coefficients,
@@ -31,7 +30,7 @@ from .spin_algebra import (ModelSpec, build_jump_operators, build_tfim,
 __all__ = [
     "__version__",
     "FilterConfig", "filter_series", "remove_outliers", "smooth",
-    "BiLanczosConfig", "StructureReport", "TridiagonalData", "bilanczos",
+    "StructureReport", "TridiagonalData", "bilanczos",
     "check_open_structure", "project_dissipative_structure",
     "BoundReport", "MandelstamTammReport", "dispersion_bound_check",
     "mandelstam_tamm_tau", "renormalized_bound_check",

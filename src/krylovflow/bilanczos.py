@@ -11,6 +11,8 @@ right vector (Freund, SIAM J. Sci. Stat. Comput. 13, 1992), so the
 recursion needs one matvec and one reorthogonalization per step. Any
 other input runs the full two-sided recursion. :func:`bilanczos` is the
 one entry point: a Hermitian generator runs with q0 = p0, a unit vector.
+It runs the recursion in the reflection-even sector when the seeds and L
+allow, so that roundoff cannot carry it into the odd sector.
 """
 
 from dataclasses import dataclass, replace
@@ -19,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import NumericalFailure
-from .lindbladian import as_matrix, krylov_dim_bound
+from .lindbladian import as_matrix, reflection_sector
 
 TERM_MAX_ITER = "max_iter"
 TERM_BREAKDOWN = "breakdown"
@@ -27,18 +29,7 @@ TERM_SERIOUS = "serious_breakdown"
 TERM_SYNTHETIC = "synthetic"
 
 STRUCTURE_TOL = 1e-6   # relative tolerance of the structure verdicts
-
-
-@dataclass
-class BiLanczosConfig:
-    max_iter: int = None          # default: full dimension of L
-    breakdown_tol: float = 1e-10  # relative to the running max of c_j
-
-    def __post_init__(self):
-        if self.max_iter is not None and self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.breakdown_tol < 0:
-            raise ValueError("breakdown_tol must be nonnegative")
+BREAKDOWN_TOL = 1e-10  # smallest c_j, relative to the running max of c_j
 
 
 @dataclass
@@ -62,11 +53,9 @@ class TridiagonalData:
     @property
     def complete(self):
         """The chain spans its Krylov space: it ended by breakdown, or K
-        reached ``krylov_dim_bound`` of the space the recursion ran in (a
+        reached the dimension of the space the recursion ran in (a
         reflection sector's dimension, not that of a lifted basis)."""
-        return self.termination == TERM_BREAKDOWN or (
-            self.space_dim is not None
-            and self.K >= krylov_dim_bound(self.space_dim))
+        return self.termination == TERM_BREAKDOWN or self.K == self.space_dim
 
     def tridiagonal_matrix(self):
         T = np.diag(self.a.astype(complex))
@@ -99,8 +88,14 @@ def _is_symmetric(A):
     return np.array_equal(A, A.T)
 
 
-def bilanczos(L, p0, q0, cfg=None):
+def bilanczos(L, p0, q0, max_iter=None):
     """Two-sided Lanczos iteration on a (generally non-Hermitian) matrix.
+
+    When p0 and q0 are exactly even under site reversal and L commutes
+    with it (``reflection_sector`` returns the isometry B), the recursion
+    runs on B^T L B from B^T p0 and B^T q0 and lifts the bases back as B P
+    and B Q; otherwise it runs on L.  ``max_iter`` defaults to the
+    dimension of the space it runs in, the result's ``space_dim``.
 
     Starting vectors must satisfy <q0|p0> = 1; if the overlap is nonzero p0
     is rescaled, otherwise the pair is rejected. Each new right vector (and,
@@ -116,14 +111,21 @@ def bilanczos(L, p0, q0, cfg=None):
     give the same coefficients up to roundoff, with c_n = sqrt|<r_n|s_n>|
     and b_n = conj(<r_n|s_n>) / c_n.
     """
-    if cfg is None:
-        cfg = BiLanczosConfig()
     A = as_matrix(L)
+    B = reflection_sector(A, p0, q0)
+    if B is None:
+        return _lanczos(A, p0, q0, max_iter)
+    tri = _lanczos(B.T @ A @ B, B.T @ p0, B.T @ q0, max_iter)
+    tri.p_basis, tri.q_basis = B @ tri.p_basis, B @ tri.q_basis
+    return tri
+
+
+def _lanczos(A, p0, q0, max_iter=None):
+    """The recursion of :func:`bilanczos` on the matrix A as given."""
     dim = A.shape[0]
-    # Roundoff would otherwise keep the recursion running on noise up to
-    # the full dimension.
-    max_iter = krylov_dim_bound(dim) if cfg.max_iter is None else cfg.max_iter
-    max_iter = min(max_iter, dim)
+    if max_iter is not None and max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    max_iter = dim if max_iter is None else min(max_iter, dim)
 
     p = np.asarray(p0, dtype=complex).copy()
     q = np.asarray(q0, dtype=complex).copy()
@@ -161,9 +163,9 @@ def bilanczos(L, p0, q0, cfg=None):
         scale = max(c_max, abs(a0))
         if scale == 0.0:
             scale = 1.0
-        if cj < cfg.breakdown_tol * scale:
+        if cj < BREAKDOWN_TOL * scale:
             rs = min(np.linalg.norm(r), np.linalg.norm(s))
-            if rs > np.sqrt(cfg.breakdown_tol) * scale:
+            if rs > np.sqrt(BREAKDOWN_TOL) * scale:
                 # <r|s> collapsed while both residuals remain large.
                 termination = TERM_SERIOUS
             else:

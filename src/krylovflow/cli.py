@@ -12,12 +12,11 @@ filter: a complete chain is shorter than the filter window).  A skipped
 stage is a usage error when requested by name and an entry of
 ``full_summary.json["skipped"]`` under ``full``.  Every config value the
 chosen stages use is checked before any stage runs; no number in a config
-may be non-finite.  Lanczos runs in the reflection-even sector of L when
-the seed is exactly even under site reversal and L commutes with it, as
-for every model with the default jump sites and the uniform seed; any
-other run (a custom seed that is not even) stays in full space.  Each
-artifact is a deterministic CSV (17 significant digits, LF endings) with
-a JSON sidecar echoing the config and version.
+may be non-finite; the ``bilanczos`` block takes ``max_iter`` only.
+``bilanczos`` runs in the reflection-even sector of L for every model with
+the default jump sites and the uniform seed.  Each artifact is a
+deterministic CSV (17 significant digits, LF endings) with a JSON sidecar
+echoing the config and version.
 Exit codes: 0 success, 1 usage error (including a bad config value), 2
 numerical failure, 3 invariant violation; on failure the run's artifacts
 are removed and ``error.json`` is written.
@@ -35,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import FilterConfig, filter_series
-from .bilanczos import BiLanczosConfig, bilanczos, check_open_structure, \
+from .bilanczos import bilanczos, check_open_structure, \
     project_dissipative_structure
 from .bound import bound_summary, dispersion_bound_check, \
     renormalized_bound_check, saturating_coefficients, saturation_report
@@ -43,7 +42,7 @@ from .continuum import ContinuumSpec, continuum_vs_paper_report
 from .exceptions import InvariantViolation, NumericalFailure
 from .krylov_chain import direct_evolution_oracle, evolve_chain, moments
 from .lindbladian import MAX_QUBITS, build_model_lindbladian, \
-    reflection_sector, uniform_seed, vectorize
+    uniform_seed, vectorize
 from .spin_algebra import ModelSpec
 
 EXIT_OK = 0
@@ -181,11 +180,15 @@ def _parse_lanczos(cfg):
     if model.N > MAX_QUBITS:
         raise ValueError(f"N = {model.N} exceeds {MAX_QUBITS} qubits")
     node = _block(cfg, "bilanczos")
+    unknown = sorted(set(node) - {"max_iter"})
+    if unknown:
+        raise ValueError(f"unknown bilanczos keys {unknown}")
     max_iter = node.get("max_iter")
-    lanczos_cfg = BiLanczosConfig(
-        max_iter=None if max_iter is None else _count(max_iter),
-        breakdown_tol=_finite(node.get("breakdown_tol", 1e-10)))
-    return {"model": model, "lanczos_cfg": lanczos_cfg,
+    if max_iter is not None:
+        max_iter = _count(max_iter)
+        if max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
+    return {"model": model, "max_iter": max_iter,
             "seed": _seed_vector(cfg.get("seed_kind", "uniform"),
                                  model.dim)}
 
@@ -304,26 +307,10 @@ class ArtifactWriter:
 # needs from ``run`` and leaves its own results there.  Layer functions
 # are looked up as module globals at call time.
 
-def _lanczos_chain(L, seed, cfg):
-    """The Lanczos chain of L from ``seed``, in the reflection-even sector
-    when L and the seed have the symmetry, in full space otherwise.
-
-    In exact arithmetic every Krylov vector of a reflection-even run is
-    even; the full-space recursion drifts into the odd sector on roundoff
-    and goes on with noise.  Sector bases are lifted back to full space.
-    """
-    B = reflection_sector(L, seed)
-    if B is None:
-        return bilanczos(L, seed, seed, cfg)
-    seed = B.T @ seed
-    tri = bilanczos(B.T @ L @ B, seed, seed, cfg)
-    tri.p_basis, tri.q_basis = B @ tri.p_basis, B @ tri.q_basis
-    return tri
-
-
 def _run_lanczos(run, writer):
     run.L = build_model_lindbladian(run.model)
-    run.tri = tri = _lanczos_chain(run.L, run.seed, run.lanczos_cfg)
+    run.tri = tri = bilanczos(run.L, run.seed, run.seed,
+                              max_iter=run.max_iter)
     n_struct = min(STRUCTURE_COEFFS, tri.K)
     run.structure = report = check_open_structure(tri, n_coeffs=n_struct)
     writer.write_table("coefficients.csv", _coefficient_table(tri))

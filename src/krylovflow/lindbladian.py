@@ -9,15 +9,16 @@ matrix; the builders return that ``scipy.sparse.csr_array`` itself. For
 the transverse-field Ising chain and its local jumps that is about 13
 nonzeros per row, against 4^N for a dense matrix.
 
-:func:`reflection_sector` finds the site-reversal symmetry of L and a seed,
-vec(X) -> vec(R X R), and returns the isometry onto its even sector.
+:func:`reflection_sector` finds the site-reversal symmetry of L and its
+seeds, vec(X) -> vec(R X R), and returns the isometry onto its even
+sector; :func:`~krylovflow.bilanczos.bilanczos` runs there when it can.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-# The Lanczos bases, not L, bound the size: K <= 4^N - 2^N + 1 vectors of
-# 4^N complex entries each, i.e. up to K * 4^N * 16 B per basis (264 MB at
+# The Lanczos bases, not L, bound the size: K <= 4^N vectors of 4^N
+# complex entries each, i.e. up to K * 4^N * 16 B per basis (268 MB at
 # N = 6, 4.3 GB at N = 7).
 MAX_QUBITS = 6
 MAX_DIM = 4 ** MAX_QUBITS
@@ -34,16 +35,6 @@ def as_matrix(L):
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("superoperator must be a square matrix")
     return M
-
-
-def krylov_dim_bound(dim):
-    """Most Lanczos steps a superoperator of dimension ``dim`` can take.
-
-    Operator Krylov spaces of a D-level system (dim = D^2) close after at
-    most D^2 - D + 1 steps; any other dimension bounds itself.
-    """
-    D = int(round(np.sqrt(dim)))
-    return D * D - D + 1 if D * D == dim else dim
 
 
 def vectorize(M):
@@ -112,17 +103,17 @@ def build_model_lindbladian(spec):
     return build_lindbladian(H, build_jump_operators(spec))
 
 
-def reflection_sector(L, seed):
-    """Isometry B onto the reflection-even sector of L and ``seed``, or None.
+def reflection_sector(L, *seeds):
+    """Isometry B onto the reflection-even sector of L and ``seeds``, or None.
 
     Site reversal R maps vec index k = i + d j to perm[k] = r(i) + d r(j),
-    where r reverses the sites (bits) of a basis state.  When the seed is
+    where r reverses the sites (bits) of a basis state.  When every seed is
     exactly even under it and L commutes with it to ``REFLECTION_TOL``,
-    every Krylov vector of L from the seed is even, so Lanczos can run on
-    B^T L B from B^T seed.  B has one unit column per index R fixes and
-    one (e_i + e_j)/sqrt(2) column per swapped pair, ordered by the pair's
-    smaller index.  None also when L is not a superoperator of N >= 2
-    qubits: one site has no reversal.
+    every Krylov vector of L (and of L') from the seeds is even, so
+    Lanczos can run on B^T L B from B^T seed.  B has one unit column per
+    index R fixes and one (e_i + e_j)/sqrt(2) column per swapped pair,
+    ordered by the pair's smaller index.  None also when L is not a
+    superoperator of N >= 2 qubits: one site has no reversal.
     """
     d = int(round(np.sqrt(L.shape[0])))
     N = d.bit_length() - 1
@@ -130,7 +121,7 @@ def reflection_sector(L, seed):
         return None
     r = np.arange(d).reshape((2,) * N).T.ravel()
     perm = np.add.outer(d * r, r).ravel()
-    if not np.array_equal(np.asarray(seed)[perm], seed):
+    if not all(np.array_equal(np.asarray(s)[perm], s) for s in seeds):
         return None
     L = sp.csr_array(L)
     if abs(L[perm][:, perm] - L).max() > REFLECTION_TOL * abs(L).max():

@@ -79,7 +79,7 @@ def test_criterion_02_biorthogonality_and_tridiagonality():
     verdict("criterion 2 (bi-orthogonality / tridiagonality)",
             tri.residual_biortho < 1e-10 and tri.residual_tridiag < 1e-8,
             f"max|Q*P - I| = {tri.residual_biortho:.3e} (< 1e-10), "
-            f"max|Q*LP - T| = {tri.residual_tridiag:.3e} (< 1e-8)")
+            f"max|LP - PT| = {tri.residual_tridiag:.3e} (< 1e-8)")
 
 
 def test_criterion_03_oracle_equivalence():

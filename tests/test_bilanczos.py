@@ -3,15 +3,15 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from krylovflow.bilanczos import (TERM_BREAKDOWN, TERM_MAX_ITER,
-                                  TERM_SERIOUS, BiLanczosConfig, bilanczos,
+                                  TERM_SERIOUS, _lanczos, bilanczos,
                                   check_open_structure,
                                   project_dissipative_structure,
                                   TridiagonalData)
-from krylovflow.cli import (_coefficient_table, _lanczos_chain, csv_table,
-                            read_table)
+from krylovflow.cli import _coefficient_table, csv_table, read_table
 from krylovflow.krylov_chain import evolve_chain, moments
-from krylovflow.lindbladian import build_model_lindbladian, uniform_seed
-from krylovflow.spin_algebra import ModelSpec, build_tfim
+from krylovflow.lindbladian import build_model_lindbladian, uniform_seed, \
+    vectorize
+from krylovflow.spin_algebra import ModelSpec, build_tfim, pauli_matrix
 
 
 def test_symmetric_two_by_two():
@@ -92,22 +92,25 @@ def test_biorthogonality_and_tridiagonality_residuals():
 
 def test_tridiagonal_residual_skips_last_column():
     # L P = P T holds in every column but the last, which carries the
-    # residual r_K of a chain cut by max_iter.
+    # residual r_K of a chain cut by max_iter.  The full-space recursion
+    # keeps the residual in the units of the returned basis.
     spec = ModelSpec(N=3, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
     L = build_model_lindbladian(spec)
     seed = uniform_seed(spec.dim)
-    tri = bilanczos(L, seed, seed, BiLanczosConfig(max_iter=10))
+    tri = _lanczos(L, seed, seed, max_iter=10)
     defect = np.abs(L @ tri.p_basis - tri.p_basis @ tri.tridiagonal_matrix())
     assert defect[:, -1].max() > 1e-2
     assert tri.residual_tridiag == pytest.approx(defect[:, :-1].max(),
                                                  rel=1e-6)
     assert tri.residual_tridiag < 1e-13
-    assert bilanczos(L, seed, seed,
-                     BiLanczosConfig(max_iter=1)).residual_tridiag == 0.0
+    assert bilanczos(L, seed, seed, max_iter=1).residual_tridiag == 0.0
 
 
 def test_krylov_dimension_bound():
-    # operator Krylov space of a D-level system closes within D^2 - D + 1
+    # The uniform seed's chain stays in the reflection-even sector
+    # (dimension 40), within the D^2 - D + 1 = 57 that bounds a closed
+    # system's operator Krylov space; an open chain in general is not
+    # bounded by it (see test_open_chain_reaches_krylov_dimension).
     spec = ModelSpec(N=3, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
     tri = bilanczos(build_model_lindbladian(spec),
                     uniform_seed(8), uniform_seed(8))
@@ -154,8 +157,9 @@ def test_structure_dissipative_tfim_first_fifty():
     # Empirical claim for the open chain: b_n = c_n = |b_n| and
     # a_n = i|a_n| over the first 50 coefficients.  The b = c and
     # Re a = 0 parts reproduce; isolated near-breakdown spikes carry
-    # negative Im a_n at every arithmetic precision tested, so the full
-    # verdict fails (see the filtering utilities in the analysis module).
+    # negative Im a_n, in exact arithmetic too (the 50-digit reference of
+    # test_reference_lanczos.py has them at N = 3), so the full verdict
+    # fails (see the filtering utilities in the analysis module).
     spec = ModelSpec(N=4, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
     tri = bilanczos(build_model_lindbladian(spec),
                     uniform_seed(16), uniform_seed(16))
@@ -209,11 +213,9 @@ def test_projected_chain_has_psi_equal_phi():
 
 @pytest.mark.parametrize("N", [3, 4])
 def test_closed_model_hoppings_bounded_by_norm(N):
-    # With orthonormal Lanczos vectors |b_n| <= ||L||_2. The closed N = 3
-    # chain has Krylov dimension 31, but c_31 ~ 1e-8 stays above
-    # breakdown_tol * scale, so the recursion runs on to K = 57 on rounding
-    # noise; the hoppings must stay bounded there too (the two-sided
-    # recursion reached |b| ~ 1e3 at N = 4).
+    # With orthonormal Lanczos vectors |b_n| <= ||L||_2.  The closed
+    # chains run in the reflection-even sector and end by breakdown at
+    # their Krylov dimension (31 and 123).
     spec = ModelSpec(N=N, g=-1.05, h=0.5)
     seed = uniform_seed(spec.dim)
     tri = bilanczos(build_model_lindbladian(spec), seed, seed)
@@ -230,8 +232,8 @@ def test_sector_chain_matches_full_space(N):
     spec = ModelSpec(N=N, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
     L = build_model_lindbladian(spec)
     seed = uniform_seed(spec.dim)
-    full = bilanczos(L, seed, seed)
-    sector = _lanczos_chain(L, seed, None)
+    full = _lanczos(L, seed, seed)
+    sector = bilanczos(L, seed, seed)
     assert sector.K == (4 ** N + 4 ** ((N + 1) // 2)) // 2 < full.K
     assert sector.p_basis.shape == sector.q_basis.shape == (4 ** N, sector.K)
     n = 20
@@ -250,16 +252,62 @@ def test_sector_chain_matches_full_space(N):
 @pytest.mark.parametrize("N,K", [(2, 10), (3, 40)])
 def test_sector_chain_is_complete_at_sector_dimension(N, K):
     # An open chain exhausts its reflection-even sector (dimension 10 at
-    # N = 2, 40 at N = 3) below the full-space bound D^2 - D + 1 (13, 57)
-    # of its lifted basis, and is complete there.
+    # N = 2, 40 at N = 3) below the dimension (16, 64) of its lifted
+    # basis, and is complete there.
     spec = ModelSpec(N=N, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
     L = build_model_lindbladian(spec)
     seed = uniform_seed(spec.dim)
-    tri = _lanczos_chain(L, seed, None)
+    tri = bilanczos(L, seed, seed)
     assert (tri.K, tri.termination, tri.space_dim) == (K, TERM_MAX_ITER, K)
     assert tri.p_basis.shape == (4 ** N, K)
     assert tri.complete
     # At N = 2 the last-site mass reaches 7e-10 by t = 10, past
     # TAIL_CUTOFF: an incomplete chain would warn (an error in tier-1).
     evolve_chain(tri, np.linspace(0.0, 10.0, 400))
-    assert not bilanczos(L, seed, seed, BiLanczosConfig(max_iter=K)).complete
+    assert not _lanczos(L, seed, seed, max_iter=K).complete
+
+
+def sigma_z1(N):
+    """Normalized vec(sigma^z on site 1): not even under site reversal."""
+    v = vectorize(np.kron(pauli_matrix("Z"), np.eye(2 ** (N - 1))))
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("N,seed,K,termination", [
+    (1, uniform_seed(2), 4, TERM_MAX_ITER),
+    (2, sigma_z1(2), 15, TERM_BREAKDOWN),
+    (3, sigma_z1(3), 63, TERM_BREAKDOWN)], ids=["n1_uniform", "n2_z1",
+                                                 "n3_z1"])
+def test_open_chain_reaches_krylov_dimension(N, seed, K, termination):
+    # An open chain is not bounded by the D^2 - D + 1 of a closed system's
+    # operator Krylov space: these full-space chains span 4, 15 and 63
+    # dimensions, the number of distinct eigenvalues of L the seed has
+    # weight on (eigen-decomposition of the dense L).
+    spec = ModelSpec(N=N, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
+    tri = bilanczos(build_model_lindbladian(spec), seed, seed)
+    assert (tri.K, tri.termination, tri.space_dim) == (K, termination, 4 ** N)
+    assert tri.complete
+
+
+def test_generic_four_by_four_reaches_krylov_dimension():
+    # A 4 x 4 matrix is not an operator space: distinct eigenvalues
+    # (0.64, 2.16, 3.12, 4.09) and a seed with weight on each give a
+    # 4-dimensional Krylov space, and T reproduces the spectrum.
+    A = np.diag([1.0, 2.0, 3.0, 4.0])
+    A[0, 1:] = A[1:, 0] = 0.5
+    e = np.full(4, 0.5)
+    tri = bilanczos(A, e, e)
+    assert (tri.K, tri.termination) == (4, TERM_MAX_ITER)
+    assert tri.complete
+    assert_allclose(np.sort(np.linalg.eigvals(tri.tridiagonal_matrix()).real),
+                    np.linalg.eigvalsh(A), atol=1e-12)
+
+
+def test_sector_needs_both_seeds_even():
+    # An even right seed with a left seed that is not even runs in full
+    # space: the left Krylov vectors leave the even sector.
+    spec = ModelSpec(N=2, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
+    L = build_model_lindbladian(spec)
+    seed = uniform_seed(spec.dim)
+    assert bilanczos(L, seed, seed).space_dim == 10
+    assert bilanczos(L, seed, seed + 0.5 * sigma_z1(2)).space_dim == 16

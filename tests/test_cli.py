@@ -11,7 +11,8 @@ from krylovflow.bilanczos import bilanczos
 from krylovflow.cli import (EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK,
                             EXIT_USAGE, _coefficient_table, _seed_vector,
                             csv_table, main)
-from krylovflow.lindbladian import MAX_QUBITS, build_model_lindbladian
+from krylovflow.lindbladian import MAX_QUBITS, build_model_lindbladian, \
+    uniform_seed
 from krylovflow.spin_algebra import ModelSpec, pauli_matrix
 
 MODEL = {"N": 2, "g": -1.05, "h": 0.5, "alpha": 0.01, "gamma": 0.01}
@@ -180,6 +181,9 @@ BAD_CONFIGS = {
     "fractional_N": {"model": dict(MODEL, N=2.9)},
     "boolean_N": {"model": dict(MODEL, N=True)},
     "fractional_max_iter": {"bilanczos": {"max_iter": 7.8}},
+    # The bilanczos block takes max_iter only; the breakdown tolerance is
+    # a module constant.
+    "breakdown_tol": {"bilanczos": {"breakdown_tol": 1e-10}},
     "fractional_filter_window": {"filter": {"smooth_window": 7.5}},
     "saturation_K": {"saturation": {"K": 1}},
     "saturation_nan_string": {"saturation": {"alpha0": "nan"}},
@@ -237,12 +241,12 @@ def test_bound_on_one_coefficient_chain(tmp_path):
 
 # A complete chain short of the filter window: `full` skips the filter
 # and keeps every other artifact.  Closed N = 2 and the identity seed end
-# by breakdown; open N = 1 runs to max_iter at K = 3 = D^2 - D + 1, the
-# whole operator space; open N = 2 exhausts its 10-dimensional
-# reflection-even sector at K = 10, below D^2 - D + 1 = 13.
+# by breakdown; open N = 1 runs to max_iter at K = 4, the whole operator
+# space; open N = 2 exhausts its 10-dimensional reflection-even sector at
+# K = 10.
 @pytest.mark.parametrize("model,n,window", [
     (CLOSED_MODEL, 6, 9), (None, 0, 9),
-    ({"N": 1, "g": -1.05, "h": 0.5, "alpha": 0.1}, 2, 9), (MODEL, 9, 11)],
+    ({"N": 1, "g": -1.05, "h": 0.5, "alpha": 0.1}, 3, 9), (MODEL, 9, 11)],
     ids=["closed_n2", "identity_seed", "open_n1", "open_n2_sector"])
 def test_full_skips_filter_on_short_complete_chain(tmp_path, model, n,
                                                    window):
@@ -406,8 +410,8 @@ def test_full_closed_model_with_two_blas_threads(tmp_path):
 
 
 # Closed chains run in the reflection-even sector, where they end by
-# breakdown at their Krylov dimension; in full space roundoff carried them
-# on to the max_iter cap (57 and 241).
+# breakdown at their Krylov dimension; in full space roundoff carries them
+# on with noise (to K = 58 and 243).
 @pytest.mark.parametrize("N,K", [(3, 31), (4, 123)])
 def test_closed_model_ends_by_breakdown(tmp_path, N, K):
     cfg_path = tmp_path / "cfg.json"
@@ -440,7 +444,8 @@ def test_lanczos_is_thread_count_deterministic(tmp_path):
 
 def test_non_even_seed_runs_in_full_space(tmp_path):
     # sigma^z on site 1 is not reversal-even (it maps to site 3), so the
-    # run takes the full-space recursion: K = 57 = 8^2 - 8 + 1.
+    # run takes the full-space recursion, which ends by breakdown at the
+    # Krylov dimension 63.
     model = dict(MODEL, N=3)
     seed = {"kind": "custom", "path": str(tmp_path / "z1.npy")}
     np.save(seed["path"], np.kron(pauli_matrix("Z"), np.eye(4)).real)
@@ -449,8 +454,25 @@ def test_non_even_seed_runs_in_full_space(tmp_path):
     out = tmp_path / "out"
     assert main(["lanczos", "--config", str(cfg_path), "--out", str(out),
                  "--quiet"]) == EXIT_OK
-    assert json.loads((out / "structure.json").read_text())["K"] == 57
+    assert json.loads((out / "structure.json").read_text())["K"] == 63
     v = _seed_vector(seed, 8)
     tri = bilanczos(build_model_lindbladian(ModelSpec(**model)), v, v)
+    assert (out / "coefficients.csv").read_text() == \
+        csv_table(_coefficient_table(tri))
+
+
+@pytest.mark.parametrize("N,K", [(3, 40), (4, 136), (5, 544)])
+def test_cli_writes_the_library_chain(tmp_path, N, K):
+    # One chain for every caller: the lanczos stage writes the chain of
+    # the library's bilanczos, here the reflection-even sector's.
+    model = dict(MODEL, N=N)
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, model=model)
+    out = tmp_path / "out"
+    assert main(["lanczos", "--config", str(cfg_path), "--out", str(out),
+                 "--quiet"]) == EXIT_OK
+    v = uniform_seed(2 ** N)
+    tri = bilanczos(build_model_lindbladian(ModelSpec(**model)), v, v)
+    assert tri.K == K
     assert (out / "coefficients.csv").read_text() == \
         csv_table(_coefficient_table(tri))
