@@ -66,7 +66,7 @@ class TridiagonalData:
 
 @dataclass
 class StructureReport:
-    """Diagnostics for the empirical dissipative coefficient structure."""
+    """Diagnostics for the claimed dissipative coefficient structure."""
 
     max_bc_diff: float
     max_abs_b: float
@@ -227,8 +227,10 @@ def _lanczos(A, p0, q0, max_iter=None):
 
 
 def check_open_structure(tri, n_coeffs=None):
-    """Test the empirical open-system structure b_n = c_n = |b_n|, a_n = i|a_n|
-    on the leading ``n_coeffs`` coefficients, to ``STRUCTURE_TOL`` relative."""
+    """Test the claimed open-system structure b_n = c_n = |b_n|, a_n = i|a_n|
+    on the leading ``n_coeffs`` coefficients, to ``STRUCTURE_TOL`` relative.
+    Exact arithmetic refutes it (tests/test_reference_lanczos.py, N = 3:
+    Im a_n < 0 at n = 7, 8, 14, ...; b_n c_n < 0 from n = 23)."""
     a, b, c = tri.a[:n_coeffs], tri.b[:n_coeffs], tri.c[:n_coeffs]
 
     max_abs_b = float(np.abs(b).max()) if b.size else 0.0
@@ -263,8 +265,9 @@ def check_open_structure(tri, n_coeffs=None):
 def project_dissipative_structure(tri):
     """Project coefficients onto the dissipative form a = i|a|, b = c = |b|.
 
-    Open-system chains empirically carry purely imaginary diagonals and
-    equal real off-diagonals; this returns a copy of ``tri`` with that
+    Open-system chains are claimed to carry purely imaginary diagonals and
+    equal real off-diagonals, which exact arithmetic refutes (see
+    :func:`check_open_structure`); this returns a copy of ``tri`` with the
     structure imposed exactly (on-site decay rates |a_n|, symmetric real
     hoppings |b_n|).  Under the projected coefficients the two amplitude
     recursions coincide, so psi = phi becomes a verified identity of the

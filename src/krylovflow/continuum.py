@@ -47,7 +47,7 @@ class ContinuumSpec:
     def a_of_x(self):
         if self.case == LINEAR_A:
             return lambda x: self.alpha * x
-        return lambda x: self.alpha * np.ones_like(np.asarray(x, dtype=float))
+        return lambda x: self.alpha + 0.0 * x   # keeps the shape of x
 
     def b_of_x(self):
         return lambda x: self.beta * x + self.c

@@ -8,11 +8,12 @@ The two chain recursions
 define two tridiagonal K x K generators, A_phi and A_psi*. Both amplitude
 vectors are propagated exactly, as exp(t A) e0 on the whole uniform time
 grid, by a Taylor propagator for tridiagonal generators (algorithm 5.2 of
-Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011). psi is not assumed equal
-to phi: only when the two generators agree entry for entry (a_n purely
-imaginary and b_n = c*_n, as on every projected chain) is psi* taken to be
-phi. That holds exactly either way; propagating the K-system alone instead
-of the 2K block system only saves time.
+Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011); each Taylor term is one
+product of the stacked diagonals with a sliding window of the last term.
+psi is not assumed equal to phi: only when the two generators agree entry
+for entry (a_n purely imaginary and b_n = c*_n, as on every projected
+chain) is psi* taken to be phi. That holds exactly either way; propagating
+the K-system alone instead of the 2K block system only saves time.
 """
 
 import warnings
@@ -20,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import expm
+from scipy.linalg.blas import idamax
 
 from .exceptions import NumericalFailure
 from .lindbladian import as_matrix
@@ -137,6 +140,10 @@ def _inf_norm(x):
     return np.abs(x).max()
 
 
+def _real_inf_norm(x):
+    return abs(x[idamax(x)])   # BLAS; the same value as _inf_norm
+
+
 def _propagate(A, y0, h, q):
     """exp(k h A) y0 for k = 0 .. q, as the rows of a (q + 1) x n array.
 
@@ -151,19 +158,13 @@ def _propagate(A, y0, h, q):
     of length tau sums T_p = (tau A)^p Z / p! from its first point Z into
     its last point, cut once two successive terms fall below unit roundoff
     of the sum; its inner points sum_p (k h / tau)^p T_p are one matrix
-    product.  The arithmetic is real when A and y0 are.
+    product.  The terms are the rows of a zero-padded array, so T_p sums the
+    stacked diagonals of (tau / p) A times the (3, n) sliding window of
+    T_{p-1}.  The arithmetic is real when A and y0 are (norms from idamax).
     """
     n = y0.size
     mu = A.diagonal().mean()
     A = A - mu * sp.eye(n, dtype=A.dtype, format="csr")
-    lo, dg, up = A.diagonal(-1), A.diagonal(), A.diagonal(1)
-
-    def matvec(x, scale, out):
-        np.multiply(dg, x, out=out)
-        out[:-1] += up * x[1:]
-        out[1:] += lo * x[:-1]
-        out *= scale
-
     norms = _power_norms(A)
     m, s = _taylor_parameters(norms, q * h)
     r, d = 1, max(q // s, 1)
@@ -171,34 +172,46 @@ def _propagate(A, y0, h, q):
         m, r = _taylor_parameters(norms, h)
     X = np.empty((q + 1, n), dtype=np.result_type(A.dtype, y0.dtype))
     X[0] = y0
-    T = np.empty((m + 1, n), dtype=X.dtype)
-    T[0] = y0
-    rows = list(T)   # views made once: they are indexed per term
+    D = np.zeros((3, n), dtype=X.dtype)   # D[:, i] multiplies x[i-1:i+2]
+    D[0, 1:], D[1], D[2, :-1] = A.diagonal(-1), A.diagonal(), A.diagonal(1)
+    T = np.zeros((m + 1, n + 2), dtype=X.dtype)
+    T[0, 1:-1] = y0
+    C = np.empty((m, 3, n), dtype=X.dtype)   # (tau / p) D for p = 1 .. m
+    S = np.empty((3, n), dtype=X.dtype)
+    # views made once: they are indexed per term
+    rows, inner, coefs = list(T), list(T[:, 1:-1]), list(C)
+    windows = list(np.moveaxis(sliding_window_view(T, 3, axis=1), 2, 1))
+    norm = _real_inf_norm if X.dtype == np.float64 else _inf_norm
     for start in range(0, q * r, d):
         size = min(d, q * r - start)
-        tau = size * h / r
-        F = rows[0].copy()
-        c1 = F_norm = _inf_norm(F)
+        if start == 0 or size < d:   # all blocks but the last have size d
+            tau_p = size * h / r / np.arange(1, m + 1)
+            np.multiply(D.view(np.float64), tau_p[:, None, None],
+                        out=C.view(np.float64))   # real view: same values
+        c1 = F_norm = norm(rows[0])
         p = 0
         for p in range(1, m + 1):
-            matvec(rows[p - 1], tau / p, rows[p])
-            c2 = _inf_norm(rows[p])
-            F += rows[p]
-            # F_norm bounds ||F|| from above, so the exact norm is only
-            # taken once the cut-off test can pass.
+            np.multiply(coefs[p - 1], windows[p - 1], out=S)
+            np.add.reduce(S, axis=0, out=inner[p])
+            c2 = norm(rows[p])
+            # F_norm bounds ||F|| from above, so the sum F is only formed
+            # once the cut-off test can pass.
             F_norm += c2
             if c1 + c2 <= _TOL * F_norm:
-                F_norm = _inf_norm(F)
+                F = np.add.reduce(T[:p + 1], axis=0)
+                F_norm = norm(F)
                 if c1 + c2 <= _TOL * F_norm:
                     break
             c1 = c2
+        else:
+            F = np.add.reduce(T[:p + 1], axis=0)
         if size > 1:
             k = np.arange(1, size)[:, None]
             W = np.exp(k * h * mu) * (k / size) ** np.arange(p + 1)
-            X[start + 1:start + size] = W @ T[:p + 1]
+            X[start + 1:start + size] = (W @ T[:p + 1])[:, 1:-1]
         np.multiply(F, np.exp(size * h * mu / r), out=rows[0])
         if (start + size) % r == 0:
-            X[(start + size) // r] = rows[0]
+            X[(start + size) // r] = inner[0]
     return X
 
 
@@ -301,23 +314,16 @@ def direct_evolution_oracle(L, seed, tri, t_grid):
     E = expm(1j * dt * A)
     Eh = E.conj().T  # exp(-i L' dt), propagates the dual vector
 
-    v = np.asarray(seed, dtype=complex).copy()
-    w = v.copy()
-    K = tri.K
-    n_idx = np.arange(K)
-    phase_q = (-1j) ** n_idx
-    phase_p = (1j) ** n_idx
-    Qh = tri.q_basis.conj().T
-    Ph = tri.p_basis.conj().T
-
-    phi = np.empty((K, t.size), dtype=complex)
-    psi_star = np.empty((K, t.size), dtype=complex)
-    for k in range(t.size):
-        if k > 0:
-            v = E @ v
-            w = Eh @ w
-        phi[:, k] = phase_q * (Qh @ v)
-        psi_star[:, k] = phase_p * (Ph @ w)
+    # Rows of V and W are v and w at the grid points.
+    V = np.empty((t.size, A.shape[0]), dtype=complex)
+    W = np.empty_like(V)
+    V[0] = W[0] = seed
+    for k in range(1, t.size):
+        V[k] = E @ V[k - 1]
+        W[k] = Eh @ W[k - 1]
+    n_idx = np.arange(tri.K)[:, None]
+    phi = (-1j) ** n_idx * (tri.q_basis.conj().T @ V.T)
+    psi_star = (1j) ** n_idx * (tri.p_basis.conj().T @ W.T)
 
     traj = ChainTrajectory(t=t, phi=phi, psi=psi_star.conj(),
                            tail_mass=np.abs(phi[-1, :]) ** 2)

@@ -221,6 +221,30 @@ def _real_chain():
     return sp.csr_array(A), np.linspace(0, 5, 201)
 
 
+def _complex_per_step_chain():
+    # The unequal-block chain made ten times stiffer, on 10 grid steps.
+    A, _ = _unequal_block_chain()
+    return 10.0 * A, np.linspace(0, 3, 11)
+
+
+def _real_spiked_chain():
+    # The real chain with three isolated on-site spikes, as the projected
+    # model chains have: the spikes alone force substeps.
+    rng = np.random.default_rng(5)
+    K = 40
+    a = rng.uniform(0.0, 0.5, size=K)
+    a[[7, 8, 23]] = [150.0, 90.0, 200.0]
+    b = rng.uniform(0.2, 3.0, size=K - 1)
+    A = sp.diags([-a, -b, b], [0, 1, -1], format="csr")
+    return sp.csr_array(A), np.linspace(0, 2, 11)
+
+
+def _two_site_chain():
+    # K = 2: each site's neighbour on one side is a zero padding cell.
+    return (sp.csr_array([[-0.2 + 1.0j, -2.0], [1.5j, 0.3]]),
+            np.linspace(0, 3, 31))
+
+
 @pytest.mark.parametrize("chain, path", [
     (_stiff_chain, "per-step"),
     (_unequal_block_chain, "unequal blocks"),
@@ -228,12 +252,15 @@ def _real_chain():
     (_stiff_two_point_chain, "per-step"),
     (_one_site_chain, "zero plan"),
     (_zero_chain, "zero plan"),
+    (_two_site_chain, "two sites"),
+    (_complex_per_step_chain, "per-step"),
+    (_real_spiked_chain, "real per-step"),
 ])
 def test_grid_propagator_matches_dense_expm(chain, path):
     A, t = chain()
     q = t.size - 1
     m, s = _taylor_plan(A, t[-1])
-    if path == "per-step":   # several substeps per grid step
+    if "per-step" in path:   # several substeps per grid step
         assert q <= s and _taylor_plan(A, t[-1] / q)[1] > 1
     if path == "unequal blocks":
         assert q > s and q % (q // s) != 0
@@ -242,7 +269,7 @@ def test_grid_propagator_matches_dense_expm(chain, path):
     y0 = np.zeros(A.shape[0], dtype=A.dtype)
     y0[0] = 1.0
     X = _propagate(A, y0, t[-1] / q, q)
-    if path == "real":
+    if "real" in path:
         assert X.dtype == np.float64
     A_dense = A.toarray()
     for k, tk in enumerate(t):
@@ -263,10 +290,16 @@ def _assert_matches_expm_multiply(tri, t):
         assert np.all(err <= 1e-10 * np.linalg.norm(ref, axis=0))
 
 
-@pytest.mark.parametrize("N", [3, 4])
-@pytest.mark.parametrize("project", [False, True])
-def test_propagator_matches_expm_multiply_on_model_chains(N, project):
-    spec = ModelSpec(N=N, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
+@pytest.mark.parametrize("project, N, rates", [
+    pytest.param(project, N, (0.01, 0.01), id=f"{project}-{N}")
+    for project in (False, True) for N in (3, 4)
+] + [
+    # The projected chain of this model takes the per-step path.
+    pytest.param(True, 4, (0.0171, 0.2), id="True-4-per-step"),
+])
+def test_propagator_matches_expm_multiply_on_model_chains(project, N, rates):
+    alpha, gamma = rates
+    spec = ModelSpec(N=N, g=-1.05, h=0.5, alpha=alpha, gamma=gamma)
     seed = uniform_seed(spec.dim)
     tri = bilanczos(build_model_lindbladian(spec), seed, seed)
     if project:
