@@ -269,9 +269,10 @@ def project_dissipative_structure(tri):
     equal real off-diagonals, which exact arithmetic refutes (see
     :func:`check_open_structure`); this returns a copy of ``tri`` with the
     structure imposed exactly (on-site decay rates |a_n|, symmetric real
-    hoppings |b_n|).  Under the projected coefficients the two amplitude
-    recursions coincide, so psi = phi becomes a verified identity of the
-    evolution.  Bases and termination metadata are carried over unchanged.
+    hoppings |b_n|).  The projected coefficients have b = c, so the gauge
+    D that relates the two amplitude recursions (see
+    :mod:`krylovflow.krylov_chain`) is 1 and psi = phi exactly.  Bases and
+    termination metadata are carried over unchanged.
     """
     b_abs = np.abs(np.asarray(tri.b, dtype=complex)).astype(complex)
     return replace(tri, a=1j * np.abs(np.asarray(tri.a, dtype=complex)),

@@ -164,6 +164,8 @@ def _seed_vector(kind, dim_d):
     M = np.load(path)
     if not isinstance(M, np.ndarray) or M.shape != (dim_d, dim_d):
         raise ValueError(f"seed {path} is not a {dim_d}x{dim_d} .npy array")
+    if not np.all(np.isfinite(M)):
+        raise ValueError(f"seed {path} has non-finite entries")
     v = vectorize(M.astype(complex))
     nrm = np.linalg.norm(v)
     if nrm == 0:

@@ -5,15 +5,17 @@ The two chain recursions
     dphi_n/dt   =  i a_n phi_n   - b_{n+1} phi_{n+1} + c_n phi_{n-1}
     dpsi*_n/dt  = -i a*_n psi*_n - c*_{n+1} psi*_{n+1} + b*_n psi*_{n-1}
 
-define two tridiagonal K x K generators, A_phi and A_psi*. Both amplitude
-vectors are propagated exactly, as exp(t A) e0 on the whole uniform time
-grid, by a Taylor propagator for tridiagonal generators (algorithm 5.2 of
-Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011); each Taylor term is one
-product of the stacked diagonals with a sliding window of the last term.
-psi is not assumed equal to phi: only when the two generators agree entry
-for entry (a_n purely imaginary and b_n = c*_n, as on every projected
-chain) is psi* taken to be phi. That holds exactly either way; propagating
-the K-system alone instead of the 2K block system only saves time.
+are one recursion up to a diagonal gauge.  Conjugating the first and
+rescaling site n by D_n, with D_0 = 1 and D_n = D_{n-1} conj(b_n / c_n),
+gives the second term for term, for any a and any nonzero c; so
+psi*_n(t) = D_n conj(phi_n(t)) exactly, and only the tridiagonal K x K
+generator A_phi is propagated.  Where b = c entry for entry (every
+projected and saturating chain) D = 1 and psi = phi.  A chain with
+c_n = 0 != b_n has no such gauge and is rejected.  phi is propagated
+exactly, as exp(t A_phi) e0 on the whole uniform time grid, by a Taylor
+propagator for tridiagonal generators (algorithm 5.2 of Al-Mohy & Higham,
+SIAM J. Sci. Comput. 33, 2011); each Taylor term is one product of the
+stacked diagonals with a sliding window of the last term.
 """
 
 import warnings
@@ -52,21 +54,6 @@ class MomentSeries:
     imag_residue: float = 0.0   # max |Im sum n psi*_n phi_n|
     # Re sum_n psi*_n phi_n; set only when it differs from P, not written out
     P_overlap: np.ndarray = None
-
-
-def chain_generators(tri):
-    """Sparse generators for phi and for psi* (see module docstring)."""
-    a = np.asarray(tri.a, dtype=complex)
-    b = np.asarray(tri.b, dtype=complex)
-    c = np.asarray(tri.c, dtype=complex)
-    K = len(a)
-    A_phi = sp.diags(
-        [1j * a, -b, c], offsets=[0, 1, -1], shape=(K, K), format="csr",
-        dtype=complex)
-    A_psi_star = sp.diags(
-        [-1j * a.conj(), -c.conj(), b.conj()], offsets=[0, 1, -1],
-        shape=(K, K), format="csr", dtype=complex)
-    return A_phi, A_psi_star
 
 
 def _uniform_step(t_grid):
@@ -216,42 +203,44 @@ def _propagate(A, y0, h, q):
 
 
 def evolve_chain(tri, t_grid):
-    """Propagate both chain recursions on ``t_grid`` (uniform, starting at 0).
+    """Propagate the chain recursions on ``t_grid`` (uniform, starting at 0).
 
-    The amplitudes at every grid point are exp(t A) e0 for the sparse chain
-    generators, evaluated by :func:`_propagate`, which picks its own Taylor
-    degree and substeps to double-precision accuracy; a real generator is
-    propagated in real arithmetic and gives real amplitudes.  When the two
-    generators are entry-for-entry equal (a purely imaginary and b = c*, as
-    for every projected chain and the saturating chain) psi* obeys the same
-    equation as phi, so only phi is propagated and psi* is set equal to it;
-    otherwise both are propagated as one block system.  The block system
-    would give the same amplitudes in the equal case too; the K-system
-    alone only halves the work.  A chain that is not ``tri.complete`` warns
-    once its last-site mass passes ``TAIL_CUTOFF``.  Raises
-    NumericalFailure if the result is not finite.
+    phi at every grid point is exp(t A_phi) e0 for the sparse generator of
+    the phi recursion, evaluated by :func:`_propagate`, which picks its own
+    Taylor degree and substeps to double-precision accuracy; a real
+    generator is propagated in real arithmetic and gives real amplitudes.
+    psi is not propagated: by the gauge identity of the module docstring,
+    psi_n = conj(D_n) phi_n = phi_n prod_{j <= n} b_j / c_j, and psi is phi
+    itself when b = c entry for entry.  Raises ValueError for a chain with
+    c_n = 0 != b_n, which has no such gauge.  A chain that is not
+    ``tri.complete`` warns once its last-site mass passes ``TAIL_CUTOFF``.
+    Raises NumericalFailure if phi or psi is not finite.
     """
     t, _ = _uniform_step(t_grid)
     if abs(t[0]) > 1e-12:
         raise ValueError("time grid must start at 0")
-    A_phi, A_psi = chain_generators(tri)
+    a, b, c = (np.asarray(x, dtype=complex) for x in (tri.a, tri.b, tri.c))
+    gauged = b != c
+    if np.any(c[gauged] == 0):
+        raise ValueError("chain has c_n = 0 != b_n: psi is no gauge of phi")
     K = tri.K
+    A = sp.diags([1j * a, -b, c], offsets=[0, 1, -1], shape=(K, K),
+                 format="csr")
     e0 = np.zeros(K, dtype=complex)
     e0[0] = 1.0
-    if (A_phi != A_psi).nnz == 0:
-        A, y0 = A_phi, e0
-    else:
-        A = sp.block_diag([A_phi, A_psi], format="csr")
-        y0 = np.concatenate([e0, e0])
     if not np.any(A.data.imag):   # every projected chain
-        A, y0 = A.real, y0.real
+        A, e0 = A.real, e0.real
     q = t.size - 1
-    Y = _propagate(A, y0, t[-1] / q, q).T
-    if not np.all(np.isfinite(Y)):
+    phi = _propagate(A, e0, t[-1] / q, q).T
+    psi = phi
+    if np.any(gauged):
+        ratio = np.divide(b, c, out=np.ones(K - 1, dtype=complex),
+                          where=gauged)
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi = np.cumprod(np.concatenate([[1.0], ratio]))[:, None] * phi
+    if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(psi))):
         raise NumericalFailure("chain propagation produced non-finite values")
 
-    phi = Y[:K, :]
-    psi_star = Y[-K:, :]
     tail = np.abs(phi[-1, :]) ** 2
     # On a complete chain the last-site amplitude is physical.
     if not tri.complete and tail.max() > TAIL_CUTOFF:
@@ -259,8 +248,7 @@ def evolve_chain(tri, t_grid):
             f"truncation tail |phi_K-1|^2 reached {tail.max():.3e} "
             f"(cutoff {TAIL_CUTOFF:.1e}); results beyond that time are "
             "affected by the finite chain", RuntimeWarning)
-    return ChainTrajectory(t=t, phi=phi, psi=psi_star.conj(),
-                           tail_mass=tail)
+    return ChainTrajectory(t=t, phi=phi, psi=psi, tail_mass=tail)
 
 
 def moments(traj):

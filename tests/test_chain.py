@@ -10,8 +10,9 @@ from scipy.sparse.linalg import expm_multiply
 from krylovflow.bilanczos import TERM_BREAKDOWN, TridiagonalData, \
     bilanczos, project_dissipative_structure
 from krylovflow.bound import saturating_coefficients
+from krylovflow.exceptions import NumericalFailure
 from krylovflow.krylov_chain import (_power_norms, _propagate,
-                                     _taylor_parameters, chain_generators,
+                                     _taylor_parameters,
                                      direct_evolution_oracle, evolve_chain,
                                      finite_diff, moments)
 from krylovflow.lindbladian import build_model_lindbladian, uniform_seed
@@ -121,32 +122,82 @@ def test_psi_equals_phi_under_dissipative_structure():
     assert m.imag_residue < 1e-8
 
 
-def test_propagator_matches_dense_expm():
-    # Generators written out from the two recursions in the module
-    # docstring, for a chain with none of the dissipative structure.
+def _recursion_generators(tri):
+    """A_phi and A_psi*, written out from the two recursions in the module
+    docstring, independently of the gauge that evolve_chain uses."""
+    a, b, c = (np.asarray(x, dtype=complex) for x in (tri.a, tri.b, tri.c))
+    A_phi = sp.diags([1j * a, -b, c], [0, 1, -1], format="csr")
+    A_psi_star = sp.diags([-1j * a.conj(), -c.conj(), b.conj()], [0, 1, -1],
+                          format="csr")
+    return A_phi, A_psi_star
+
+
+def _random_chain(equal_hoppings):
     rng = np.random.default_rng(20)
     K = 20
     a = 0.3 * (rng.normal(size=K) + 1j * rng.normal(size=K))
     b = rng.normal(size=K - 1) + 1j * rng.normal(size=K - 1)
     c = rng.normal(size=K - 1) + 1j * rng.normal(size=K - 1)
-    tri = TridiagonalData(a=a, b=b, c=c, termination=TERM_BREAKDOWN)
-    A_phi = np.diag(1j * a) - np.diag(b, 1) + np.diag(c, -1)
-    A_psi_star = (np.diag(-1j * a.conj()) - np.diag(c.conj(), 1)
-                  + np.diag(b.conj(), -1))
-    t = np.linspace(0, 3, 61)
-    traj = evolve_chain(tri, t)
-    for k, tk in enumerate(t):
-        phi = expm(tk * A_phi)[:, 0]
-        psi = expm(tk * A_psi_star)[:, 0].conj()
-        assert np.linalg.norm(traj.phi[:, k] - phi) <= \
-            1e-10 * np.linalg.norm(phi)
-        assert np.linalg.norm(traj.psi[:, k] - psi) <= \
-            1e-10 * np.linalg.norm(psi)
+    return TridiagonalData(a=a, b=b, c=b.copy() if equal_hoppings else c,
+                           termination=TERM_BREAKDOWN)
 
-    # Equal generators: psi* is the phi trajectory itself, with no
-    # rounding difference between the two.
+
+def test_propagator_matches_dense_expm():
+    # Unstructured: |b| != |c|, so the gauge D is not unimodular.  With
+    # complex a and b = c the gauge is D = 1 but phi is complex.
+    t = np.linspace(0, 3, 61)
+    for tri in (_random_chain(False), _random_chain(True)):
+        A_phi, A_psi_star = (A.toarray() for A in _recursion_generators(tri))
+        traj = evolve_chain(tri, t)
+        assert np.iscomplexobj(traj.phi)
+        for k, tk in enumerate(t):
+            phi = expm(tk * A_phi)[:, 0]
+            psi = expm(tk * A_psi_star)[:, 0].conj()
+            assert np.linalg.norm(traj.phi[:, k] - phi) <= \
+                1e-10 * np.linalg.norm(phi)
+            assert np.linalg.norm(traj.psi[:, k] - psi) <= \
+                1e-10 * np.linalg.norm(psi)
+
+    # b = c: psi is the phi trajectory itself, with no rounding difference
+    # between the two.
     traj = evolve_chain(structured_four_site_chain(), t)
     assert np.array_equal(traj.psi.conj(), traj.phi)
+
+
+def test_chain_without_gauge_rejected():
+    # c_1 = 0 != b_1: phi never leaves site 0, psi* does.
+    tri = TridiagonalData(a=np.zeros(3, dtype=complex),
+                          b=np.array([1.0, 1.0], dtype=complex),
+                          c=np.array([0.0, 1.0], dtype=complex),
+                          termination=TERM_BREAKDOWN)
+    with pytest.raises(ValueError, match="gauge"):
+        evolve_chain(tri, np.linspace(0, 1, 11))
+
+
+def test_zero_hopping_with_b_equal_c_is_gauged():
+    # b_1 = c_1 = 0 cuts the chain; the gauge factor of that site is 1.
+    tri = TridiagonalData(a=1j * np.array([0.1, 0.2, 0.3]),
+                          b=np.array([0.0, 2.0], dtype=complex),
+                          c=np.array([0.0, 0.5], dtype=complex),
+                          termination=TERM_BREAKDOWN)
+    t = np.linspace(0, 1, 11)
+    traj = evolve_chain(tri, t)
+    assert_allclose(traj.phi[0], np.exp(-0.1 * t), atol=1e-14)
+    assert np.all(traj.phi[1:] == 0) and np.all(traj.psi[1:] == 0)
+
+
+def test_overflowing_gauge_raises_numerical_failure():
+    # |b / c| = 1e14 per site: D overflows where phi underflows to 0, so
+    # psi = conj(D) phi is not finite although phi is.
+    K = 50
+    tri = TridiagonalData(a=np.zeros(K, dtype=complex),
+                          b=np.full(K - 1, 1e7, dtype=complex),
+                          c=np.full(K - 1, 1e-7, dtype=complex),
+                          termination=TERM_BREAKDOWN)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            evolve_chain(tri, np.linspace(0, 1e-6, 5))
 
 
 def test_propagation_independent_of_global_random_state():
@@ -278,12 +329,12 @@ def test_grid_propagator_matches_dense_expm(chain, path):
 
 
 def _assert_matches_expm_multiply(tri, t):
-    """Both trajectories against scipy's expm_multiply, grid point by grid
-    point, to 1e-10 relative."""
+    """Both trajectories against scipy's expm_multiply of the recursion
+    generators, grid point by grid point, to 1e-10 relative."""
     traj = evolve_chain(tri, t)
     e0 = np.zeros(tri.K, dtype=complex)
     e0[0] = 1.0
-    for A, Y in zip(chain_generators(tri), (traj.phi, traj.psi.conj())):
+    for A, Y in zip(_recursion_generators(tri), (traj.phi, traj.psi.conj())):
         ref = expm_multiply(A, e0, start=0.0, stop=t[-1], num=t.size,
                             endpoint=True).T
         err = np.linalg.norm(Y - ref, axis=0)

@@ -188,6 +188,9 @@ BAD_CONFIGS = {
     "saturation_K": {"saturation": {"K": 1}},
     "saturation_nan_string": {"saturation": {"alpha0": "nan"}},
     "seed_not_npy": {"seed_kind": {"kind": "custom", "path": "seed.txt"}},
+    # written by the test: one NaN, and all inf
+    "seed_nan": {"seed_kind": {"kind": "custom", "path": "seed_nan.npy"}},
+    "seed_inf": {"seed_kind": {"kind": "custom", "path": "seed_inf.npy"}},
     # t_max keeps the truncated chain's tail under its warning cutoff
     "chain_shorter_than_filter": {"bilanczos": {"max_iter": 5},
                                   "t_max": 0.02},
@@ -198,6 +201,10 @@ BAD_CONFIGS = {
 def test_bad_config_value_is_usage_error(tmp_path, monkeypatch, overrides):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "seed.txt").write_text("not an array\n")
+    nan_seed = np.eye(4)
+    nan_seed[1, 2] = np.nan
+    np.save(tmp_path / "seed_nan.npy", nan_seed)
+    np.save(tmp_path / "seed_inf.npy", np.full((4, 4), np.inf))
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, **overrides)
     out = tmp_path / "out"
@@ -476,3 +483,22 @@ def test_cli_writes_the_library_chain(tmp_path, N, K):
     assert tri.K == K
     assert (out / "coefficients.csv").read_text() == \
         csv_table(_coefficient_table(tri))
+
+
+def test_complex_seed_runs_two_sided_recursion(tmp_path):
+    # sigma^y on site 1 is imaginary, so q0 = p0 != conj(p0) and the run
+    # takes the two-sided recursion; it is not reversal-even, so it runs in
+    # full space and ends by breakdown at the Krylov dimension 63.
+    seed = {"kind": "custom", "path": str(tmp_path / "y1.npy")}
+    np.save(seed["path"], np.kron(pauli_matrix("Y"), np.eye(4)))
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, model=dict(MODEL, N=3), seed_kind=seed)
+    out = tmp_path / "out"
+    assert main(["full", "--config", str(cfg_path), "--out", str(out),
+                 "--quiet"]) == EXIT_OK
+    structure = json.loads((out / "structure.json").read_text())
+    assert structure["K"] == 63
+    assert structure["termination"] == "breakdown"
+    assert structure["residual_biortho"] < 1e-12
+    oracle = read_csv(out / "oracle.csv")
+    assert oracle["relC"].max() < 1e-6 and oracle["relP"].max() < 1e-6
