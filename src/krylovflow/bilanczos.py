@@ -4,15 +4,21 @@ Produces the coefficient sequences a_n (diagonal), b_n (superdiagonal) and
 c_n (subdiagonal) of the generator in the bi-orthogonal Krylov basis,
 together with the bases P, Q satisfying Q' P = I and Q' L P = T.
 
-One recursion serves every input. When L is complex symmetric (L^T = L, as
-for every vectorized Lindbladian with a real Hamiltonian and real jumps)
-and q0 = conj(p0), each left vector is a scalar multiple of the conjugated
-right vector (Freund, SIAM J. Sci. Stat. Comput. 13, 1992), so the
-recursion needs one matvec and one reorthogonalization per step. Any
-other input runs the full two-sided recursion. :func:`bilanczos` is the
-one entry point: a Hermitian generator runs with q0 = p0, a unit vector.
-It runs the recursion in the reflection-even sector when the seeds and L
-allow, so that roundoff cannot carry it into the odd sector.
+When L is complex symmetric (L^T = L, as for every vectorized Lindbladian
+with a real Hamiltonian and real jumps) and q0 = conj(p0), each left vector
+is a multiple of the conjugated right vector (Freund, SIAM J. Sci. Stat.
+Comput. 13, 1992), and the recursion runs one-sided in the Hermitian
+operator basis W of :func:`~krylovflow.lindbladian.hermitian_basis`.
+There iL is real, R = -i W' L W, and the bilinear form x^T y becomes the
+J-form x^T diag(J) y with J = +-1, for which R is symmetric (R^T J = J R).
+For a Lindbladian and a Hermitian seed such as the uniform one this is a
+float64 recursion with one stored basis and one matvec per step, and
+Re a_n = 0 and Im(b_n c_n) = 0 hold by construction, as they do in exact
+arithmetic; any other complex-symmetric input runs the same recursion in
+complex arithmetic.  Other seed pairs run the two-sided recursion.
+:func:`bilanczos` is the one entry point: a Hermitian generator runs with
+q0 = p0, a unit vector.  It runs in the reflection-even sector when the
+seeds and L allow, so that roundoff cannot carry it into the odd sector.
 """
 
 from dataclasses import dataclass, replace
@@ -21,7 +27,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import NumericalFailure
-from .lindbladian import as_matrix, reflection_sector
+from .lindbladian import SYMMETRY_TOL, as_matrix, hermitian_basis, \
+    reflection_sector
 
 TERM_MAX_ITER = "max_iter"
 TERM_BREAKDOWN = "breakdown"
@@ -93,50 +100,151 @@ def bilanczos(L, p0, q0, max_iter=None):
 
     When p0 and q0 are exactly even under site reversal and L commutes
     with it (``reflection_sector`` returns the isometry B), the recursion
-    runs on B^T L B from B^T p0 and B^T q0 and lifts the bases back as B P
-    and B Q; otherwise it runs on L.  ``max_iter`` defaults to the
-    dimension of the space it runs in, the result's ``space_dim``.
+    runs in B's range and the bases are lifted back to the full space;
+    otherwise it runs on L.  ``max_iter`` defaults to the dimension of the
+    space it runs in, the result's ``space_dim``.
 
     Starting vectors must satisfy <q0|p0> = 1; if the overlap is nonzero p0
-    is rescaled, otherwise the pair is rejected. Each new right vector (and,
-    on the two-sided path, each left vector) is purged twice against all
-    previous basis vectors; both bases are returned.
+    is rescaled, otherwise the pair is rejected.  Each new basis vector is
+    purged twice against all previous ones; both bases are returned, with
+    c_n = sqrt|b_n c_n| > 0 and |b_n| = c_n.
 
-    Left-vector rule: if L^T = L exactly and q0 = conj(p0), then
-    q_n = mu_n conj(p_n) with mu_0 = conj(<q0|p0>) and
-    mu_n = mu_{n-1} c_n / conj(b_n), and the left residual is
-    s_n = mu_n conj(r_n). The left vectors then cost no matvec and no
-    reorthogonalization of their own (the projections use the bilinear
-    form x^T y). Otherwise q_n is computed from L' as usual. Both rules
-    give the same coefficients up to roundoff, with c_n = sqrt|<r_n|s_n>|
-    and b_n = conj(<r_n|s_n>) / c_n.
+    If L^T = L exactly and q0 = conj(p0), the recursion is the
+    J-symmetric one of the module docstring: it runs on R = -i W' L W for
+    the Hermitian operator basis W = ``hermitian_basis(dim, B)``, with
+    one stored basis and one matvec per step, in float64 when R and the
+    seed's coordinates W' p0 are real.  Its vectors p~_n map back as
+    p_n = i^n W p~_n and its coefficients as a = i alpha, b = -beta,
+    c = gamma; q_n is the multiple of conj(p_n) with q_n' p_n = 1.  Any
+    other seed pair runs the two-sided recursion, with left vectors from
+    L'.
     """
     A = as_matrix(L)
-    B = reflection_sector(A, p0, q0)
-    if B is None:
-        return _lanczos(A, p0, q0, max_iter)
-    tri = _lanczos(B.T @ A @ B, B.T @ p0, B.T @ q0, max_iter)
-    tri.p_basis, tri.q_basis = B @ tri.p_basis, B @ tri.q_basis
+    return _lanczos(A, p0, q0, max_iter, reflection_sector(A, p0, q0))
+
+
+def _lanczos(A, p0, q0, max_iter=None, B=None):
+    """The recursion of :func:`bilanczos` on A, in B's range when given."""
+    p0 = np.asarray(p0, dtype=complex)
+    q0 = np.asarray(q0, dtype=complex)
+    if max_iter is not None and max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    if np.array_equal(q0, p0.conj()) and _is_symmetric(A):
+        return _j_symmetric(A, p0, max_iter, *hermitian_basis(A.shape[0], B))
+    if B is not None:
+        A, p0, q0 = B.T @ A @ B, B.T @ p0, B.T @ q0
+    tri = _two_sided(A, p0, q0, max_iter)
+    if B is not None:
+        tri.p_basis, tri.q_basis = B @ tri.p_basis, B @ tri.q_basis
     return tri
 
 
-def _lanczos(A, p0, q0, max_iter=None):
-    """The recursion of :func:`bilanczos` on the matrix A as given."""
-    dim = A.shape[0]
-    if max_iter is not None and max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    max_iter = dim if max_iter is None else min(max_iter, dim)
+def _breakdown(rs, scale):
+    """A collapse of <r|s> is serious while both residuals remain large."""
+    return TERM_SERIOUS if rs > np.sqrt(BREAKDOWN_TOL) * scale \
+        else TERM_BREAKDOWN
 
-    p = np.asarray(p0, dtype=complex).copy()
-    q = np.asarray(q0, dtype=complex).copy()
-    symmetric = np.array_equal(q, p.conj()) and _is_symmetric(A)
-    Ah = None if symmetric else A.conj().T
-    overlap = np.vdot(q, p)
-    if abs(overlap) < 1e-14 * max(np.linalg.norm(p) * np.linalg.norm(q), 1e-300):
+
+def _rescaled(p, overlap, norm2):
+    """p / overlap, or ValueError when the seeds are (nearly) orthogonal."""
+    if abs(overlap) < 1e-14 * max(norm2, 1e-300):
         raise ValueError("starting vectors are (numerically) bi-orthogonal: "
                          "<q0|p0> cannot be rescaled to 1")
-    p = p / overlap
-    mu = np.conj(overlap)   # q = mu conj(p) under the symmetric rule
+    return p / overlap
+
+
+def _tridiag_residual(A, P, a, b, c):
+    """max|A p_n - b_n p_{n-1} - a_n p_n - c_{n+1} p_{n+1}| over n < K - 1,
+    the rows of P being the p_n; the last one holds the residual r_K.
+    Row n of T^T P is column n of P T, so this costs K matvecs, not a
+    K x dim x K product."""
+    K = len(a)
+    Tt = sp.diags_array([c, a, b], offsets=[1, 0, -1], shape=(K, K))
+    defect = (A @ P.T).T - Tt @ P
+    return float(np.abs(defect[:-1]).max(initial=0.0))
+
+
+def _j_symmetric(A, p0, max_iter, W, J):
+    """One-sided Lanczos on R = -i W' A W in the J-form x^T diag(J) y."""
+    Wh = W.conj().T
+    R = -1j * (Wh @ A @ W)
+    if abs(R.imag).max() <= SYMMETRY_TOL * abs(R).max():
+        R = R.real
+    x = Wh @ p0
+    if np.isrealobj(R) and not np.any(x.imag):
+        x = x.real
+    dim = R.shape[0]
+    max_iter = dim if max_iter is None else min(max_iter, dim)
+
+    overlap = x @ (J * x)   # p0^T p0
+    p = _rescaled(x, overlap, np.linalg.norm(x) ** 2)
+    # mu_n = 1 / (p_n^T J p_n): the J-dual of p_n is mu_n J p_n.  Its
+    # modulus stays |p0^T p0|.
+    mu = np.empty(max_iter, dtype=p.dtype)
+    mu[0] = overlap
+    P = np.empty((max_iter, dim), dtype=p.dtype)
+    P[0] = p
+    u = R @ p
+    alpha, beta, gamma = [mu[0] * (p @ (J * u))], [], []
+    r = u - alpha[0] * p
+    termination = TERM_MAX_ITER
+    g_max = 0.0
+
+    for j in range(1, max_iter):
+        _check_finite("residuals", r)
+        w = mu[j - 1] * (r @ (J * r))
+        gj = np.sqrt(abs(w))
+        scale = max(g_max, abs(alpha[0])) or 1.0
+        if gj < BREAKDOWN_TOL * scale:
+            # |mu| = |p0^T p0| is the norm of the implied left residual.
+            rs = np.linalg.norm(r) * min(1.0, abs(mu[0]))
+            termination = _breakdown(rs, scale)
+            break
+        bj = w / abs(w) * gj   # exactly +-gj when w is real
+        p = r / gj
+        for _ in range(2):
+            p -= (mu[:j] * (P[:j] @ (J * p))) @ P[:j]
+        mu[j] = mu[j - 1] * gj / bj
+        u = R @ p
+        aj = mu[j] * (p @ (J * u))
+        _check_finite("coefficients", np.array([aj, bj, gj]))
+        r = u - aj * p - bj * P[j - 1]
+        P[j] = p
+        alpha.append(aj)
+        beta.append(bj)
+        gamma.append(gj)
+        g_max = max(g_max, gj)
+
+    K = len(alpha)
+    P, mu = P[:K], mu[:K]
+    tri = TridiagonalData(
+        a=1j * np.array(alpha) + 0.0,   # + 0.0 turns -0.0 into 0.0
+        b=0j - np.array(beta),
+        c=np.array(gamma) + 0j,
+        termination=termination,
+        space_dim=dim,
+        residual_biortho=float(np.abs(
+            mu[:, None] * (P @ (J * P).T) - np.eye(K)).max()),
+        residual_tridiag=_tridiag_residual(R, P, alpha, beta, gamma),
+    )
+    # p_n = i^n W p~_n and q_n = conj((-1)^n mu_n p_n), both in place.
+    n = np.arange(K)
+    tri.p_basis = W @ P.T
+    del P
+    tri.p_basis *= 1j ** n
+    tri.q_basis = tri.p_basis.conj()
+    tri.q_basis *= (-1.0) ** n * mu.conj()
+    return tri
+
+
+def _two_sided(A, p0, q0, max_iter=None):
+    """Two-sided Lanczos on A: left vectors from A', for any seed pair."""
+    dim = A.shape[0]
+    max_iter = dim if max_iter is None else min(max_iter, dim)
+    Ah = A.conj().T
+    p = _rescaled(p0, np.vdot(q0, p0),
+                  np.linalg.norm(p0) * np.linalg.norm(q0))
+    q = q0
 
     # Row n holds p_n (q_n), so the projections read contiguous memory.
     P = np.empty((max_iter, dim), dtype=complex)
@@ -145,13 +253,9 @@ def _lanczos(A, p0, q0, max_iter=None):
     Q[0] = q
 
     u = A @ p
-    a0 = np.vdot(q, u)
-    r = u - a0 * p
-    s = mu * np.conj(r) if symmetric else Ah @ q - np.conj(a0) * q
-
-    a = [a0]
-    b = []
-    c = []
+    a, b, c = [np.vdot(q, u)], [], []
+    r = u - a[0] * p
+    s = Ah @ q - np.conj(a[0]) * q
     termination = TERM_MAX_ITER
     c_max = 0.0
 
@@ -160,16 +264,10 @@ def _lanczos(A, p0, q0, max_iter=None):
         _check_finite("residuals", s)
         w = np.vdot(r, s)
         cj = np.sqrt(abs(w))
-        scale = max(c_max, abs(a0))
-        if scale == 0.0:
-            scale = 1.0
+        scale = max(c_max, abs(a[0])) or 1.0
         if cj < BREAKDOWN_TOL * scale:
             rs = min(np.linalg.norm(r), np.linalg.norm(s))
-            if rs > np.sqrt(BREAKDOWN_TOL) * scale:
-                # <r|s> collapsed while both residuals remain large.
-                termination = TERM_SERIOUS
-            else:
-                termination = TERM_BREAKDOWN
+            termination = _breakdown(rs, scale)
             break
         bj = np.conj(w) / cj
         p = r / cj
@@ -180,22 +278,13 @@ def _lanczos(A, p0, q0, max_iter=None):
         # after the first ("twice is enough": Kahan, in Parlett 1980).
         for _ in range(2):
             p = p - np.conj(Q[:j] @ np.conj(p)) @ P[:j]
-            if not symmetric:
-                q = q - np.conj(P[:j] @ np.conj(q)) @ Q[:j]
-        if symmetric:
-            mu = mu * cj / np.conj(bj)
-            q = mu * np.conj(p)
+            q = q - np.conj(P[:j] @ np.conj(q)) @ Q[:j]
 
         u = A @ p
         aj = np.vdot(q, u)
         _check_finite("coefficients", np.array([aj, bj, cj]))
-
         r = u - aj * p - bj * P[j - 1]
-        if symmetric:
-            s = mu * np.conj(r)
-        else:
-            s = Ah @ q - np.conj(aj) * q - np.conj(cj) * Q[j - 1]
-
+        s = Ah @ q - np.conj(aj) * q - np.conj(cj) * Q[j - 1]
         P[j] = p
         Q[j] = q
         a.append(aj)
@@ -204,7 +293,7 @@ def _lanczos(A, p0, q0, max_iter=None):
         c_max = max(c_max, cj)
 
     K = len(a)
-    tri = TridiagonalData(
+    return TridiagonalData(
         a=np.array(a, dtype=complex),
         b=np.array(b, dtype=complex),
         c=np.array(c, dtype=complex),
@@ -212,25 +301,20 @@ def _lanczos(A, p0, q0, max_iter=None):
         q_basis=Q[:K].T,
         termination=termination,
         space_dim=dim,
+        residual_biortho=float(
+            np.abs(Q[:K].conj() @ P[:K].T - np.eye(K)).max()),
+        residual_tridiag=_tridiag_residual(A, P[:K], a, b, c),
     )
-    tri.residual_biortho = float(
-        np.abs(Q[:K].conj() @ tri.p_basis - np.eye(K)).max())
-    # L p_n = b_n p_{n-1} + a_n p_n + c_{n+1} p_{n+1} for every n < K - 1;
-    # the last column holds the residual r_K.  Row n of T^T P[:K] is
-    # column n of P T, so the check costs K matvecs, not a K x dim x K
-    # product.
-    Tt = sp.diags_array([tri.c, tri.a, tri.b], offsets=[1, 0, -1],
-                       shape=(K, K))
-    defect = (A @ tri.p_basis).T - Tt @ P[:K]
-    tri.residual_tridiag = float(np.abs(defect[:-1]).max(initial=0.0))
-    return tri
 
 
 def check_open_structure(tri, n_coeffs=None):
     """Test the claimed open-system structure b_n = c_n = |b_n|, a_n = i|a_n|
     on the leading ``n_coeffs`` coefficients, to ``STRUCTURE_TOL`` relative.
-    Exact arithmetic refutes it (tests/test_reference_lanczos.py, N = 3:
-    Im a_n < 0 at n = 7, 8, 14, ...; b_n c_n < 0 from n = 23)."""
+    On a J-symmetric chain Re a_n = 0 and Im(b_n c_n) = 0 hold by
+    construction; the sign conditions are what exact arithmetic refutes
+    (tests/test_reference_lanczos.py, N = 3: Im a_n < 0 at n = 7, 8, 14,
+    ...; b_n c_n < 0 from n = 23).  A chain with a = 0 (a closed model's)
+    fits both forms and is labelled closed."""
     a, b, c = tri.a[:n_coeffs], tri.b[:n_coeffs], tri.c[:n_coeffs]
 
     max_abs_b = float(np.abs(b).max()) if b.size else 0.0
@@ -244,11 +328,12 @@ def check_open_structure(tri, n_coeffs=None):
                      and min_im_a >= -STRUCTURE_TOL * max(max_im_a, 1e-300))
     a_closed = max_im_a <= STRUCTURE_TOL * max(max_re_a, max_abs_b, 1e-300)
 
-    dissipative = bool(bc_ok and a_dissipative)
-    if dissipative:
-        label = "dissipative structure"
-    elif bc_ok and a_closed:
+    closed = bc_ok and a_closed
+    dissipative = bool(bc_ok and a_dissipative and not closed)
+    if closed:
         label = "closed structure"
+    elif dissipative:
+        label = "dissipative structure"
     else:
         label = "mixed structure"
     return StructureReport(
@@ -266,7 +351,8 @@ def project_dissipative_structure(tri):
     """Project coefficients onto the dissipative form a = i|a|, b = c = |b|.
 
     Open-system chains are claimed to carry purely imaginary diagonals and
-    equal real off-diagonals, which exact arithmetic refutes (see
+    equal real off-diagonals.  A J-symmetric chain has Re a = 0 and real
+    b, c by construction, but exact arithmetic refutes the signs (see
     :func:`check_open_structure`); this returns a copy of ``tri`` with the
     structure imposed exactly (on-site decay rates |a_n|, symmetric real
     hoppings |b_n|).  The projected coefficients have b = c, so the gauge

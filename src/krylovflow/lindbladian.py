@@ -12,6 +12,10 @@ nonzeros per row, against 4^N for a dense matrix.
 :func:`reflection_sector` finds the site-reversal symmetry of L and its
 seeds, vec(X) -> vec(R X R), and returns the isometry onto its even
 sector; :func:`~krylovflow.bilanczos.bilanczos` runs there when it can.
+:func:`hermitian_basis` gives the unitary change of basis V onto Hermitian
+operators (within that sector).  iL maps Hermitian operators to Hermitian
+ones, so -i V' L V is real, and the transpose symmetry L^T = L becomes the
+J-symmetry of that real matrix.
 """
 
 import numpy as np
@@ -25,8 +29,10 @@ MAX_DIM = 4 ** MAX_QUBITS
 HERM_TOL = 1e-10   # largest |H - H'| entry allowed, relative to max|H|
 # Largest |R L R - L| entry, relative to max|L|, for L to count as
 # reflection symmetric: for the paper model the sparse sums leave 6.9e-18
-# at N = 5 and 6, against max|L| = 11 and 13.
-REFLECTION_TOL = 16 * np.finfo(float).eps
+# at N = 5 and 6, against max|L| = 11 and 13.  Also the largest imaginary
+# part of -i W' L W in the Hermitian basis W, relative to its largest
+# entry, for it to count as real (see bilanczos).
+SYMMETRY_TOL = 16 * np.finfo(float).eps
 
 
 def as_matrix(L):
@@ -108,7 +114,7 @@ def reflection_sector(L, *seeds):
 
     Site reversal R maps vec index k = i + d j to perm[k] = r(i) + d r(j),
     where r reverses the sites (bits) of a basis state.  When every seed is
-    exactly even under it and L commutes with it to ``REFLECTION_TOL``,
+    exactly even under it and L commutes with it to ``SYMMETRY_TOL``,
     every Krylov vector of L (and of L') from the seeds is even, so
     Lanczos can run on B^T L B from B^T seed.  B has one unit column per
     index R fixes and one (e_i + e_j)/sqrt(2) column per swapped pair,
@@ -124,11 +130,38 @@ def reflection_sector(L, *seeds):
     if not all(np.array_equal(np.asarray(s)[perm], s) for s in seeds):
         return None
     L = sp.csr_array(L)
-    if abs(L[perm][:, perm] - L).max() > REFLECTION_TOL * abs(L).max():
+    if abs(L[perm][:, perm] - L).max() > SYMMETRY_TOL * abs(L).max():
         return None
     k = np.arange(perm.size)
     col = np.unique(np.minimum(k, perm), return_inverse=True)[1]
     return sp.csr_array((np.where(perm == k, 1.0, np.sqrt(0.5)), (k, col)))
+
+
+def hermitian_basis(n, B=None):
+    """Hermitian operator basis of the n-dimensional space, or of B's range.
+
+    Transposition maps vec index k = i + d j to j + d i (n = d^2; any other
+    n has no transposition and gives V = I).  It commutes with site
+    reversal, so it permutes the columns of the isometry B of
+    :func:`reflection_sector` (B = I when None), by pi say.  V is the
+    sparse unitary with one column e_m per column m that pi fixes and,
+    for each pair m < pi(m), (e_m + e_pi(m))/sqrt(2) in column m and
+    i (e_m - e_pi(m))/sqrt(2) in column pi(m): every column of W = B V is
+    a Hermitian operator.  Returns (W, J), where J holds the signs
+    W^T W = diag(J): -1 on the antisymmetric columns, +1 elsewhere.
+    """
+    d = int(round(np.sqrt(n)))
+    k = np.arange(n)
+    t = k % d * d + k // d if d * d == n else k
+    col = k if B is None else B.indices   # the column of each row of B
+    pi = col[t[np.unique(col, return_index=True)[1]]]
+    m = np.arange(pi.size)
+    J = np.where(m > pi, -1.0, 1.0)
+    diag = np.where(m == pi, 1.0, np.where(m < pi, 1, -1j) * np.sqrt(0.5))
+    pair = m != pi
+    V = sp.csr_array((np.r_[diag, (J * diag)[pair]],
+                      (np.r_[m, pi[pair]], np.r_[m, m[pair]])))
+    return (V if B is None else B @ V), J
 
 
 def uniform_seed(d):

@@ -7,6 +7,7 @@ from krylovflow.bilanczos import (TERM_BREAKDOWN, TERM_MAX_ITER,
                                   check_open_structure,
                                   project_dissipative_structure,
                                   TridiagonalData)
+from krylovflow.bound import saturating_coefficients
 from krylovflow.cli import _coefficient_table, csv_table, read_table
 from krylovflow.krylov_chain import evolve_chain, moments
 from krylovflow.lindbladian import build_model_lindbladian, uniform_seed, \
@@ -144,6 +145,47 @@ def test_structure_report_closed():
     assert report.label == "closed structure"
 
 
+def test_structure_report_labels_zero_diagonal_closed():
+    # a = 0 with b = c real fits both the closed and the dissipative form;
+    # the closed form wins, as for a closed model's chain.
+    report = check_open_structure(saturating_coefficients(1, 1, 40))
+    assert report.label == "closed structure"
+    assert not report.dissipative
+
+
+def test_closed_chain_diagonal_is_exactly_zero():
+    # In the Hermitian basis the closed chain alternates between symmetric
+    # and antisymmetric operators, so every a_n is an exact zero.
+    spec = ModelSpec(N=4, g=-1.05, h=0.5)
+    seed = uniform_seed(spec.dim)
+    tri = bilanczos(build_model_lindbladian(spec), seed, seed)
+    assert not np.any(tri.a)
+    assert check_open_structure(tri).label == "closed structure"
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_open_chain_structure_is_exact(N):
+    # The recursion runs in float64 on R = -i W' L W: Re a_n = 0 and real
+    # b_n, c_n hold by construction, as in exact arithmetic.
+    spec = ModelSpec(N=N, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
+    seed = uniform_seed(spec.dim)
+    tri = bilanczos(build_model_lindbladian(spec), seed, seed)
+    assert tri.K == (4 ** N + 4 ** ((N + 1) // 2)) // 2
+    assert not np.any(tri.a.real)
+    assert not np.any(tri.b.imag) and not np.any(tri.c.imag)
+    assert np.all(tri.c.real > 0) and np.all(np.abs(tri.b) == tri.c.real)
+    bc = (tri.b * tri.c).real
+    assert bc[22] < 0 < bc[0] if N == 3 else bc.min() < 0 < bc[0]
+
+
+def test_raw_model_chain_evolves_in_real_arithmetic():
+    spec = ModelSpec(N=3, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
+    seed = uniform_seed(spec.dim)
+    tri = bilanczos(build_model_lindbladian(spec), seed, seed)
+    assert evolve_chain(tri, np.linspace(0.0, 5.0, 101)).phi.dtype \
+        == np.float64
+
+
 def test_structure_report_hand_built():
     tri = TridiagonalData(a=np.array([0.1j, 0.2j]),
                           b=np.array([0.7 + 0j]),
@@ -214,8 +256,10 @@ def test_projected_chain_has_psi_equal_phi():
 @pytest.mark.parametrize("N", [3, 4])
 def test_closed_model_hoppings_bounded_by_norm(N):
     # With orthonormal Lanczos vectors |b_n| <= ||L||_2.  The closed
-    # chains run in the reflection-even sector and end by breakdown at
-    # their Krylov dimension (31 and 123).
+    # chains run in the reflection-even sector and end by breakdown: at
+    # K = 31, the Krylov dimension, for N = 3; at K = 121 for N = 4, whose
+    # Krylov dimension is 91 (50-digit reference), after a tail of
+    # roundoff-driven steps.
     spec = ModelSpec(N=N, g=-1.05, h=0.5)
     seed = uniform_seed(spec.dim)
     tri = bilanczos(build_model_lindbladian(spec), seed, seed)

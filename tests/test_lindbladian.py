@@ -5,8 +5,8 @@ from scipy.linalg import expm
 
 from krylovflow.lindbladian import (build_lindbladian,
                                     build_model_lindbladian, devectorize,
-                                    reflection_sector, uniform_seed,
-                                    vectorize)
+                                    hermitian_basis, reflection_sector,
+                                    uniform_seed, vectorize)
 from krylovflow.spin_algebra import (ModelSpec, build_jump_operators,
                                      build_tfim, pauli_matrix)
 
@@ -192,3 +192,29 @@ def test_reflection_sector_absent():
     one = build_model_lindbladian(ModelSpec(N=1, g=-1.05, h=0.5))
     assert reflection_sector(one, uniform_seed(2)) is None
     assert reflection_sector(np.eye(9), np.ones(9)) is None
+
+
+@pytest.mark.parametrize("sector", [False, True], ids=["full", "sector"])
+@pytest.mark.parametrize("rate", [0.0, 0.01], ids=["closed", "open"])
+def test_hermitian_basis_makes_the_lindbladian_real(sector, rate):
+    # W is unitary onto Hermitian operators with W^T W = diag(J), so
+    # R = -i W' L W is real and J-symmetric, and the uniform seed has real
+    # coordinates with no weight on the antisymmetric (J = -1) columns.
+    spec = ModelSpec(N=3, g=-1.05, h=0.5, alpha=rate, gamma=rate)
+    L = build_model_lindbladian(spec)
+    seed = uniform_seed(spec.dim)
+    B = reflection_sector(L, seed) if sector else None
+    W, J = hermitian_basis(L.shape[0], B)
+    Wd = W.toarray()
+    n = Wd.shape[1]
+    assert n == (40 if sector else 64)
+    assert_allclose(Wd.conj().T @ Wd, np.eye(n), atol=1e-15)
+    assert_allclose(Wd.T @ Wd, np.diag(J), atol=1e-15)
+    for w in Wd.T:
+        X = devectorize(w)
+        assert_allclose(X, X.conj().T, atol=0)
+    R = -1j * (W.conj().T @ L @ W).toarray()
+    assert np.abs(R.imag).max() <= 1e-15 * np.abs(R).max()
+    assert_allclose(R.real.T * J, J[:, None] * R.real, atol=1e-14)
+    x = W.conj().T @ seed
+    assert not np.any(x.imag) and not np.any(x[J < 0])

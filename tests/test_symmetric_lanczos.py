@@ -1,15 +1,18 @@
-"""The complex-symmetric Lanczos rule against the two-sided recursion.
+"""The J-symmetric Lanczos recursion against the two-sided one.
 
 Every model Lindbladian is exactly complex symmetric, so ``bilanczos`` with
-the real uniform seed derives its left vectors from the right ones. A seed
-pair with q0 != conj(p0) forces the two-sided recursion on the same L.
+q0 = conj(p0) runs the one-sided J-symmetric recursion in the Hermitian
+operator basis: in float64 for the real uniform seed, in complex arithmetic
+for a seed with complex coordinates there.  A seed pair with
+q0 != conj(p0) forces the two-sided recursion on the same L.
 """
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from krylovflow.bilanczos import bilanczos, project_dissipative_structure
+from krylovflow.bilanczos import _lanczos, bilanczos, \
+    project_dissipative_structure
 from krylovflow.krylov_chain import evolve_chain, moments
 from krylovflow.lindbladian import build_model_lindbladian, uniform_seed
 from krylovflow.spin_algebra import (ModelSpec, build_jump_operators,
@@ -71,3 +74,23 @@ def test_two_sided_path_matches_symmetric_path(N):
                                  t))
     assert _rel_dev(m.C, m_ref.C) < CHAIN_RTOL
     assert _rel_dev(m.P, m_ref.P) < CHAIN_RTOL
+
+
+def test_complex_coordinate_seed_matches_two_sided_path():
+    # A real seed that is not a symmetric matrix has complex coordinates
+    # in the Hermitian basis (its antisymmetric part is i times a Hermitian
+    # operator), so the one-sided recursion runs in complex arithmetic; it
+    # is not reversal-even either, so both run in full space.
+    spec = _models(3)[1]
+    L = build_model_lindbladian(spec)
+    seed = np.random.default_rng(5).standard_normal(L.shape[0])
+    seed /= np.linalg.norm(seed)
+    one_sided = bilanczos(L, seed, seed)
+    two_sided = _lanczos(L, seed, 1j * seed)
+    assert one_sided.p_basis.dtype == complex
+    assert np.any(one_sided.a.real)   # no exact structure for this seed
+    n = N_COEFFS
+    assert _rel_dev(one_sided.a[:n], two_sided.a[:n]) < COEFF_RTOL
+    assert _rel_dev((one_sided.b * one_sided.c)[:n],
+                    (two_sided.b * two_sided.c)[:n]) < COEFF_RTOL
+    assert _rel_dev(one_sided.c[:n], two_sided.c[:n]) < COEFF_RTOL
