@@ -4,18 +4,18 @@ Produces the coefficient sequences a_n (diagonal), b_n (superdiagonal) and
 c_n (subdiagonal) of the generator in the bi-orthogonal Krylov basis,
 together with the bases P, Q satisfying Q' P = I and Q' L P = T.
 
-When L is complex symmetric (L^T = L, as for every vectorized Lindbladian
-with a real Hamiltonian and real jumps) and q0 = conj(p0), each left vector
-is a multiple of the conjugated right vector (Freund, SIAM J. Sci. Stat.
-Comput. 13, 1992), and the recursion runs one-sided in the Hermitian
-operator basis W of :func:`~krylovflow.lindbladian.hermitian_basis`.
-There iL is real, R = -i W' L W, and the bilinear form x^T y becomes the
-J-form x^T diag(J) y with J = +-1, for which R is symmetric (R^T J = J R).
-For a Lindbladian and a Hermitian seed such as the uniform one this is a
-float64 recursion with one stored basis and one matvec per step, and
-Re a_n = 0 and Im(b_n c_n) = 0 hold by construction, as they do in exact
-arithmetic; any other complex-symmetric input runs the same recursion in
-complex arithmetic.  Other seed pairs run the two-sided recursion.
+Every seed pair runs one recursion, in the Hermitian operator basis W of
+:func:`~krylovflow.lindbladian.hermitian_basis`: on R = -i W' L W, with
+the bilinear form x^T y as the J-form x^T diag(J) y (J = +-1), right seed
+W' p0, left seed W' conj(q0) and left operator J R^T J.  -iL maps
+Hermitian operators to Hermitian ones, so for a Lindbladian R is real, and
+so are a Hermitian seed's coordinates: the recursion then runs in float64,
+and Re a_n = 0 and Im(b_n c_n) = 0 hold by construction, as they do in
+exact arithmetic.  When L is complex symmetric (L^T = L, as for every
+vectorized Lindbladian with a real Hamiltonian and real jumps) the left
+operator is R (R^T J = J R); if also q0 = conj(p0), each left vector is
+the right one (Freund, SIAM J. Sci. Stat. Comput. 13, 1992), and the
+recursion stores one basis and makes one matvec per step.
 :func:`bilanczos` is the one entry point: a Hermitian generator runs with
 q0 = p0, a unit vector.  It runs in the reflection-even sector when the
 seeds and L allow, so that roundoff cannot carry it into the odd sector.
@@ -96,12 +96,12 @@ def _is_symmetric(A):
 
 
 def bilanczos(L, p0, q0, max_iter=None):
-    """Two-sided Lanczos iteration on a (generally non-Hermitian) matrix.
+    """Bi-Lanczos iteration on a (generally non-Hermitian) matrix.
 
     When p0 and q0 are exactly even under site reversal and L commutes
     with it (``reflection_sector`` returns the isometry B), the recursion
     runs in B's range and the bases are lifted back to the full space;
-    otherwise it runs on L.  ``max_iter`` defaults to the dimension of the
+    otherwise in full space.  ``max_iter`` defaults to the dimension of the
     space it runs in, the result's ``space_dim``.
 
     Starting vectors must satisfy <q0|p0> = 1; if the overlap is nonzero p0
@@ -109,34 +109,16 @@ def bilanczos(L, p0, q0, max_iter=None):
     purged twice against all previous ones; both bases are returned, with
     c_n = sqrt|b_n c_n| > 0 and |b_n| = c_n.
 
-    If L^T = L exactly and q0 = conj(p0), the recursion is the
-    J-symmetric one of the module docstring: it runs on R = -i W' L W for
-    the Hermitian operator basis W = ``hermitian_basis(dim, B)``, with
-    one stored basis and one matvec per step, in float64 when R and the
-    seed's coordinates W' p0 are real.  Its vectors p~_n map back as
-    p_n = i^n W p~_n and its coefficients as a = i alpha, b = -beta,
-    c = gamma; q_n is the multiple of conj(p_n) with q_n' p_n = 1.  Any
-    other seed pair runs the two-sided recursion, with left vectors from
-    L'.
+    The recursion is that of the module docstring, on R = -i W' L W for
+    the Hermitian operator basis W = ``hermitian_basis(dim, B)``, in
+    float64 when R and the seeds' coordinates are real.  Its vectors map
+    back as p_n = i^n W p~_n and q_n = conj((-1)^n mu_n i^n W v~_n), where
+    mu_n diag(J) v~_n is the J-dual of p~_n, and its coefficients as
+    a = i alpha, b = -beta, c = gamma.  If L^T = L exactly and
+    q0 = conj(p0), v~_n is p~_n and one basis is stored.
     """
     A = as_matrix(L)
     return _lanczos(A, p0, q0, max_iter, reflection_sector(A, p0, q0))
-
-
-def _lanczos(A, p0, q0, max_iter=None, B=None):
-    """The recursion of :func:`bilanczos` on A, in B's range when given."""
-    p0 = np.asarray(p0, dtype=complex)
-    q0 = np.asarray(q0, dtype=complex)
-    if max_iter is not None and max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    if np.array_equal(q0, p0.conj()) and _is_symmetric(A):
-        return _j_symmetric(A, p0, max_iter, *hermitian_basis(A.shape[0], B))
-    if B is not None:
-        A, p0, q0 = B.T @ A @ B, B.T @ p0, B.T @ q0
-    tri = _two_sided(A, p0, q0, max_iter)
-    if B is not None:
-        tri.p_basis, tri.q_basis = B @ tri.p_basis, B @ tri.q_basis
-    return tri
 
 
 def _breakdown(rs, scale):
@@ -164,59 +146,82 @@ def _tridiag_residual(A, P, a, b, c):
     return float(np.abs(defect[:-1]).max(initial=0.0))
 
 
-def _j_symmetric(A, p0, max_iter, W, J):
-    """One-sided Lanczos on R = -i W' A W in the J-form x^T diag(J) y."""
+def _lanczos(A, p0, q0, max_iter=None, B=None):
+    """The recursion of :func:`bilanczos` on A, in B's range when given:
+    Lanczos on R = -i W' A W in the J-form x^T diag(J) y, with right seed
+    W' p0, left seed W' conj(q0) and left operator J R^T J."""
+    if max_iter is not None and max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    W, J = hermitian_basis(A.shape[0], B)
     Wh = W.conj().T
     R = -1j * (Wh @ A @ W)
     if abs(R.imag).max() <= SYMMETRY_TOL * abs(R).max():
         R = R.real
-    x = Wh @ p0
-    if np.isrealobj(R) and not np.any(x.imag):
-        x = x.real
+    x = Wh @ np.asarray(p0, dtype=complex)
+    y = Wh @ np.asarray(q0, dtype=complex).conj()
+    if np.isrealobj(R) and not np.any(x.imag) and not np.any(y.imag):
+        x, y = x.real, y.real
+    # The left operator N has (N y)^T J x = y^T J R x; it is R if A^T = A.
+    # One-sided when then also y = x: the left Krylov vectors are the right
+    # ones, the dual basis aliases P and the left residual s is r.
+    symmetric = _is_symmetric(A)
+    one_sided = symmetric and np.array_equal(x, y)
+    N = R if symmetric else sp.diags_array(J) @ R.T @ sp.diags_array(J)
     dim = R.shape[0]
     max_iter = dim if max_iter is None else min(max_iter, dim)
 
-    overlap = x @ (J * x)   # p0^T p0
-    p = _rescaled(x, overlap, np.linalg.norm(x) ** 2)
-    # mu_n = 1 / (p_n^T J p_n): the J-dual of p_n is mu_n J p_n.  Its
-    # modulus stays |p0^T p0|.
-    mu = np.empty(max_iter, dtype=p.dtype)
+    overlap = y @ (J * x)   # q0' p0
+    p = _rescaled(x, overlap, np.linalg.norm(x) * np.linalg.norm(y))
+    v = p if one_sided else y / overlap
+    # mu_n = 1 / (v_n^T J p_n): the J-dual of p_n is mu_n J v_n.  Its
+    # modulus stays |q0' p0|.
+    dtype = np.result_type(p, v)
+    mu = np.empty(max_iter, dtype=dtype)
     mu[0] = overlap
-    P = np.empty((max_iter, dim), dtype=p.dtype)
-    P[0] = p
+    P = np.empty((max_iter, dim), dtype=dtype)
+    V = P if one_sided else np.empty_like(P)
+    P[0], V[0] = p, v
     u = R @ p
-    alpha, beta, gamma = [mu[0] * (p @ (J * u))], [], []
+    alpha, beta, gamma = [mu[0] * (v @ (J * u))], [], []
     r = u - alpha[0] * p
+    s = r if one_sided else N @ v - alpha[0] * v
     termination = TERM_MAX_ITER
     g_max = 0.0
 
     for j in range(1, max_iter):
         _check_finite("residuals", r)
-        w = mu[j - 1] * (r @ (J * r))
+        _check_finite("residuals", s)
+        w = mu[j - 1] * (s @ (J * r))
         gj = np.sqrt(abs(w))
         scale = max(g_max, abs(alpha[0])) or 1.0
         if gj < BREAKDOWN_TOL * scale:
-            # |mu| = |p0^T p0| is the norm of the implied left residual.
-            rs = np.linalg.norm(r) * min(1.0, abs(mu[0]))
+            # |mu| s is the left residual in the units of q_n.
+            rs = min(np.linalg.norm(r), abs(mu[0]) * np.linalg.norm(s))
             termination = _breakdown(rs, scale)
             break
         bj = w / abs(w) * gj   # exactly +-gj when w is real
         p = r / gj
+        v = p if one_sided else s / gj
+        # Two passes: the second removes what rounding left after the
+        # first ("twice is enough": Kahan, in Parlett 1980).
         for _ in range(2):
-            p -= (mu[:j] * (P[:j] @ (J * p))) @ P[:j]
+            p -= (mu[:j] * (V[:j] @ (J * p))) @ P[:j]
+            if not one_sided:
+                v -= (mu[:j] * (P[:j] @ (J * v))) @ V[:j]
         mu[j] = mu[j - 1] * gj / bj
         u = R @ p
-        aj = mu[j] * (p @ (J * u))
+        aj = mu[j] * (v @ (J * u))
         _check_finite("coefficients", np.array([aj, bj, gj]))
         r = u - aj * p - bj * P[j - 1]
-        P[j] = p
+        s = r if one_sided else N @ v - aj * v - bj * V[j - 1]
+        P[j], V[j] = p, v
         alpha.append(aj)
         beta.append(bj)
         gamma.append(gj)
         g_max = max(g_max, gj)
 
     K = len(alpha)
-    P, mu = P[:K], mu[:K]
+    P, V, mu = P[:K], V[:K], mu[:K]
     tri = TridiagonalData(
         a=1j * np.array(alpha) + 0.0,   # + 0.0 turns -0.0 into 0.0
         b=0j - np.array(beta),
@@ -224,87 +229,16 @@ def _j_symmetric(A, p0, max_iter, W, J):
         termination=termination,
         space_dim=dim,
         residual_biortho=float(np.abs(
-            mu[:, None] * (P @ (J * P).T) - np.eye(K)).max()),
+            mu[:, None] * (V @ (J * P).T) - np.eye(K)).max()),
         residual_tridiag=_tridiag_residual(R, P, alpha, beta, gamma),
     )
-    # p_n = i^n W p~_n and q_n = conj((-1)^n mu_n p_n), both in place.
+    # p_n = i^n W p~_n and q_n = conj((-1)^n mu_n i^n W v~_n), in place.
     n = np.arange(K)
     tri.p_basis = W @ P.T
-    del P
     tri.p_basis *= 1j ** n
-    tri.q_basis = tri.p_basis.conj()
+    tri.q_basis = (tri.p_basis if one_sided else W @ V.T * 1j ** n).conj()
     tri.q_basis *= (-1.0) ** n * mu.conj()
     return tri
-
-
-def _two_sided(A, p0, q0, max_iter=None):
-    """Two-sided Lanczos on A: left vectors from A', for any seed pair."""
-    dim = A.shape[0]
-    max_iter = dim if max_iter is None else min(max_iter, dim)
-    Ah = A.conj().T
-    p = _rescaled(p0, np.vdot(q0, p0),
-                  np.linalg.norm(p0) * np.linalg.norm(q0))
-    q = q0
-
-    # Row n holds p_n (q_n), so the projections read contiguous memory.
-    P = np.empty((max_iter, dim), dtype=complex)
-    Q = np.empty((max_iter, dim), dtype=complex)
-    P[0] = p
-    Q[0] = q
-
-    u = A @ p
-    a, b, c = [np.vdot(q, u)], [], []
-    r = u - a[0] * p
-    s = Ah @ q - np.conj(a[0]) * q
-    termination = TERM_MAX_ITER
-    c_max = 0.0
-
-    for j in range(1, max_iter):
-        _check_finite("residuals", r)
-        _check_finite("residuals", s)
-        w = np.vdot(r, s)
-        cj = np.sqrt(abs(w))
-        scale = max(c_max, abs(a[0])) or 1.0
-        if cj < BREAKDOWN_TOL * scale:
-            rs = min(np.linalg.norm(r), np.linalg.norm(s))
-            termination = _breakdown(rs, scale)
-            break
-        bj = np.conj(w) / cj
-        p = r / cj
-        q = s / np.conj(bj)
-
-        # Q[:j] @ conj(x), conjugated, is Q' x without a conjugated copy
-        # of the basis.  Two passes: the second removes what rounding left
-        # after the first ("twice is enough": Kahan, in Parlett 1980).
-        for _ in range(2):
-            p = p - np.conj(Q[:j] @ np.conj(p)) @ P[:j]
-            q = q - np.conj(P[:j] @ np.conj(q)) @ Q[:j]
-
-        u = A @ p
-        aj = np.vdot(q, u)
-        _check_finite("coefficients", np.array([aj, bj, cj]))
-        r = u - aj * p - bj * P[j - 1]
-        s = Ah @ q - np.conj(aj) * q - np.conj(cj) * Q[j - 1]
-        P[j] = p
-        Q[j] = q
-        a.append(aj)
-        b.append(bj)
-        c.append(cj)
-        c_max = max(c_max, cj)
-
-    K = len(a)
-    return TridiagonalData(
-        a=np.array(a, dtype=complex),
-        b=np.array(b, dtype=complex),
-        c=np.array(c, dtype=complex),
-        p_basis=P[:K].T,
-        q_basis=Q[:K].T,
-        termination=termination,
-        space_dim=dim,
-        residual_biortho=float(
-            np.abs(Q[:K].conj() @ P[:K].T - np.eye(K)).max()),
-        residual_tridiag=_tridiag_residual(A, P[:K], a, b, c),
-    )
 
 
 def check_open_structure(tri, n_coeffs=None):

@@ -15,10 +15,10 @@ c_n = 0 != b_n has no such gauge and is rejected.  phi is propagated
 exactly, as exp(t A_phi) e0 on the whole uniform time grid, by a Taylor
 propagator for tridiagonal generators (algorithm 5.2 of Al-Mohy & Higham,
 SIAM J. Sci. Comput. 33, 2011); each Taylor term is one product of the
-stacked diagonals with a sliding window of the last term.  A chain from
-the J-symmetric Lanczos recursion (every model with a Hermitian seed) has
-Re a = 0 and real b, c, so A_phi is real and the raw chain is propagated
-in real arithmetic, like the projected one; its D_n are +-1.
+stacked diagonals with a sliding window of the last term.  The Lanczos
+chain of a Lindbladian from Hermitian seeds (every model with a Hermitian
+seed) has Re a = 0 and real b, c, so A_phi is real and the raw chain is
+propagated in real arithmetic, like the projected one; its D_n are +-1.
 """
 
 import warnings

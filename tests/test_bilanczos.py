@@ -12,7 +12,8 @@ from krylovflow.cli import _coefficient_table, csv_table, read_table
 from krylovflow.krylov_chain import evolve_chain, moments
 from krylovflow.lindbladian import build_model_lindbladian, uniform_seed, \
     vectorize
-from krylovflow.spin_algebra import ModelSpec, build_tfim, pauli_matrix
+from krylovflow.spin_algebra import ModelSpec, build_tfim, pauli_matrix, \
+    site_operator
 
 
 def test_symmetric_two_by_two():
@@ -166,16 +167,26 @@ def test_closed_chain_diagonal_is_exactly_zero():
 @pytest.mark.parametrize("N", [3, 4, 5])
 def test_open_chain_structure_is_exact(N):
     # The recursion runs in float64 on R = -i W' L W: Re a_n = 0 and real
-    # b_n, c_n hold by construction, as in exact arithmetic.
+    # b_n, c_n hold by construction, as in exact arithmetic.  So they do
+    # for the Hermitian seed sigma^x_1 + sigma^y_N with q0 = p0 (N < 5),
+    # whose left coordinates W' conj(q0) differ from its right ones.
     spec = ModelSpec(N=N, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
+    L = build_model_lindbladian(spec)
     seed = uniform_seed(spec.dim)
-    tri = bilanczos(build_model_lindbladian(spec), seed, seed)
+    tri = bilanczos(L, seed, seed)
     assert tri.K == (4 ** N + 4 ** ((N + 1) // 2)) // 2
-    assert not np.any(tri.a.real)
-    assert not np.any(tri.b.imag) and not np.any(tri.c.imag)
     assert np.all(tri.c.real > 0) and np.all(np.abs(tri.b) == tri.c.real)
     bc = (tri.b * tri.c).real
     assert bc[22] < 0 < bc[0] if N == 3 else bc.min() < 0 < bc[0]
+    chains = [tri]
+    if N < 5:
+        v = sigma_x1_plus_yN(N)
+        chains.append(bilanczos(L, v, v))
+        phi = evolve_chain(chains[-1], np.linspace(0.0, 5.0, 101)).phi
+        assert phi.dtype == np.float64
+    for chain in chains:
+        assert not np.any(chain.a.real)
+        assert not np.any(chain.b.imag) and not np.any(chain.c.imag)
 
 
 def test_raw_model_chain_evolves_in_real_arithmetic():
@@ -314,6 +325,14 @@ def test_sector_chain_is_complete_at_sector_dimension(N, K):
 def sigma_z1(N):
     """Normalized vec(sigma^z on site 1): not even under site reversal."""
     v = vectorize(np.kron(pauli_matrix("Z"), np.eye(2 ** (N - 1))))
+    return v / np.linalg.norm(v)
+
+
+def sigma_x1_plus_yN(N):
+    """Normalized vec(sigma^x_1 + sigma^y_N): Hermitian, but neither a
+    symmetric nor an antisymmetric matrix, so conj(p0) != +-p0."""
+    v = vectorize(site_operator(pauli_matrix("X"), 1, N)
+                  + site_operator(pauli_matrix("Y"), N, N))
     return v / np.linalg.norm(v)
 
 

@@ -489,9 +489,10 @@ def test_cli_writes_the_library_chain(tmp_path, N, K):
 
 
 def test_complex_seed_runs_two_sided_recursion(tmp_path):
-    # sigma^y on site 1 is imaginary, so q0 = p0 != conj(p0) and the run
-    # takes the two-sided recursion; it is not reversal-even, so it runs in
-    # full space and ends by breakdown at the Krylov dimension 63.
+    # sigma^y on site 1 is imaginary, so q0 = p0 != conj(p0): the left
+    # seed W' conj(q0) is minus the right one, and the one recursion keeps
+    # its dual basis.  The seed is not reversal-even, so the run is in full
+    # space and ends by breakdown at the Krylov dimension 63.
     seed = {"kind": "custom", "path": str(tmp_path / "y1.npy")}
     np.save(seed["path"], np.kron(pauli_matrix("Y"), np.eye(4)))
     cfg_path = tmp_path / "cfg.json"

@@ -1,10 +1,12 @@
-"""The J-symmetric Lanczos recursion against the two-sided one.
+"""The one Lanczos recursion: one-sided against two-sided seed pairs.
 
 Every model Lindbladian is exactly complex symmetric, so ``bilanczos`` with
-q0 = conj(p0) runs the one-sided J-symmetric recursion in the Hermitian
-operator basis: in float64 for the real uniform seed, in complex arithmetic
-for a seed with complex coordinates there.  A seed pair with
-q0 != conj(p0) forces the two-sided recursion on the same L.
+q0 = conj(p0) runs the J-form recursion in the Hermitian operator basis
+one-sided, its dual basis aliasing P: in float64 for the real uniform
+seed, in complex arithmetic for a seed with complex coordinates there.  A
+seed pair with q0 != conj(p0) runs the same recursion with a stored dual
+basis, as does a Lindbladian with L^T != L, whose left operator J R^T J
+differs from R.
 """
 
 import numpy as np
@@ -14,9 +16,11 @@ from numpy.testing import assert_array_equal
 from krylovflow.bilanczos import _lanczos, bilanczos, \
     project_dissipative_structure
 from krylovflow.krylov_chain import evolve_chain, moments
-from krylovflow.lindbladian import build_model_lindbladian, uniform_seed
+from krylovflow.lindbladian import build_lindbladian, \
+    build_model_lindbladian, uniform_seed
 from krylovflow.spin_algebra import (ModelSpec, build_jump_operators,
-                                     build_tfim)
+                                     build_tfim, pauli_matrix, site_operator)
+from tests.test_bilanczos import sigma_x1_plus_yN
 
 N_COEFFS = 20
 COEFF_RTOL = 1e-10
@@ -94,3 +98,20 @@ def test_complex_coordinate_seed_matches_two_sided_path():
     assert _rel_dev((one_sided.b * one_sided.c)[:n],
                     (two_sided.b * two_sided.c)[:n]) < COEFF_RTOL
     assert _rel_dev(one_sided.c[:n], two_sided.c[:n]) < COEFF_RTOL
+
+
+def test_non_symmetric_lindbladian_bases_are_biorthogonal():
+    # A sigma^y field on site 2 makes H complex and L^T != L, so the left
+    # operator J R^T J differs from R; the mixed seed is not reversal-even,
+    # so J is that of the full operator space, with -1 entries.
+    spec = _models(3)[1]
+    H = build_tfim(spec) + 0.3 * site_operator(pauli_matrix("Y"), 2, 3)
+    L = build_lindbladian(H, build_jump_operators(spec))
+    assert abs(L - L.T).max() > 0.1
+    v = sigma_x1_plus_yN(3)
+    tri = bilanczos(L, v, v)
+    assert tri.space_dim == L.shape[0]
+    P, Q = tri.p_basis, tri.q_basis
+    assert np.abs(Q.conj().T @ P - np.eye(tri.K)).max() < 1e-12
+    defect = Q.conj().T @ (L @ P) - tri.tridiagonal_matrix()
+    assert np.abs(defect[:, :-1]).max() < 1e-12
