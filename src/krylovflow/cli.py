@@ -14,9 +14,8 @@ stage is a usage error when requested by name and an entry of
 chosen stages use is checked before any stage runs; no number in a config
 may be non-finite; the ``bilanczos`` block takes ``max_iter`` only.
 ``bilanczos`` runs in the reflection-even sector of L for every model with
-the default jump sites and the uniform seed.  Each artifact is a
-deterministic CSV (17 significant digits, LF endings) with a JSON sidecar
-echoing the config and version.
+the uniform seed.  Each artifact is a deterministic CSV (17 significant
+digits, LF endings) with a JSON sidecar echoing the config and version.
 Exit codes: 0 success, 1 usage error (including a bad config value), 2
 numerical failure, 3 invariant violation; on failure the run's artifacts
 are removed and ``error.json`` is written.

@@ -25,6 +25,8 @@ LINEAR_A = "linear_a"
 CONSTANT_A = "constant_a"
 
 EXP_GUARD = 300.0  # largest exponent fed to exp()
+SOLVER_RTOL = 1e-13  # DOP853 tolerances of the characteristics solver
+SOLVER_ATOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,7 @@ def analytic_C_P(spec, t):
     return C, P
 
 
-def characteristics_solver(b, a, t_grid, rtol=1e-13, atol=1e-14):
+def characteristics_solver(b, a, t_grid):
     """Solve the continuum transport problem by characteristics.
 
     The initial packet is a delta at x = 0 transported along the
@@ -116,8 +118,8 @@ def characteristics_solver(b, a, t_grid, rtol=1e-13, atol=1e-14):
         J_at = np.zeros_like(t_grid)
     else:
         sol = solve_ivp(rhs, (0.0, y_end), [0.0, 0.0], method="DOP853",
-                        t_eval=2.0 * t_grid, rtol=rtol, atol=atol,
-                        dense_output=False)
+                        t_eval=2.0 * t_grid, rtol=SOLVER_RTOL,
+                        atol=SOLVER_ATOL, dense_output=False)
         if not sol.success:
             raise NumericalFailure(
                 f"characteristic integration failed: {sol.message}")

@@ -55,8 +55,6 @@ class MomentSeries:
     M2: np.ndarray         # sum_n n^2 |phi_n|^2
     Ctilde: np.ndarray     # C / P
     imag_residue: float = 0.0   # max |Im sum n psi*_n phi_n|
-    # Re sum_n psi*_n phi_n; set only when it differs from P, not written out
-    P_overlap: np.ndarray = None
 
 
 def _uniform_step(t_grid):
@@ -266,7 +264,6 @@ def moments(traj):
     C = cross.real
     imag_residue = float(np.abs(cross.imag).max())
     M2 = np.sum(n_idx ** 2 * np.abs(phi) ** 2, axis=0)
-    P_overlap = np.sum(psi_star * phi, axis=0).real
 
     t = traj.t
     under = P < P_UNDERFLOW
@@ -275,14 +272,10 @@ def moments(traj):
         warnings.warn(
             f"total probability underflowed below {P_UNDERFLOW:.0e} at "
             f"t = {t[stop]:.4g}; series truncated", RuntimeWarning)
-        t, C, P, M2, P_overlap = (x[:stop] for x in (t, C, P, M2, P_overlap))
+        t, C, P, M2 = (x[:stop] for x in (t, C, P, M2))
 
-    Ctilde = C / P
-    ms = MomentSeries(t=t, C=C, P=P, M2=M2, Ctilde=Ctilde,
-                      imag_residue=imag_residue)
-    if np.abs(P_overlap - P).max() > 1e-8 * max(P.max(), 1.0):
-        ms.P_overlap = P_overlap
-    return ms
+    return MomentSeries(t=t, C=C, P=P, M2=M2, Ctilde=C / P,
+                        imag_residue=imag_residue)
 
 
 def direct_evolution_oracle(L, seed, tri, t_grid):

@@ -64,20 +64,12 @@ def _kron(A, B):
     return sp.kron(A, B, format="csr")
 
 
-def _commutator(H):
-    """I kron H - H^T kron I as a CSR matrix."""
-    Hs = sp.csr_array(H)
-    eye = sp.eye_array(H.shape[0], dtype=complex, format="csr")
-    return _kron(eye, Hs) - _kron(Hs.T, eye)
-
-
 def build_lindbladian(H, jumps):
     """Vectorized Lindblad generator as a CSR matrix.
 
-    L_o = (I kron H - H^T kron I)
-          + (i/2) sum_k [I kron Lk'Lk + Lk^T Lk* kron I - 2 Lk^T kron Lk'].
-
-    H must be Hermitian; an empty jump list gives the commutator alone.
+    L_o = I kron G - G~^T kron I - i sum_k Lk^T kron Lk', with the
+    effective Hamiltonians G = H + K and G~ = H - K, K = (i/2) sum_k Lk'Lk.
+    H must be Hermitian; no jumps give K = 0, the commutator alone.
     """
     H = np.asarray(H, dtype=complex)
     d = H.shape[0]
@@ -87,18 +79,15 @@ def build_lindbladian(H, jumps):
             f"ceiling ({MAX_DIM}, i.e. {MAX_QUBITS} qubits)")
     if np.abs(H - H.conj().T).max() > HERM_TOL * max(1.0, np.abs(H).max()):
         raise ValueError("Lindbladian requires a Hermitian Hamiltonian")
-    if not jumps:
-        return _commutator(H)
+    jumps = [np.asarray(Lk, dtype=complex) for Lk in jumps]
+    if any(Lk.shape != (d, d) for Lk in jumps):
+        raise ValueError("jump operator dimension mismatch with H")
+    K = 0.5j * sum((Lk.conj().T @ Lk for Lk in jumps), np.zeros_like(H))
     eye = sp.eye_array(d, dtype=complex, format="csr")
-    diss = sp.csr_array((d * d, d * d), dtype=complex)
+    L = _kron(eye, sp.csr_array(H + K)) - _kron(sp.csr_array((H - K).T), eye)
     for Lk in jumps:
-        Lk = np.asarray(Lk, dtype=complex)
-        if Lk.shape != (d, d):
-            raise ValueError("jump operator dimension mismatch with H")
-        LdL = sp.csr_array(Lk.conj().T @ Lk)
-        diss = (diss + (_kron(eye, LdL) + _kron(LdL.T, eye))
-                - 2.0 * _kron(sp.csr_array(Lk.T), sp.csr_array(Lk.conj().T)))
-    return _commutator(H) + 0.5j * diss
+        L = L - 1j * _kron(sp.csr_array(Lk.T), sp.csr_array(Lk.conj().T))
+    return L
 
 
 def build_model_lindbladian(spec):

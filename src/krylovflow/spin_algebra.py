@@ -49,11 +49,10 @@ def site_operator(op, site, n_sites):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Spin-chain parameters: couplings plus jump-operator placement.
+    """Spin-chain couplings g, h and jump strengths alpha, gamma.
 
-    ``boundary_sites`` receive raising/lowering jumps of strength sqrt(alpha),
-    ``bulk_sites`` receive dephasing jumps of strength sqrt(gamma). Defaults:
-    boundary = {1, N}, bulk = {2, ..., N-1}.
+    :func:`build_jump_operators` places the jumps: sqrt(alpha) sigma+- on
+    the end sites 1 and N, sqrt(gamma) sigma^z on the bulk sites 2..N-1.
     """
 
     N: int
@@ -61,8 +60,6 @@ class ModelSpec:
     h: float
     alpha: float = 0.0
     gamma: float = 0.0
-    boundary_sites: tuple = None
-    bulk_sites: tuple = None
 
     def __post_init__(self):
         if self.N < 1:
@@ -72,21 +69,6 @@ class ModelSpec:
                 raise ValueError(f"{name} must be finite")
         if self.alpha < 0 or self.gamma < 0:
             raise ValueError("jump strengths must be nonnegative")
-        if self.boundary_sites is None:
-            object.__setattr__(self, "boundary_sites",
-                               tuple(sorted({1, self.N})))
-        else:
-            object.__setattr__(self, "boundary_sites",
-                               tuple(sorted(set(self.boundary_sites))))
-        if self.bulk_sites is None:
-            object.__setattr__(self, "bulk_sites",
-                               tuple(range(2, self.N)))
-        else:
-            object.__setattr__(self, "bulk_sites",
-                               tuple(sorted(set(self.bulk_sites))))
-        for k in self.boundary_sites + self.bulk_sites:
-            if not 1 <= k <= self.N:
-                raise ValueError(f"site index {k} outside 1..{self.N}")
 
     @property
     def dim(self):
@@ -106,18 +88,20 @@ def build_tfim(spec):
 
 
 def build_jump_operators(spec):
-    """Jump operators: sqrt(alpha) sigma+- on boundary sites, sqrt(gamma) sigma_z in bulk.
+    """Jump operators of the paper's chain, in this order.
 
-    Empty list when alpha = gamma = 0.
+    sqrt(alpha) sigma+ and sigma- on site 1, then on site N (once when
+    N = 1), then sqrt(gamma) sigma^z on sites 2..N-1; a zero strength
+    places none.  Empty list when alpha = gamma = 0.
     """
     jumps = []
     if spec.alpha > 0:
         root_a = math.sqrt(spec.alpha)
-        for k in spec.boundary_sites:
+        for k in sorted({1, spec.N}):
             jumps.append(root_a * site_operator(PAULI_PLUS, k, spec.N))
             jumps.append(root_a * site_operator(PAULI_MINUS, k, spec.N))
     if spec.gamma > 0:
         root_g = math.sqrt(spec.gamma)
-        for k in spec.bulk_sites:
+        for k in range(2, spec.N):
             jumps.append(root_g * site_operator(PAULI_Z, k, spec.N))
     return jumps

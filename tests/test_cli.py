@@ -246,6 +246,22 @@ def test_bound_on_one_coefficient_chain(tmp_path):
     assert json.loads((out / "bound_summary.json").read_text())["verdict"]
 
 
+def test_bound_truncates_at_probability_underflow(tmp_path):
+    # At alpha = gamma = 60 the projected chain's P falls below
+    # krylov_chain.P_UNDERFLOW at t = 4.135: moments warns and cuts the
+    # bound's series there, while the raw chain's moments keep all 400.
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, model={"N": 3, "g": -1.05, "h": 0.5,
+                                  "alpha": 60.0, "gamma": 60.0},
+                 t_max=10.0, n_samples=400)
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning, match="underflowed"):
+        assert main(["bound", "--config", str(cfg_path), "--out", str(out),
+                     "--quiet"]) == EXIT_OK
+    assert read_csv(out / "moments.csv").size == 400
+    assert read_csv(out / "bound.csv").size == 165
+
+
 # A complete chain short of the filter window: `full` skips the filter
 # and keeps every other artifact.  Closed N = 2 and the identity seed end
 # by breakdown; open N = 1 runs to max_iter at K = 4, the whole operator

@@ -114,18 +114,6 @@ def test_constant_a_factorization():
     assert_allclose(C_s, C0_s * P_s, rtol=1e-9)
 
 
-def test_solver_tolerance_self_consistency():
-    spec = ContinuumSpec(case=LINEAR_A, alpha=2.0, beta=1.0)
-    t = np.linspace(0, 2, 81)
-    C1, P1 = characteristics_solver(spec.b_of_x(), spec.a_of_x(), t,
-                                    rtol=1e-12, atol=1e-13)
-    C2, P2 = characteristics_solver(spec.b_of_x(), spec.a_of_x(), t,
-                                    rtol=5e-13, atol=5e-14)
-    assert (np.abs(C1 - C2)
-            / np.maximum(np.abs(C2), 1e-30)).max() < 1e-9
-    assert (np.abs(P1 - P2) / P2).max() < 1e-9
-
-
 def test_overflow_guard():
     spec = ContinuumSpec(case=CONSTANT_A, alpha=0.0, beta=2.0)
     with pytest.raises(NumericalFailure):

@@ -181,9 +181,10 @@ def test_reflection_sector_absent():
     spec = ModelSpec(N=3, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
     L = build_model_lindbladian(spec)
     seed = uniform_seed(spec.dim)
-    # Damping on the first site only breaks the reflection of L.
-    asymmetric = build_model_lindbladian(
-        ModelSpec(N=3, g=-1.05, h=0.5, alpha=0.01, boundary_sites=(1,)))
+    # Damping on the first site only (sigma+- on site 1) breaks the
+    # reflection of L.
+    asymmetric = build_lindbladian(build_tfim(spec),
+                                   build_jump_operators(spec)[:2])
     assert reflection_sector(asymmetric, seed) is None
     # sigma^z on site 1 reverses to sigma^z on site 3: not an even seed.
     Z1 = vectorize(np.kron(pauli_matrix("Z"), np.eye(4)))

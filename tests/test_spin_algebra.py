@@ -95,17 +95,22 @@ def test_jump_operators_closed():
     assert build_jump_operators(ModelSpec(N=3, g=1.0, h=0.0)) == []
 
 
-def test_jump_operators_single_boundary():
-    spec = ModelSpec(N=2, g=1.0, h=0.0, alpha=0.04, gamma=0.0,
-                     boundary_sites=frozenset({1}), bulk_sites=frozenset())
+def test_jump_operators_paper_placement():
+    # sqrt(alpha) sigma+- on the end sites, then sqrt(gamma) sigma^z in
+    # the bulk, in this order.
+    spec = ModelSpec(N=4, g=1.0, h=0.0, alpha=0.04, gamma=0.09)
+    a, g = np.sqrt(spec.alpha), np.sqrt(spec.gamma)
+    P, M, Z = (pauli_matrix(k) for k in ("PLUS", "MINUS", "Z"))
+    expected = [a * site_operator(P, 1, 4), a * site_operator(M, 1, 4),
+                a * site_operator(P, 4, 4), a * site_operator(M, 4, 4),
+                g * site_operator(Z, 2, 4), g * site_operator(Z, 3, 4)]
     jumps = build_jump_operators(spec)
-    assert len(jumps) == 2
-    expected = [0.2 * site_operator(pauli_matrix("PLUS"), 1, 2),
-                0.2 * site_operator(pauli_matrix("MINUS"), 1, 2)]
-    got = sorted(jumps, key=lambda M: np.abs(M).sum(axis=1).argmax())
-    exp = sorted(expected, key=lambda M: np.abs(M).sum(axis=1).argmax())
-    for G, E in zip(got, exp):
-        assert_allclose(G, E, atol=1e-15)
+    assert len(jumps) == len(expected)
+    for G, E in zip(jumps, expected):
+        np.testing.assert_array_equal(G, E)
+    # One site is both ends: sigma+- once.
+    assert len(build_jump_operators(ModelSpec(N=1, g=1.0, h=0.0,
+                                              alpha=0.04))) == 2
 
 
 def test_jump_operators_six_sites():
@@ -134,13 +139,8 @@ def test_model_spec_validation():
         ModelSpec(N=0, g=1.0, h=0.0)
     with pytest.raises(ValueError):
         ModelSpec(N=2, g=1.0, h=0.0, alpha=-0.1)
-    with pytest.raises(ValueError):
-        ModelSpec(N=2, g=1.0, h=0.0,
-                  boundary_sites=frozenset({5}), bulk_sites=frozenset())
 
 
 def test_model_spec_defaults():
     spec = ModelSpec(N=4, g=1.0, h=0.0, alpha=0.01, gamma=0.01)
-    assert set(spec.boundary_sites) == {1, 4}
-    assert set(spec.bulk_sites) == {2, 3}
     assert spec.dim == 16

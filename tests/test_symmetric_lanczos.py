@@ -45,16 +45,20 @@ def test_model_lindbladian_is_complex_symmetric(N):
 
 @pytest.mark.parametrize("N", [2, 3])
 def test_sparse_assembly_matches_dense_kron_formula(N):
-    for spec in _models(N):
-        H = build_tfim(spec)
-        eye = np.eye(spec.dim)
-        comm = np.kron(eye, H) - np.kron(H.T, eye)
+    # The effective-Hamiltonian form of build_lindbladian against the
+    # dissipator form (i/2) sum_k [I kron Lk'Lk + Lk^T Lk* kron I
+    # - 2 Lk^T kron Lk'], for no jumps, the paper's jumps and one sigma-.
+    H = build_tfim(_models(N)[0])
+    eye = np.eye(H.shape[0])
+    comm = np.kron(eye, H) - np.kron(H.T, eye)
+    for jumps in ([], build_jump_operators(_models(N)[1]),
+                  [0.3 * site_operator(pauli_matrix("MINUS"), N, N)]):
         diss = np.zeros_like(comm)
-        for Lk in build_jump_operators(spec):
+        for Lk in jumps:
             LdL = Lk.conj().T @ Lk
             diss += np.kron(eye, LdL) + np.kron(LdL.T, eye)
             diss -= 2.0 * np.kron(Lk.T, Lk.conj().T)
-        assert_array_equal(build_model_lindbladian(spec).toarray(),
+        assert_array_equal(build_lindbladian(H, jumps).toarray(),
                            comm + 0.5j * diss)
 
 
