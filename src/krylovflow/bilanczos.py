@@ -27,8 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import NumericalFailure
-from .lindbladian import SYMMETRY_TOL, as_matrix, hermitian_basis, \
-    reflection_sector
+from .lindbladian import as_matrix, hermitian_generator, reflection_sector
 
 TERM_MAX_ITER = "max_iter"
 TERM_BREAKDOWN = "breakdown"
@@ -152,11 +151,8 @@ def _lanczos(A, p0, q0, max_iter=None, B=None):
     W' p0, left seed W' conj(q0) and left operator J R^T J."""
     if max_iter is not None and max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    W, J = hermitian_basis(A.shape[0], B)
+    W, J, R = hermitian_generator(A, B)
     Wh = W.conj().T
-    R = -1j * (Wh @ A @ W)
-    if abs(R.imag).max() <= SYMMETRY_TOL * abs(R).max():
-        R = R.real
     x = Wh @ np.asarray(p0, dtype=complex)
     y = Wh @ np.asarray(q0, dtype=complex).conj()
     if np.isrealobj(R) and not np.any(x.imag) and not np.any(y.imag):

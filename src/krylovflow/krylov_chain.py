@@ -31,7 +31,8 @@ from scipy.linalg import expm
 from scipy.linalg.blas import idamax
 
 from .exceptions import NumericalFailure
-from .lindbladian import as_matrix
+from .lindbladian import as_matrix, hermitian_generator, \
+    reflection_sector
 
 TAIL_CUTOFF = 1e-10   # last-site mass that signals chain truncation
 P_UNDERFLOW = 1e-300
@@ -279,35 +280,50 @@ def moments(traj):
 
 
 def direct_evolution_oracle(L, seed, tri, t_grid):
-    """Moments from full-superoperator evolution, bypassing the chain ODE.
+    """Moments from direct evolution of the seed, bypassing the chain ODE.
 
-    The ket evolves as dv/dt = i L v; a dual vector evolves under the adjoint
-    generator, dw/dt = -i L' w. Amplitudes come from projection on the stored
-    bi-orthogonal bases: phi_n = (-i)^n (q_n' v), psi*_n = i^n (p_n' w).
-    Moments are then computed by the same code path as for chain trajectories.
+    The ket evolves as dv/dt = i L v and the dual vector as
+    dw/dt = -i L' w, both from ``seed``.  Both run in the coordinates of
+    the Hermitian basis W = ``hermitian_basis(dim, reflection_sector(L,
+    seed))`` that :func:`~krylovflow.bilanczos.bilanczos` uses: x = W' v
+    evolves as exp(-t R) x0 with R = -i W' L W, and y = W' w as
+    exp(-t R') x0: one dense ``expm``, of the reflection-even sector's
+    dimension when the seed is even under site reversal and of the full
+    space's otherwise.  The restriction to the sector is exact: L and L'
+    commute with site reversal, so v and w stay in the sector.
+    For a Lindbladian and a Hermitian seed R and x0 are real and the
+    evolution runs in float64.  Amplitudes come from projection on the
+    stored bi-orthogonal bases mapped to the same coordinates:
+    phi_n = (-i)^n (W' q_n)' x, psi*_n = i^n (W' p_n)' y.  The oracle
+    shares only this change of basis with the Lanczos recursion, never the
+    recursion or its coefficients.  Moments are then computed by the same
+    code path as for chain trajectories.
     """
     if tri.p_basis is None or tri.q_basis is None:
         raise ValueError("direct evolution oracle requires stored bases")
     A = as_matrix(L)
     if A.shape[0] > 4096:
         raise ValueError("oracle limited to superoperator dimension <= 4096")
-    if sp.issparse(A):
-        A = A.toarray()
     t, dt = _uniform_step(t_grid)
+    W, _, R = hermitian_generator(A, reflection_sector(A, seed))
+    Wh = W.conj().T
+    x0 = Wh @ np.asarray(seed, dtype=complex)
+    if np.isrealobj(R) and not np.any(x0.imag):
+        x0 = x0.real
 
-    E = expm(1j * dt * A)
-    Eh = E.conj().T  # exp(-i L' dt), propagates the dual vector
+    E = expm(-dt * (R.toarray() if sp.issparse(R) else R))
+    Eh = E.conj().T   # exp(-dt R'), propagates the dual coordinates
 
-    # Rows of V and W are v and w at the grid points.
-    V = np.empty((t.size, A.shape[0]), dtype=complex)
-    W = np.empty_like(V)
-    V[0] = W[0] = seed
+    # Rows of X and Y are x and y at the grid points.
+    X = np.empty((t.size, x0.size), dtype=np.result_type(E, x0))
+    Y = np.empty_like(X)
+    X[0] = Y[0] = x0
     for k in range(1, t.size):
-        V[k] = E @ V[k - 1]
-        W[k] = Eh @ W[k - 1]
+        X[k] = E @ X[k - 1]
+        Y[k] = Eh @ Y[k - 1]
     n_idx = np.arange(tri.K)[:, None]
-    phi = (-1j) ** n_idx * (tri.q_basis.conj().T @ V.T)
-    psi_star = (1j) ** n_idx * (tri.p_basis.conj().T @ W.T)
+    phi = (-1j) ** n_idx * ((Wh @ tri.q_basis).conj().T @ X.T)
+    psi_star = (1j) ** n_idx * ((Wh @ tri.p_basis).conj().T @ Y.T)
 
     traj = ChainTrajectory(t=t, phi=phi, psi=psi_star.conj(),
                            tail_mass=np.abs(phi[-1, :]) ** 2)

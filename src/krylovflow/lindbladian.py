@@ -15,7 +15,8 @@ sector; :func:`~krylovflow.bilanczos.bilanczos` runs there when it can.
 :func:`hermitian_basis` gives the unitary change of basis V onto Hermitian
 operators (within that sector).  iL maps Hermitian operators to Hermitian
 ones, so -i V' L V is real, and the transpose symmetry L^T = L becomes the
-J-symmetry of that real matrix.
+J-symmetry of that real matrix; :func:`hermitian_generator` builds it, for
+the Lanczos recursion and the direct-evolution oracle alike.
 """
 
 import numpy as np
@@ -31,7 +32,7 @@ HERM_TOL = 1e-10   # largest |H - H'| entry allowed, relative to max|H|
 # reflection symmetric: for the paper model the sparse sums leave 6.9e-18
 # at N = 5 and 6, against max|L| = 11 and 13.  Also the largest imaginary
 # part of -i W' L W in the Hermitian basis W, relative to its largest
-# entry, for it to count as real (see bilanczos).
+# entry, for it to count as real (see hermitian_generator).
 SYMMETRY_TOL = 16 * np.finfo(float).eps
 
 
@@ -151,6 +152,20 @@ def hermitian_basis(n, B=None):
     V = sp.csr_array((np.r_[diag, (J * diag)[pair]],
                       (np.r_[m, pi[pair]], np.r_[m, m[pair]])))
     return (V if B is None else B @ V), J
+
+
+def hermitian_generator(A, B=None):
+    """(W, J, R): the basis W, J = ``hermitian_basis(n, B)`` and the
+    generator R = -i W' A W of the n x n matrix A in W's coordinates.
+
+    R is cast to float64 when max|Im R| <= ``SYMMETRY_TOL`` max|R|: for a
+    Lindbladian it is real up to the roundoff of the sparse products.
+    """
+    W, J = hermitian_basis(A.shape[0], B)
+    R = -1j * (W.conj().T @ A @ W)
+    if abs(R.imag).max() <= SYMMETRY_TOL * abs(R).max():
+        R = R.real
+    return W, J, R
 
 
 def uniform_seed(d):

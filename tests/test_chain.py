@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -7,16 +8,18 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
+from krylovflow import krylov_chain
 from krylovflow.bilanczos import TERM_BREAKDOWN, TridiagonalData, \
     bilanczos, project_dissipative_structure
 from krylovflow.bound import saturating_coefficients
 from krylovflow.exceptions import NumericalFailure
-from krylovflow.krylov_chain import (_power_norms, _propagate,
-                                     _taylor_parameters,
+from krylovflow.krylov_chain import (ChainTrajectory, _power_norms,
+                                     _propagate, _taylor_parameters,
                                      direct_evolution_oracle, evolve_chain,
                                      finite_diff, moments)
 from krylovflow.lindbladian import build_model_lindbladian, uniform_seed
 from krylovflow.spin_algebra import ModelSpec
+from tests.test_bilanczos import sigma_x1_plus_yN
 
 
 def single_site_chain(kappa):
@@ -415,6 +418,97 @@ def test_oracle_matches_chain_dissipative_three_site():
     assert (np.abs(mc.P - mo.P) / np.abs(mo.P)).max() < 1e-6
     assert (np.abs(mc.M2 - mo.M2)
             / np.maximum(np.abs(mo.M2), 1e-12 * mo.M2.max())).max() < 1e-6
+
+
+def full_space_oracle(L, seed, tri, t):
+    """Reference for the oracle: the dense complex evolution of the ket by
+    E = expm(i dt L) in full space, of the dual by E', and projection on the
+    lifted bases, phi_n = (-i)^n q_n' v and psi*_n = i^n p_n' w."""
+    A = L.toarray() if sp.issparse(L) else np.asarray(L, dtype=complex)
+    E = expm(1j * (t[1] - t[0]) * A)
+    V = np.empty((t.size, A.shape[0]), dtype=complex)
+    W = np.empty_like(V)
+    V[0] = W[0] = seed
+    for k in range(1, t.size):
+        V[k] = E @ V[k - 1]
+        W[k] = E.conj().T @ W[k - 1]
+    n = np.arange(tri.K)[:, None]
+    phi = (-1j) ** n * (tri.q_basis.conj().T @ V.T)
+    psi_star = 1j ** n * (tri.p_basis.conj().T @ W.T)
+    return moments(ChainTrajectory(t=t, phi=phi, psi=psi_star.conj(),
+                                   tail_mass=np.abs(phi[-1]) ** 2))
+
+
+@pytest.fixture
+def expm_args(monkeypatch):
+    """(shape, dtype) of every matrix the oracle passes to expm."""
+    args = []
+    monkeypatch.setattr(krylov_chain, "expm",
+                        lambda M: args.append((M.shape, M.dtype)) or expm(M))
+    return args
+
+
+def _oracle_case(case):
+    """L, the seed and the (shape, dtype) the oracle's expm must get: the
+    reflection sector's 40 dimensions at N = 3 when the seed is even, the
+    full space's 64 when not, and float64 unless R is complex."""
+    if case == "random":
+        rng = np.random.default_rng(5)
+        L = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        seed = rng.normal(size=16) + 1j * rng.normal(size=16)
+        return L, seed / np.linalg.norm(seed), ((16, 16), np.complex128)
+    rate = 0.0 if case == "closed" else 0.01
+    spec = ModelSpec(N=3, g=-1.05, h=0.5, alpha=rate, gamma=rate)
+    L = build_model_lindbladian(spec)
+    if case == "not_even":
+        return L, sigma_x1_plus_yN(3), ((64, 64), np.float64)
+    seed = uniform_seed(spec.dim)
+    if case == "phase":   # complex coordinates x0 of a real R
+        seed = np.exp(0.7j) * seed
+    return L, seed, ((40, 40), np.float64)
+
+
+@pytest.mark.parametrize("case",
+                         ["open", "closed", "not_even", "phase", "random"])
+def test_oracle_matches_full_space_evolution(case, expm_args):
+    # "random" has a complex R, so it tells the dual step E' from E^T.
+    L, seed, expm_arg = _oracle_case(case)
+    tri = bilanczos(L, seed, seed)
+    t = np.linspace(0, 2 if case == "random" else 5, 101)
+    mo = direct_evolution_oracle(L, seed, tri, t)
+    assert expm_args == [expm_arg]
+    ref = full_space_oracle(L, seed, tri, t)
+    for name in ("C", "P", "M2"):
+        x, y = getattr(mo, name), getattr(ref, name)
+        assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max(), name
+
+
+def test_oracle_runs_one_real_expm_of_the_sector(expm_args):
+    spec = ModelSpec(N=4, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
+    L = build_model_lindbladian(spec)
+    seed = uniform_seed(spec.dim)
+    tri = bilanczos(L, seed, seed)
+    direct_evolution_oracle(L, seed, tri, np.linspace(0, 1, 11))
+    assert expm_args == [((136, 136), np.float64)]
+
+
+def test_oracle_requires_stored_bases():
+    spec = ModelSpec(N=2, g=-1.05, h=0.5)
+    L = build_model_lindbladian(spec)
+    seed = uniform_seed(4)
+    tri = dataclasses.replace(bilanczos(L, seed, seed), p_basis=None)
+    with pytest.raises(ValueError, match="stored bases"):
+        direct_evolution_oracle(L, seed, tri, np.linspace(0, 1, 11))
+
+
+def test_oracle_size_cap_is_the_full_space_dimension(expm_args):
+    spec = ModelSpec(N=2, g=-1.05, h=0.5)
+    seed = uniform_seed(4)
+    tri = bilanczos(build_model_lindbladian(spec), seed, seed)
+    with pytest.raises(ValueError, match="4096"):
+        direct_evolution_oracle(sp.eye_array(4097, format="csr"),
+                                np.ones(4097), tri, np.linspace(0, 1, 11))
+    assert expm_args == []
 
 
 def test_finite_diff_polynomial():
