@@ -4,21 +4,22 @@ Produces the coefficient sequences a_n (diagonal), b_n (superdiagonal) and
 c_n (subdiagonal) of the generator in the bi-orthogonal Krylov basis,
 together with the bases P, Q satisfying Q' P = I and Q' L P = T.
 
-Every seed pair runs one recursion, in the Hermitian operator basis W of
+The right and left seeds are both the seed, the probed operator.  The
+recursion runs in the Hermitian operator basis W of
 :func:`~krylovflow.lindbladian.hermitian_basis`: on R = -i W' L W, with
 the bilinear form x^T y as the J-form x^T diag(J) y (J = +-1), right seed
-W' p0, left seed W' conj(q0) and left operator J R^T J.  -iL maps
+W' seed, left seed W' conj(seed) and left operator J R^T J.  -iL maps
 Hermitian operators to Hermitian ones, so for a Lindbladian R is real, and
 so are a Hermitian seed's coordinates: the recursion then runs in float64,
 and Re a_n = 0 and Im(b_n c_n) = 0 hold by construction, as they do in
 exact arithmetic.  When L is complex symmetric (L^T = L, as for every
 vectorized Lindbladian with a real Hamiltonian and real jumps) the left
-operator is R (R^T J = J R); if also q0 = conj(p0), each left vector is
+operator is R (R^T J = J R); if also the seed is real, each left vector is
 the right one (Freund, SIAM J. Sci. Stat. Comput. 13, 1992), and the
 recursion stores one basis and makes one matvec per step.
-:func:`bilanczos` is the one entry point: a Hermitian generator runs with
-q0 = p0, a unit vector.  It runs in the reflection-even sector when the
-seeds and L allow, so that roundoff cannot carry it into the odd sector.
+:func:`bilanczos`, the one entry point, runs in the reflection-even sector
+when the seed and L allow, so that roundoff cannot carry it into the odd
+sector.
 """
 
 from dataclasses import dataclass, replace
@@ -94,44 +95,36 @@ def _is_symmetric(A):
     return np.array_equal(A, A.T)
 
 
-def bilanczos(L, p0, q0, max_iter=None):
+def bilanczos(L, seed, max_iter=None):
     """Bi-Lanczos iteration on a (generally non-Hermitian) matrix.
 
-    When p0 and q0 are exactly even under site reversal and L commutes
-    with it (``reflection_sector`` returns the isometry B), the recursion
-    runs in B's range and the bases are lifted back to the full space;
+    When the seed is exactly even under site reversal and L commutes with
+    it (``reflection_sector`` returns the isometry B), the recursion runs
+    in B's range and the bases are lifted back to the full space;
     otherwise in full space.  ``max_iter`` defaults to the dimension of the
     space it runs in, the result's ``space_dim``.
 
-    Starting vectors must satisfy <q0|p0> = 1; if the overlap is nonzero p0
-    is rescaled, otherwise the pair is rejected.  Each new basis vector is
-    purged twice against all previous ones; both bases are returned, with
-    c_n = sqrt|b_n c_n| > 0 and |b_n| = c_n.
+    The right seed is divided by |seed|^2 so that q_0' p_0 = 1; a zero seed
+    raises ValueError.  Each new basis vector is purged twice against all
+    previous ones; both bases are returned, with c_n = sqrt|b_n c_n| > 0 and
+    |b_n| = c_n.
 
     The recursion is that of the module docstring, on R = -i W' L W for
     the Hermitian operator basis W = ``hermitian_basis(dim, B)``, in
-    float64 when R and the seeds' coordinates are real.  Its vectors map
+    float64 when R and the seed's coordinates are real.  Its vectors map
     back as p_n = i^n W p~_n and q_n = conj((-1)^n mu_n i^n W v~_n), where
     mu_n diag(J) v~_n is the J-dual of p~_n, and its coefficients as
-    a = i alpha, b = -beta, c = gamma.  If L^T = L exactly and
-    q0 = conj(p0), v~_n is p~_n and one basis is stored.
+    a = i alpha, b = -beta, c = gamma.  If L^T = L exactly and the seed is
+    real, v~_n is p~_n and one basis is stored.
     """
     A = as_matrix(L)
-    return _lanczos(A, p0, q0, max_iter, reflection_sector(A, p0, q0))
+    return _lanczos(A, seed, max_iter, reflection_sector(A, seed))
 
 
 def _breakdown(rs, scale):
     """A collapse of <r|s> is serious while both residuals remain large."""
     return TERM_SERIOUS if rs > np.sqrt(BREAKDOWN_TOL) * scale \
         else TERM_BREAKDOWN
-
-
-def _rescaled(p, overlap, norm2):
-    """p / overlap, or ValueError when the seeds are (nearly) orthogonal."""
-    if abs(overlap) < 1e-14 * max(norm2, 1e-300):
-        raise ValueError("starting vectors are (numerically) bi-orthogonal: "
-                         "<q0|p0> cannot be rescaled to 1")
-    return p / overlap
 
 
 def _tridiag_residual(A, P, a, b, c):
@@ -145,32 +138,36 @@ def _tridiag_residual(A, P, a, b, c):
     return float(np.abs(defect[:-1]).max(initial=0.0))
 
 
-def _lanczos(A, p0, q0, max_iter=None, B=None):
+def _lanczos(A, seed, max_iter=None, B=None):
     """The recursion of :func:`bilanczos` on A, in B's range when given:
     Lanczos on R = -i W' A W in the J-form x^T diag(J) y, with right seed
-    W' p0, left seed W' conj(q0) and left operator J R^T J."""
+    W' seed, left seed W' conj(seed) and left operator J R^T J."""
     if max_iter is not None and max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     W, J, R = hermitian_generator(A, B)
     Wh = W.conj().T
-    x = Wh @ np.asarray(p0, dtype=complex)
-    y = Wh @ np.asarray(q0, dtype=complex).conj()
+    seed = np.asarray(seed, dtype=complex)
+    x = Wh @ seed
+    y = Wh @ seed.conj()
     if np.isrealobj(R) and not np.any(x.imag) and not np.any(y.imag):
         x, y = x.real, y.real
     # The left operator N has (N y)^T J x = y^T J R x; it is R if A^T = A.
-    # One-sided when then also y = x: the left Krylov vectors are the right
-    # ones, the dual basis aliases P and the left residual s is r.
+    # One-sided when then also y = x (a real seed): the left Krylov vectors
+    # are the right ones, the dual basis aliases P and the left residual s
+    # is r.
     symmetric = _is_symmetric(A)
     one_sided = symmetric and np.array_equal(x, y)
     N = R if symmetric else sp.diags_array(J) @ R.T @ sp.diags_array(J)
     dim = R.shape[0]
     max_iter = dim if max_iter is None else min(max_iter, dim)
 
-    overlap = y @ (J * x)   # q0' p0
-    p = _rescaled(x, overlap, np.linalg.norm(x) * np.linalg.norm(y))
+    overlap = y @ (J * x)   # |seed|^2
+    if overlap == 0:
+        raise ValueError("the seed is zero")
+    p = x / overlap
     v = p if one_sided else y / overlap
     # mu_n = 1 / (v_n^T J p_n): the J-dual of p_n is mu_n J v_n.  Its
-    # modulus stays |q0' p0|.
+    # modulus stays |seed|^2.
     dtype = np.result_type(p, v)
     mu = np.empty(max_iter, dtype=dtype)
     mu[0] = overlap

@@ -59,6 +59,7 @@ class MandelstamTammReport:
 def _plain_lhs(m):
     """|dP/dt * C - dC/dt|^2, dC/dt and dP/dt by finite differences."""
     dC = finite_diff(m.C, m.t)
+    dC[m.M2 == 0] = 0.0   # phi on n = 0 alone (t = 0): dC/dt is exactly 0
     dP = finite_diff(m.P, m.t)
     return np.abs(dP * m.C - dC) ** 2, dC, dP
 

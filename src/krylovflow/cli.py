@@ -12,7 +12,7 @@ filter: a complete chain is shorter than the filter window).  A skipped
 stage is a usage error when requested by name and an entry of
 ``full_summary.json["skipped"]`` under ``full``.  Every config value the
 chosen stages use is checked before any stage runs; no number in a config
-may be non-finite; the ``bilanczos`` block takes ``max_iter`` only.
+may be non-finite; every config block rejects keys it does not know.
 ``bilanczos`` runs in the reflection-even sector of L for every model with
 the uniform seed.  Each artifact is a deterministic CSV (17 significant
 digits, LF endings) with a JSON sidecar echoing the config and version.
@@ -144,6 +144,15 @@ def _block(cfg, key):
     return node
 
 
+def _fields(node, key, **convert):
+    """The keys present in the config object ``node``, each converted by
+    its function in ``convert``; any other key is a ValueError."""
+    unknown = sorted(set(node) - set(convert))
+    if unknown:
+        raise ValueError(f"unknown {key} keys {unknown}")
+    return {name: convert[name](value) for name, value in node.items()}
+
+
 def _grid(node, t_max, n_samples):
     t_max = _finite(node.get("t_max", t_max))
     n_samples = _count(node.get("n_samples", n_samples))
@@ -159,7 +168,7 @@ def _seed_vector(kind, dim_d):
         return uniform_seed(dim_d)
     if not (isinstance(kind, dict) and kind.get("kind") == "custom"):
         raise ValueError(f"unknown seed_kind {kind!r}")
-    path = kind.get("path")
+    path = _fields(kind, "seed_kind", kind=str, path=str).get("path")
     M = np.load(path)
     if not isinstance(M, np.ndarray) or M.shape != (dim_d, dim_d):
         raise ValueError(f"seed {path} is not a {dim_d}x{dim_d} .npy array")
@@ -173,22 +182,15 @@ def _seed_vector(kind, dim_d):
 
 
 def _parse_lanczos(cfg):
-    node = _block(cfg, "model")
-    model = ModelSpec(N=_count(node["N"]), g=_finite(node["g"]),
-                      h=_finite(node["h"]),
-                      alpha=_finite(node.get("alpha", 0.0)),
-                      gamma=_finite(node.get("gamma", 0.0)))
+    model = ModelSpec(**_fields(_block(cfg, "model"), "model", N=_count,
+                                g=_finite, h=_finite, alpha=_finite,
+                                gamma=_finite))
     if model.N > MAX_QUBITS:
         raise ValueError(f"N = {model.N} exceeds {MAX_QUBITS} qubits")
-    node = _block(cfg, "bilanczos")
-    unknown = sorted(set(node) - {"max_iter"})
-    if unknown:
-        raise ValueError(f"unknown bilanczos keys {unknown}")
-    max_iter = node.get("max_iter")
-    if max_iter is not None:
-        max_iter = _count(max_iter)
-        if max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+    max_iter = _fields(_block(cfg, "bilanczos"), "bilanczos",
+                       max_iter=_count).get("max_iter")
+    if max_iter is not None and max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     return {"model": model, "max_iter": max_iter,
             "seed": _seed_vector(cfg.get("seed_kind", "uniform"),
                                  model.dim)}
@@ -197,27 +199,25 @@ def _parse_lanczos(cfg):
 def _parse_continuum(cfg):
     if cfg.get("continuum") is None:
         return {"continuum": None}
-    node = _block(cfg, "continuum")
-    return {"continuum": ContinuumSpec(
-        case=node["case"], alpha=_finite(node["alpha"]),
-        beta=_finite(node["beta"]), c=_finite(node.get("c", 1.0)))}
+    return {"continuum": ContinuumSpec(**_fields(
+        _block(cfg, "continuum"), "continuum", case=str, alpha=_finite,
+        beta=_finite, c=_finite))}
 
 
 def _parse_saturation(cfg):
-    node = _block(cfg, "saturation")
-    kw = {"alpha0": _finite(node.get("alpha0", 1.0)),
-          "gamma0": _finite(node.get("gamma0", 1.0)),
-          "K": _count(node.get("K", 400))}
-    saturating_coefficients(**kw)  # raises on out-of-range chain values
-    kw["t_max"], kw["n_samples"] = _grid(node, 6.0, 1201)
+    kw = {"alpha0": 1.0, "gamma0": 1.0, "K": 400, **_fields(
+        _block(cfg, "saturation"), "saturation", alpha0=_finite,
+        gamma0=_finite, K=_count, t_max=_finite, n_samples=_count)}
+    # raises on out-of-range chain values
+    saturating_coefficients(kw["alpha0"], kw["gamma0"], kw["K"])
+    kw["t_max"], kw["n_samples"] = _grid(kw, 6.0, 1201)
     return {"saturation": kw}
 
 
 def _parse_filter(cfg):
-    node = _block(cfg, "filter")
-    fcfg = FilterConfig(outlier_window=_count(node.get("outlier_window", 9)),
-                        outlier_k=_finite(node.get("outlier_k", 3.0)),
-                        smooth_window=_count(node.get("smooth_window", 7)))
+    fcfg = FilterConfig(**_fields(_block(cfg, "filter"), "filter",
+                                  outlier_window=_count, outlier_k=_finite,
+                                  smooth_window=_count))
     path = cfg.get("coefficients_csv")
     if path is None:
         return {"filter": fcfg, "series": None}
@@ -310,8 +310,7 @@ class ArtifactWriter:
 
 def _run_lanczos(run, writer):
     run.L = build_model_lindbladian(run.model)
-    run.tri = tri = bilanczos(run.L, run.seed, run.seed,
-                              max_iter=run.max_iter)
+    run.tri = tri = bilanczos(run.L, run.seed, max_iter=run.max_iter)
     n_struct = min(STRUCTURE_COEFFS, tri.K)
     run.structure = report = check_open_structure(tri, n_coeffs=n_struct)
     writer.write_table("coefficients.csv", _coefficient_table(tri))

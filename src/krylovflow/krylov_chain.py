@@ -16,9 +16,9 @@ exactly, as exp(t A_phi) e0 on the whole uniform time grid, by a Taylor
 propagator for tridiagonal generators (algorithm 5.2 of Al-Mohy & Higham,
 SIAM J. Sci. Comput. 33, 2011); each Taylor term is one product of the
 stacked diagonals with a sliding window of the last term.  The Lanczos
-chain of a Lindbladian from Hermitian seeds (every model with a Hermitian
-seed) has Re a = 0 and real b, c, so A_phi is real and the raw chain is
-propagated in real arithmetic, like the projected one; its D_n are +-1.
+chain of a Lindbladian from a Hermitian seed has Re a = 0 and real b, c,
+so A_phi is real and the raw chain is propagated in real arithmetic, like
+the projected one; its D_n are +-1.
 """
 
 import warnings
@@ -283,9 +283,9 @@ def direct_evolution_oracle(L, seed, tri, t_grid):
     """Moments from direct evolution of the seed, bypassing the chain ODE.
 
     The ket evolves as dv/dt = i L v and the dual vector as
-    dw/dt = -i L' w, both from ``seed``.  Both run in the coordinates of
-    the Hermitian basis W = ``hermitian_basis(dim, reflection_sector(L,
-    seed))`` that :func:`~krylovflow.bilanczos.bilanczos` uses: x = W' v
+    dw/dt = -i L' w, both from ``seed`` as in ``bilanczos(L, seed)``.  Both
+    run in the coordinates of the Hermitian basis W = ``hermitian_basis(dim,
+    reflection_sector(L, seed))`` that ``bilanczos`` uses: x = W' v
     evolves as exp(-t R) x0 with R = -i W' L W, and y = W' w as
     exp(-t R') x0: one dense ``expm``, of the reflection-even sector's
     dimension when the seed is even under site reversal and of the full

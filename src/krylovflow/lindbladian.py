@@ -10,7 +10,7 @@ the transverse-field Ising chain and its local jumps that is about 13
 nonzeros per row, against 4^N for a dense matrix.
 
 :func:`reflection_sector` finds the site-reversal symmetry of L and its
-seeds, vec(X) -> vec(R X R), and returns the isometry onto its even
+seed, vec(X) -> vec(R X R), and returns the isometry onto its even
 sector; :func:`~krylovflow.bilanczos.bilanczos` runs there when it can.
 :func:`hermitian_basis` gives the unitary change of basis V onto Hermitian
 operators (within that sector).  iL maps Hermitian operators to Hermitian
@@ -99,13 +99,13 @@ def build_model_lindbladian(spec):
     return build_lindbladian(H, build_jump_operators(spec))
 
 
-def reflection_sector(L, *seeds):
-    """Isometry B onto the reflection-even sector of L and ``seeds``, or None.
+def reflection_sector(L, seed):
+    """Isometry B onto the reflection-even sector of L and ``seed``, or None.
 
     Site reversal R maps vec index k = i + d j to perm[k] = r(i) + d r(j),
-    where r reverses the sites (bits) of a basis state.  When every seed is
+    where r reverses the sites (bits) of a basis state.  When the seed is
     exactly even under it and L commutes with it to ``SYMMETRY_TOL``,
-    every Krylov vector of L (and of L') from the seeds is even, so
+    every Krylov vector of L (and of L') from the seed is even, so
     Lanczos can run on B^T L B from B^T seed.  B has one unit column per
     index R fixes and one (e_i + e_j)/sqrt(2) column per swapped pair,
     ordered by the pair's smaller index.  None also when L is not a
@@ -117,7 +117,7 @@ def reflection_sector(L, *seeds):
         return None
     r = np.arange(d).reshape((2,) * N).T.ravel()
     perm = np.add.outer(d * r, r).ravel()
-    if not all(np.array_equal(np.asarray(s)[perm], s) for s in seeds):
+    if not np.array_equal(np.asarray(seed)[perm], seed):
         return None
     L = sp.csr_array(L)
     if abs(L[perm][:, perm] - L).max() > SYMMETRY_TOL * abs(L).max():

@@ -41,7 +41,7 @@ def n5_dissipative():
     L = build_model_lindbladian(spec)
     seed = uniform_seed(spec.dim)
     t0 = time.perf_counter()
-    tri = bilanczos(L, seed, seed)
+    tri = bilanczos(L, seed)
     lanczos_seconds = time.perf_counter() - t0
     t = np.linspace(0.0, 10.0, 400)
     m = moments(evolve_chain(tri, t))
@@ -52,7 +52,7 @@ def n5_dissipative():
 def n3_closed():
     spec = ModelSpec(N=3, g=-1.05, h=0.5)
     seed = uniform_seed(spec.dim)
-    tri = bilanczos(build_model_lindbladian(spec), seed, seed)
+    tri = bilanczos(build_model_lindbladian(spec), seed)
     t = np.linspace(0.0, 10.0, 2001)
     m = moments(evolve_chain(tri, t))
     return tri, t, m
@@ -62,7 +62,7 @@ def test_criterion_01_closed_system_conservation():
     spec = ModelSpec(N=4, g=-1.05, h=0.5, alpha=0.0, gamma=0.0)
     t0 = time.perf_counter()
     seed = uniform_seed(spec.dim)
-    tri = bilanczos(build_model_lindbladian(spec), seed, seed)
+    tri = bilanczos(build_model_lindbladian(spec), seed)
     t = np.linspace(0.0, 10.0, 400)
     m = moments(evolve_chain(tri, t))
     elapsed = time.perf_counter() - t0
@@ -75,7 +75,7 @@ def test_criterion_01_closed_system_conservation():
 def test_criterion_02_biorthogonality_and_tridiagonality():
     spec = ModelSpec(N=4, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
     seed = uniform_seed(spec.dim)
-    tri = bilanczos(build_model_lindbladian(spec), seed, seed)
+    tri = bilanczos(build_model_lindbladian(spec), seed)
     verdict("criterion 2 (bi-orthogonality / tridiagonality)",
             tri.residual_biortho < 1e-10 and tri.residual_tridiag < 1e-8,
             f"max|Q*P - I| = {tri.residual_biortho:.3e} (< 1e-10), "
@@ -87,7 +87,7 @@ def test_criterion_03_oracle_equivalence():
     L = build_model_lindbladian(spec)
     seed = uniform_seed(spec.dim)
     t0 = time.perf_counter()
-    tri = bilanczos(L, seed, seed)
+    tri = bilanczos(L, seed)
     t = np.linspace(0.0, 5.0, 201)
     mc = moments(evolve_chain(tri, t))
     mo = direct_evolution_oracle(L, seed, tri, t)

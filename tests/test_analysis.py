@@ -112,8 +112,7 @@ def test_smooth_preserves_mean_interior_dominated():
 
 def test_outlier_removal_idempotent_on_model_coefficients():
     spec = ModelSpec(N=3, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
-    tri = bilanczos(build_model_lindbladian(spec), uniform_seed(8),
-                    uniform_seed(8))
+    tri = bilanczos(build_model_lindbladian(spec), uniform_seed(8))
     for series in (np.abs(tri.b), np.asarray(tri.a).imag):
         cleaned, _ = remove_outliers(series)
         again, idx = remove_outliers(cleaned)

@@ -59,8 +59,7 @@ def test_renormalized_matches_plain_closed():
 
 def test_renormalized_identity_dissipative():
     spec = ModelSpec(N=3, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
-    tri = bilanczos(build_model_lindbladian(spec), uniform_seed(8),
-                    uniform_seed(8))
+    tri = bilanczos(build_model_lindbladian(spec), uniform_seed(8))
     t = np.linspace(0, 10, 400)
     m = moments(evolve_chain(tri, t))
     plain = dispersion_bound_check(m, tri.b[0])
@@ -73,7 +72,7 @@ def test_variance_nilpotent_example():
     # from the 2x2 upper-triangular hand run: b1 = -1/2, c1 = 1/2
     L = np.array([[0, 1], [0, 0]], dtype=complex)
     v = np.array([1, 1], dtype=complex) / np.sqrt(2)
-    tri = bilanczos(L, v, v)
+    tri = bilanczos(L, v)
     var = tri.b[0] * tri.c[0]   # <L^2> - <L>^2 = (a0^2 + b1 c1) - a0^2
     assert var == pytest.approx(-0.25)
 
@@ -82,7 +81,7 @@ def test_variance_matches_dense_expectation():
     spec = ModelSpec(N=2, g=-1.05, h=0.5)
     L = build_model_lindbladian(spec)
     seed = uniform_seed(4)
-    tri = bilanczos(L, seed, seed)
+    tri = bilanczos(L, seed)
     var = tri.b[0] * tri.c[0]
     mean = np.vdot(seed, L @ seed)
     second = np.vdot(seed, L @ (L @ seed))
@@ -103,7 +102,7 @@ def test_mandelstam_tamm_two_site():
 def test_mandelstam_tamm_closed_three_site():
     spec = ModelSpec(N=3, g=-1.05, h=0.5)
     seed = uniform_seed(8)
-    tri = bilanczos(build_model_lindbladian(spec), seed, seed)
+    tri = bilanczos(build_model_lindbladian(spec), seed)
     t = np.linspace(0, 10, 2001)
     m = moments(evolve_chain(tri, t))
     report = dispersion_bound_check(m, tri.b[0])
@@ -194,7 +193,7 @@ def test_bound_holds_on_small_models():
         spec = ModelSpec(N=3, g=-1.05, h=0.5, alpha=alpha, gamma=gamma)
         L = build_model_lindbladian(spec)
         seed = uniform_seed(8)
-        tri = bilanczos(L, seed, seed)
+        tri = bilanczos(L, seed)
         t = np.linspace(0, 10, 400)
         m = moments(evolve_chain(tri, t))
         report = dispersion_bound_check(m, tri.b[0])

@@ -17,9 +17,10 @@ from krylovflow.krylov_chain import (ChainTrajectory, _power_norms,
                                      _propagate, _taylor_parameters,
                                      direct_evolution_oracle, evolve_chain,
                                      finite_diff, moments)
-from krylovflow.lindbladian import build_model_lindbladian, uniform_seed
-from krylovflow.spin_algebra import ModelSpec
-from tests.test_bilanczos import sigma_x1_plus_yN
+from krylovflow.lindbladian import build_model_lindbladian, uniform_seed, \
+    vectorize
+from krylovflow.spin_algebra import ModelSpec, pauli_matrix, site_operator
+from tests.test_bilanczos import sigma_x1_plus_yN, sigma_z1
 
 
 def single_site_chain(kappa):
@@ -76,7 +77,7 @@ def test_moments_at_zero():
 def test_closed_three_site_probability_conserved():
     spec = ModelSpec(N=3, g=-1.05, h=0.5)
     seed = uniform_seed(8)
-    tri = bilanczos(build_model_lindbladian(spec), seed, seed)
+    tri = bilanczos(build_model_lindbladian(spec), seed)
     t = np.linspace(0, 10, 400)
     m = moments(evolve_chain(tri, t))
     assert np.abs(m.P - 1.0).max() < 1e-8
@@ -99,8 +100,7 @@ def test_dissipative_probability_non_increasing():
 
 def test_cauchy_schwarz_moment_inequality():
     spec = ModelSpec(N=3, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
-    tri = bilanczos(build_model_lindbladian(spec), uniform_seed(8),
-                    uniform_seed(8))
+    tri = bilanczos(build_model_lindbladian(spec), uniform_seed(8))
     t = np.linspace(0, 10, 400)
     m = moments(evolve_chain(tri, t))
     assert (m.M2 - m.C ** 2 / m.P).min() > -1e-10
@@ -108,8 +108,7 @@ def test_cauchy_schwarz_moment_inequality():
 
 def test_grid_refinement_converged():
     spec = ModelSpec(N=3, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
-    tri = bilanczos(build_model_lindbladian(spec), uniform_seed(8),
-                    uniform_seed(8))
+    tri = bilanczos(build_model_lindbladian(spec), uniform_seed(8))
     coarse = np.linspace(0, 5, 101)
     fine = np.linspace(0, 5, 201)
     C1 = moments(evolve_chain(tri, coarse)).C[-1]
@@ -211,7 +210,7 @@ def test_propagation_independent_of_global_random_state():
     spec = ModelSpec(N=3, g=-1.05, h=0.5)
     seed = uniform_seed(spec.dim)
     tri = project_dissipative_structure(
-        bilanczos(build_model_lindbladian(spec), seed, seed))
+        bilanczos(build_model_lindbladian(spec), seed))
     t = np.linspace(0, 10, 400)
     runs = []
     for state in range(4):
@@ -355,7 +354,7 @@ def test_propagator_matches_expm_multiply_on_model_chains(project, N, rates):
     alpha, gamma = rates
     spec = ModelSpec(N=N, g=-1.05, h=0.5, alpha=alpha, gamma=gamma)
     seed = uniform_seed(spec.dim)
-    tri = bilanczos(build_model_lindbladian(spec), seed, seed)
+    tri = bilanczos(build_model_lindbladian(spec), seed)
     if project:
         tri = project_dissipative_structure(tri)
     _assert_matches_expm_multiply(tri, np.linspace(0, 10, 400))
@@ -374,7 +373,7 @@ def test_n5_raw_chain_evolves_without_runtime_warnings():
     # raises no truncation warning.
     spec = ModelSpec(N=5, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
     seed = uniform_seed(spec.dim)
-    tri = bilanczos(build_model_lindbladian(spec), seed, seed)
+    tri = bilanczos(build_model_lindbladian(spec), seed)
     t = np.linspace(0, 10, 400)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -385,7 +384,7 @@ def test_oracle_matches_chain_at_zero():
     spec = ModelSpec(N=2, g=-1.05, h=0.5)
     L = build_model_lindbladian(spec)
     seed = uniform_seed(4)
-    tri = bilanczos(L, seed, seed)
+    tri = bilanczos(L, seed)
     t = np.linspace(0, 1, 11)
     mo = direct_evolution_oracle(L, seed, tri, t)
     assert mo.C[0] == pytest.approx(0.0, abs=1e-12)
@@ -397,7 +396,7 @@ def test_oracle_matches_chain_closed_two_site():
     spec = ModelSpec(N=2, g=-1.05, h=0.5)
     L = build_model_lindbladian(spec)
     seed = uniform_seed(4)
-    tri = bilanczos(L, seed, seed)
+    tri = bilanczos(L, seed)
     t = np.linspace(0, 5, 201)
     mc = moments(evolve_chain(tri, t))
     mo = direct_evolution_oracle(L, seed, tri, t)
@@ -405,11 +404,30 @@ def test_oracle_matches_chain_closed_two_site():
     assert np.abs(mc.P - mo.P).max() < 1e-8
 
 
-def test_oracle_matches_chain_dissipative_three_site():
+def _random_complex_seed(dim):
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
+
+
+# Every kind of seed the CLI accepts at N = 3: the uniform seed (float64,
+# even sector), sigma^z_1 (float64, full space), sigma^y_1 and
+# sigma^x_1 + sigma^y_3 (complex or non-symmetric, the dual-basis branch)
+# and a random complex custom seed (complex arithmetic throughout).
+ORACLE_SEEDS = {
+    "uniform": uniform_seed(8),
+    "z1": sigma_z1(3),
+    "y1": vectorize(site_operator(pauli_matrix("Y"), 1, 3)) / np.sqrt(8),
+    "x1_y3": sigma_x1_plus_yN(3),
+    "random_complex": _random_complex_seed(64),
+}
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS.values(), ids=ORACLE_SEEDS)
+def test_oracle_matches_chain_dissipative_three_site(seed):
     spec = ModelSpec(N=3, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
     L = build_model_lindbladian(spec)
-    seed = uniform_seed(8)
-    tri = bilanczos(L, seed, seed)
+    tri = bilanczos(L, seed)
     t = np.linspace(0, 5, 201)
     mc = moments(evolve_chain(tri, t))
     mo = direct_evolution_oracle(L, seed, tri, t)
@@ -473,7 +491,7 @@ def _oracle_case(case):
 def test_oracle_matches_full_space_evolution(case, expm_args):
     # "random" has a complex R, so it tells the dual step E' from E^T.
     L, seed, expm_arg = _oracle_case(case)
-    tri = bilanczos(L, seed, seed)
+    tri = bilanczos(L, seed)
     t = np.linspace(0, 2 if case == "random" else 5, 101)
     mo = direct_evolution_oracle(L, seed, tri, t)
     assert expm_args == [expm_arg]
@@ -487,7 +505,7 @@ def test_oracle_runs_one_real_expm_of_the_sector(expm_args):
     spec = ModelSpec(N=4, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
     L = build_model_lindbladian(spec)
     seed = uniform_seed(spec.dim)
-    tri = bilanczos(L, seed, seed)
+    tri = bilanczos(L, seed)
     direct_evolution_oracle(L, seed, tri, np.linspace(0, 1, 11))
     assert expm_args == [((136, 136), np.float64)]
 
@@ -496,7 +514,7 @@ def test_oracle_requires_stored_bases():
     spec = ModelSpec(N=2, g=-1.05, h=0.5)
     L = build_model_lindbladian(spec)
     seed = uniform_seed(4)
-    tri = dataclasses.replace(bilanczos(L, seed, seed), p_basis=None)
+    tri = dataclasses.replace(bilanczos(L, seed), p_basis=None)
     with pytest.raises(ValueError, match="stored bases"):
         direct_evolution_oracle(L, seed, tri, np.linspace(0, 1, 11))
 
@@ -504,7 +522,7 @@ def test_oracle_requires_stored_bases():
 def test_oracle_size_cap_is_the_full_space_dimension(expm_args):
     spec = ModelSpec(N=2, g=-1.05, h=0.5)
     seed = uniform_seed(4)
-    tri = bilanczos(build_model_lindbladian(spec), seed, seed)
+    tri = bilanczos(build_model_lindbladian(spec), seed)
     with pytest.raises(ValueError, match="4096"):
         direct_evolution_oracle(sp.eye_array(4097, format="csr"),
                                 np.ones(4097), tri, np.linspace(0, 1, 11))

@@ -181,9 +181,17 @@ BAD_CONFIGS = {
     "fractional_N": {"model": dict(MODEL, N=2.9)},
     "boolean_N": {"model": dict(MODEL, N=True)},
     "fractional_max_iter": {"bilanczos": {"max_iter": 7.8}},
-    # The bilanczos block takes max_iter only; the breakdown tolerance is
-    # a module constant.
+    # Every config block rejects a key it does not know.  The bilanczos
+    # block takes max_iter only; the breakdown tolerance is a module
+    # constant.
     "breakdown_tol": {"bilanczos": {"breakdown_tol": 1e-10}},
+    "model_key": {"model": dict(MODEL, gama=0.2)},
+    "continuum_key": {"continuum": {"case": "constant_a", "alpha": 3.0,
+                                    "beta": 2.0, "C": 2.0}},
+    "saturation_key": {"saturation": {"k": 40}},
+    "filter_key": {"filter": {"smooth": 3}},
+    "seed_kind_key": {"seed_kind": {"kind": "custom", "path": "seed_eye.npy",
+                                    "normalize": False}},
     "fractional_filter_window": {"filter": {"smooth_window": 7.5}},
     "saturation_K": {"saturation": {"K": 1}},
     "saturation_nan_string": {"saturation": {"alpha0": "nan"}},
@@ -205,6 +213,7 @@ def test_bad_config_value_is_usage_error(tmp_path, monkeypatch, overrides):
     nan_seed[1, 2] = np.nan
     np.save(tmp_path / "seed_nan.npy", nan_seed)
     np.save(tmp_path / "seed_inf.npy", np.full((4, 4), np.inf))
+    np.save(tmp_path / "seed_eye.npy", np.eye(4))
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, **overrides)
     out = tmp_path / "out"
@@ -250,6 +259,7 @@ def test_bound_truncates_at_probability_underflow(tmp_path):
     # At alpha = gamma = 60 the projected chain's P falls below
     # krylov_chain.P_UNDERFLOW at t = 4.135: moments warns and cuts the
     # bound's series there, while the raw chain's moments keep all 400.
+    # The bound holds: at t = 0, where lhs = rhs = 0, dC/dt is exactly 0.
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, model={"N": 3, "g": -1.05, "h": 0.5,
                                   "alpha": 60.0, "gamma": 60.0},
@@ -260,6 +270,7 @@ def test_bound_truncates_at_probability_underflow(tmp_path):
                      "--quiet"]) == EXIT_OK
     assert read_csv(out / "moments.csv").size == 400
     assert read_csv(out / "bound.csv").size == 165
+    assert json.loads((out / "bound_summary.json").read_text())["verdict"]
 
 
 # A complete chain short of the filter window: `full` skips the filter
@@ -482,7 +493,7 @@ def test_non_even_seed_runs_in_full_space(tmp_path):
                  "--quiet"]) == EXIT_OK
     assert json.loads((out / "structure.json").read_text())["K"] == 63
     v = _seed_vector(seed, 8)
-    tri = bilanczos(build_model_lindbladian(ModelSpec(**model)), v, v)
+    tri = bilanczos(build_model_lindbladian(ModelSpec(**model)), v)
     assert (out / "coefficients.csv").read_text() == \
         csv_table(_coefficient_table(tri))
 
@@ -498,15 +509,15 @@ def test_cli_writes_the_library_chain(tmp_path, N, K):
     assert main(["lanczos", "--config", str(cfg_path), "--out", str(out),
                  "--quiet"]) == EXIT_OK
     v = uniform_seed(2 ** N)
-    tri = bilanczos(build_model_lindbladian(ModelSpec(**model)), v, v)
+    tri = bilanczos(build_model_lindbladian(ModelSpec(**model)), v)
     assert tri.K == K
     assert (out / "coefficients.csv").read_text() == \
         csv_table(_coefficient_table(tri))
 
 
 def test_complex_seed_runs_two_sided_recursion(tmp_path):
-    # sigma^y on site 1 is imaginary, so q0 = p0 != conj(p0): the left
-    # seed W' conj(q0) is minus the right one, and the one recursion keeps
+    # sigma^y on site 1 is imaginary, so the seed is not its conjugate: the
+    # left seed W' conj(seed) is minus the right one, and the recursion keeps
     # its dual basis.  The seed is not reversal-even, so the run is in full
     # space and ends by breakdown at the Krylov dimension 63.
     seed = {"kind": "custom", "path": str(tmp_path / "y1.npy")}

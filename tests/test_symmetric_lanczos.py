@@ -1,20 +1,22 @@
-"""The one Lanczos recursion: one-sided against two-sided seed pairs.
+"""The one Lanczos recursion: one-sided against two-sided runs.
 
 Every model Lindbladian is exactly complex symmetric, so ``bilanczos`` with
-q0 = conj(p0) runs the J-form recursion in the Hermitian operator basis
+a real seed runs the J-form recursion in the Hermitian operator basis
 one-sided, its dual basis aliasing P: in float64 for the real uniform
 seed, in complex arithmetic for a seed with complex coordinates there.  A
-seed pair with q0 != conj(p0) runs the same recursion with a stored dual
-basis, as does a Lindbladian with L^T != L, whose left operator J R^T J
-differs from R.
+complex seed runs the same recursion with a stored dual basis, as does a
+Lindbladian with L^T != L, whose left operator J R^T J differs from R.
+The two-sided branch is checked against the one-sided one on the same
+seed by treating L as not symmetric.
 """
+
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from krylovflow.bilanczos import _lanczos, bilanczos, \
-    project_dissipative_structure
+from krylovflow.bilanczos import bilanczos, project_dissipative_structure
 from krylovflow.krylov_chain import evolve_chain, moments
 from krylovflow.lindbladian import build_lindbladian, \
     build_model_lindbladian, uniform_seed
@@ -34,6 +36,21 @@ def _models(N):
 
 def _rel_dev(x, ref):
     return np.abs(x - ref).max() / np.abs(ref).max()
+
+
+def _two_sided(L, seed, monkeypatch):
+    """``bilanczos(L, seed)`` through the dual-basis branch: with L taken
+    as not symmetric, the left operator is J R^T J and the dual basis is
+    stored.  The package attribute ``krylovflow.bilanczos`` is the
+    function, so the module comes from ``sys.modules``."""
+    module = sys.modules["krylovflow.bilanczos"]
+    calls = []
+    with monkeypatch.context() as m:
+        m.setattr(module, "_is_symmetric",
+                  lambda A: calls.append(A) or False)
+        tri = bilanczos(L, seed)
+    assert calls
+    return tri
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
@@ -63,12 +80,12 @@ def test_sparse_assembly_matches_dense_kron_formula(N):
 
 
 @pytest.mark.parametrize("N", [3, 4])
-def test_two_sided_path_matches_symmetric_path(N):
+def test_two_sided_path_matches_symmetric_path(N, monkeypatch):
     spec = _models(N)[1]
     L = build_model_lindbladian(spec)
     seed = uniform_seed(spec.dim)
-    one_sided = bilanczos(L, seed, seed)
-    two_sided = bilanczos(L, seed, 1j * seed)   # q0 != conj(p0)
+    one_sided = bilanczos(L, seed)
+    two_sided = _two_sided(L, seed, monkeypatch)
 
     n = N_COEFFS
     assert _rel_dev(one_sided.a[:n], two_sided.a[:n]) < COEFF_RTOL
@@ -84,7 +101,7 @@ def test_two_sided_path_matches_symmetric_path(N):
     assert _rel_dev(m.P, m_ref.P) < CHAIN_RTOL
 
 
-def test_complex_coordinate_seed_matches_two_sided_path():
+def test_complex_coordinate_seed_matches_two_sided_path(monkeypatch):
     # A real seed that is not a symmetric matrix has complex coordinates
     # in the Hermitian basis (its antisymmetric part is i times a Hermitian
     # operator), so the one-sided recursion runs in complex arithmetic; it
@@ -93,8 +110,8 @@ def test_complex_coordinate_seed_matches_two_sided_path():
     L = build_model_lindbladian(spec)
     seed = np.random.default_rng(5).standard_normal(L.shape[0])
     seed /= np.linalg.norm(seed)
-    one_sided = bilanczos(L, seed, seed)
-    two_sided = _lanczos(L, seed, 1j * seed)
+    one_sided = bilanczos(L, seed)
+    two_sided = _two_sided(L, seed, monkeypatch)
     assert one_sided.p_basis.dtype == complex
     assert np.any(one_sided.a.real)   # no exact structure for this seed
     n = N_COEFFS
@@ -113,7 +130,7 @@ def test_non_symmetric_lindbladian_bases_are_biorthogonal():
     L = build_lindbladian(H, build_jump_operators(spec))
     assert abs(L - L.T).max() > 0.1
     v = sigma_x1_plus_yN(3)
-    tri = bilanczos(L, v, v)
+    tri = bilanczos(L, v)
     assert tri.space_dim == L.shape[0]
     P, Q = tri.p_basis, tri.q_basis
     assert np.abs(Q.conj().T @ P - np.eye(tri.K)).max() < 1e-12
