@@ -2,7 +2,7 @@
 
 Produces the coefficient sequences a_n (diagonal), b_n (superdiagonal) and
 c_n (subdiagonal) of the generator in the bi-orthogonal Krylov basis,
-together with the bases P, Q satisfying Q' P = I and Q' L P = T.
+together with the bases P, Q, with Q P^T = I in the recursion's basis W.
 
 The right and left seeds are both the seed, the probed operator.  The
 recursion runs in the Hermitian operator basis W of
@@ -28,7 +28,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import NumericalFailure
-from .lindbladian import as_matrix, hermitian_generator, reflection_sector
+from .lindbladian import as_matrix, hermitian_basis, hermitian_generator, \
+    reflection_sector
 
 TERM_MAX_ITER = "max_iter"
 TERM_BREAKDOWN = "breakdown"
@@ -41,13 +42,15 @@ BREAKDOWN_TOL = 1e-10  # smallest c_j, relative to the running max of c_j
 
 @dataclass
 class TridiagonalData:
-    """Coefficients and (optionally) bases of a (bi-)Lanczos run."""
+    """Coefficients and (optionally) bases of a (bi-)Lanczos run, the
+    bases as coordinates in the recursion's sparse Hermitian basis W."""
 
     a: np.ndarray                  # length K, diagonal
     b: np.ndarray                  # length K-1, superdiagonal
     c: np.ndarray                  # length K-1, subdiagonal
-    p_basis: np.ndarray = None     # dim x K
-    q_basis: np.ndarray = None     # dim x K
+    W: sp.csr_array = None         # dim x space_dim
+    P: np.ndarray = None           # K x space_dim
+    Q: np.ndarray = None           # K x space_dim
     residual_biortho: float = None
     residual_tridiag: float = None
     termination: str = TERM_MAX_ITER
@@ -63,6 +66,17 @@ class TridiagonalData:
         reached the dimension of the space the recursion ran in (a
         reflection sector's dimension, not that of a lifted basis)."""
         return self.termination == TERM_BREAKDOWN or self.K == self.space_dim
+
+    @property
+    def p_basis(self):
+        """dim x K, columns p_n = i^n W p~_n, lifted on each access."""
+        return self.W @ self.P.T * 1j ** np.arange(self.K)
+
+    @property
+    def q_basis(self):
+        """dim x K, columns q_n = i^n W conj(q~_n), lifted on each access:
+        conj(W) = W diag(J), so Q' P = I and Q' L P = T in full space."""
+        return self.W @ self.Q.T.conj() * 1j ** np.arange(self.K)
 
     def tridiagonal_matrix(self):
         T = np.diag(self.a.astype(complex))
@@ -100,9 +114,8 @@ def bilanczos(L, seed, max_iter=None):
 
     When the seed is exactly even under site reversal and L commutes with
     it (``reflection_sector`` returns the isometry B), the recursion runs
-    in B's range and the bases are lifted back to the full space;
-    otherwise in full space.  ``max_iter`` defaults to the dimension of the
-    space it runs in, the result's ``space_dim``.
+    in B's range, otherwise in full space.  ``max_iter`` defaults to the
+    dimension of the space it runs in, the result's ``space_dim``.
 
     The right seed is divided by |seed|^2 so that q_0' p_0 = 1; a zero seed
     raises ValueError.  Each new basis vector is purged twice against all
@@ -111,11 +124,10 @@ def bilanczos(L, seed, max_iter=None):
 
     The recursion is that of the module docstring, on R = -i W' L W for
     the Hermitian operator basis W = ``hermitian_basis(dim, B)``, in
-    float64 when R and the seed's coordinates are real.  Its vectors map
-    back as p_n = i^n W p~_n and q_n = conj((-1)^n mu_n i^n W v~_n), where
-    mu_n diag(J) v~_n is the J-dual of p~_n, and its coefficients as
-    a = i alpha, b = -beta, c = gamma.  If L^T = L exactly and the seed is
-    real, v~_n is p~_n and one basis is stored.
+    float64 when R and the seed's coordinates are real.  It returns W, the
+    p~_n as the rows of P, their J-duals q~_n = mu_n diag(J) v~_n as the
+    rows of Q, and a = i alpha, b = -beta, c = gamma.  If L^T = L exactly
+    and the seed is real, v~_n is p~_n and one basis is built.
     """
     A = as_matrix(L)
     return _lanczos(A, seed, max_iter, reflection_sector(A, seed))
@@ -144,7 +156,8 @@ def _lanczos(A, seed, max_iter=None, B=None):
     W' seed, left seed W' conj(seed) and left operator J R^T J."""
     if max_iter is not None and max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    W, J, R = hermitian_generator(A, B)
+    W, J = hermitian_basis(A.shape[0], B)
+    R = hermitian_generator(A, W)
     Wh = W.conj().T
     seed = np.asarray(seed, dtype=complex)
     x = Wh @ seed
@@ -215,23 +228,17 @@ def _lanczos(A, seed, max_iter=None, B=None):
 
     K = len(alpha)
     P, V, mu = P[:K], V[:K], mu[:K]
-    tri = TridiagonalData(
+    return TridiagonalData(
         a=1j * np.array(alpha) + 0.0,   # + 0.0 turns -0.0 into 0.0
         b=0j - np.array(beta),
         c=np.array(gamma) + 0j,
+        W=W, P=P, Q=mu[:, None] * (J * V),
         termination=termination,
         space_dim=dim,
         residual_biortho=float(np.abs(
             mu[:, None] * (V @ (J * P).T) - np.eye(K)).max()),
         residual_tridiag=_tridiag_residual(R, P, alpha, beta, gamma),
     )
-    # p_n = i^n W p~_n and q_n = conj((-1)^n mu_n i^n W v~_n), in place.
-    n = np.arange(K)
-    tri.p_basis = W @ P.T
-    tri.p_basis *= 1j ** n
-    tri.q_basis = (tri.p_basis if one_sided else W @ V.T * 1j ** n).conj()
-    tri.q_basis *= (-1.0) ** n * mu.conj()
-    return tri
 
 
 def check_open_structure(tri, n_coeffs=None):

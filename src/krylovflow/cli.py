@@ -340,6 +340,9 @@ def _run_bound(run, writer):
         m = moments(evolve_chain(tri_b, run.t))
     else:
         tri_b, m = run.tri, run.moments
+    if m.t.size < 3:
+        raise NumericalFailure(f"total probability underflowed after "
+                               f"{m.t.size} sample(s); the bound needs 3")
     # A K = 1 chain has no b1 and C = M2 = 0 on it: b1 = 0 gives 0 <= 0.
     b1 = tri_b.b[0] if tri_b.K > 1 else 0.0
     report = dispersion_bound_check(m, b1)

@@ -31,8 +31,7 @@ from scipy.linalg import expm
 from scipy.linalg.blas import idamax
 
 from .exceptions import NumericalFailure
-from .lindbladian import as_matrix, hermitian_generator, \
-    reflection_sector
+from .lindbladian import as_matrix, hermitian_generator
 
 TAIL_CUTOFF = 1e-10   # last-site mass that signals chain truncation
 P_UNDERFLOW = 1e-300
@@ -283,31 +282,26 @@ def direct_evolution_oracle(L, seed, tri, t_grid):
     """Moments from direct evolution of the seed, bypassing the chain ODE.
 
     The ket evolves as dv/dt = i L v and the dual vector as
-    dw/dt = -i L' w, both from ``seed`` as in ``bilanczos(L, seed)``.  Both
-    run in the coordinates of the Hermitian basis W = ``hermitian_basis(dim,
-    reflection_sector(L, seed))`` that ``bilanczos`` uses: x = W' v
-    evolves as exp(-t R) x0 with R = -i W' L W, and y = W' w as
-    exp(-t R') x0: one dense ``expm``, of the reflection-even sector's
-    dimension when the seed is even under site reversal and of the full
-    space's otherwise.  The restriction to the sector is exact: L and L'
-    commute with site reversal, so v and w stay in the sector.
-    For a Lindbladian and a Hermitian seed R and x0 are real and the
-    evolution runs in float64.  Amplitudes come from projection on the
-    stored bi-orthogonal bases mapped to the same coordinates:
-    phi_n = (-i)^n (W' q_n)' x, psi*_n = i^n (W' p_n)' y.  The oracle
-    shares only this change of basis with the Lanczos recursion, never the
-    recursion or its coefficients.  Moments are then computed by the same
-    code path as for chain trajectories.
+    dw/dt = -i L' w, both from ``seed`` as in ``bilanczos(L, seed)``, in
+    the coordinates of the chain's Hermitian basis W = ``tri.W``: x = W' v
+    as exp(-t R) x0 with R = -i W' L W, and y = W' w as exp(-t R') x0.
+    That is one dense ``expm`` of the dimension the recursion ran in: the
+    reflection-even sector's when the chain ran there, exactly, as L and L'
+    commute with site reversal.  For a Lindbladian and a Hermitian seed R
+    and x0 are real and the evolution runs in float64.  Amplitudes are
+    projections on the stored bases: phi_n = (-1)^n q~_n x and
+    psi*_n = p~_n' y.  The oracle shares only W with the Lanczos
+    recursion, never the recursion or its coefficients; the moments come
+    from the code path of chain trajectories.
     """
-    if tri.p_basis is None or tri.q_basis is None:
-        raise ValueError("direct evolution oracle requires stored bases")
     A = as_matrix(L)
     if A.shape[0] > 4096:
         raise ValueError("oracle limited to superoperator dimension <= 4096")
+    if tri.W is None:
+        raise ValueError("direct evolution oracle requires stored bases")
     t, dt = _uniform_step(t_grid)
-    W, _, R = hermitian_generator(A, reflection_sector(A, seed))
-    Wh = W.conj().T
-    x0 = Wh @ np.asarray(seed, dtype=complex)
+    R = hermitian_generator(A, tri.W)
+    x0 = tri.W.conj().T @ np.asarray(seed, dtype=complex)
     if np.isrealobj(R) and not np.any(x0.imag):
         x0 = x0.real
 
@@ -321,11 +315,8 @@ def direct_evolution_oracle(L, seed, tri, t_grid):
     for k in range(1, t.size):
         X[k] = E @ X[k - 1]
         Y[k] = Eh @ Y[k - 1]
-    n_idx = np.arange(tri.K)[:, None]
-    phi = (-1j) ** n_idx * ((Wh @ tri.q_basis).conj().T @ X.T)
-    psi_star = (1j) ** n_idx * ((Wh @ tri.p_basis).conj().T @ Y.T)
-
-    traj = ChainTrajectory(t=t, phi=phi, psi=psi_star.conj(),
+    phi = (-1.0) ** np.arange(tri.K)[:, None] * (tri.Q @ X.T)
+    traj = ChainTrajectory(t=t, phi=phi, psi=tri.P @ Y.T.conj(),
                            tail_mass=np.abs(phi[-1, :]) ** 2)
     return moments(traj)
 

@@ -22,9 +22,9 @@ the Lanczos recursion and the direct-evolution oracle alike.
 import numpy as np
 import scipy.sparse as sp
 
-# The Lanczos bases, not L, bound the size: K <= 4^N vectors of 4^N
-# complex entries each, i.e. up to K * 4^N * 16 B per basis (268 MB at
-# N = 6, 4.3 GB at N = 7).
+# The Lanczos bases, not L, bound the size: K <= 4^N vectors of 4^N real
+# coordinates each for a Hermitian seed, i.e. up to K * 4^N * 8 B per
+# basis (134 MB at N = 6, 2.1 GB at N = 7).
 MAX_QUBITS = 6
 MAX_DIM = 4 ** MAX_QUBITS
 HERM_TOL = 1e-10   # largest |H - H'| entry allowed, relative to max|H|
@@ -154,18 +154,17 @@ def hermitian_basis(n, B=None):
     return (V if B is None else B @ V), J
 
 
-def hermitian_generator(A, B=None):
-    """(W, J, R): the basis W, J = ``hermitian_basis(n, B)`` and the
-    generator R = -i W' A W of the n x n matrix A in W's coordinates.
+def hermitian_generator(A, W):
+    """R = -i W' A W: the n x n matrix A in the coordinates of the basis
+    W of :func:`hermitian_basis`.
 
     R is cast to float64 when max|Im R| <= ``SYMMETRY_TOL`` max|R|: for a
     Lindbladian it is real up to the roundoff of the sparse products.
     """
-    W, J = hermitian_basis(A.shape[0], B)
     R = -1j * (W.conj().T @ A @ W)
     if abs(R.imag).max() <= SYMMETRY_TOL * abs(R).max():
         R = R.real
-    return W, J, R
+    return R
 
 
 def uniform_seed(d):

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from krylovflow.bilanczos import (TERM_BREAKDOWN, TERM_MAX_ITER,
@@ -315,6 +318,22 @@ def test_sector_chain_is_complete_at_sector_dimension(N, K):
     # TAIL_CUTOFF: an incomplete chain would warn (an error in tier-1).
     evolve_chain(tri, np.linspace(0.0, 10.0, 400))
     assert not _lanczos(L, seed, max_iter=K).complete
+
+
+def test_bases_are_stored_in_the_recursion_coordinates():
+    # The chain keeps the sparse Hermitian basis W of the sector it ran in
+    # and the coordinates of its bases in W: no field holds a dense
+    # dim x K array; p_basis and q_basis lift on access.
+    spec = ModelSpec(N=4, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
+    tri = bilanczos(build_model_lindbladian(spec), uniform_seed(spec.dim))
+    assert tri.P.shape == tri.Q.shape == (136, 136)
+    assert tri.P.dtype == tri.Q.dtype == np.float64
+    assert sp.issparse(tri.W) and tri.W.shape == (256, 136)
+    assert np.abs(tri.Q @ tri.P.T - np.eye(136)).max() < 1e-10
+    for field in dataclasses.fields(tri):
+        value = getattr(tri, field.name)
+        assert not (isinstance(value, np.ndarray)
+                    and value.shape == (256, tri.K)), field.name
 
 
 def sigma_z1(N):

@@ -10,7 +10,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from krylovflow import krylov_chain
 from krylovflow.bilanczos import TERM_BREAKDOWN, TridiagonalData, \
-    bilanczos, project_dissipative_structure
+    _lanczos, bilanczos, project_dissipative_structure
 from krylovflow.bound import saturating_coefficients
 from krylovflow.exceptions import NumericalFailure
 from krylovflow.krylov_chain import (ChainTrajectory, _power_norms,
@@ -467,31 +467,35 @@ def expm_args(monkeypatch):
 
 
 def _oracle_case(case):
-    """L, the seed and the (shape, dtype) the oracle's expm must get: the
-    reflection sector's 40 dimensions at N = 3 when the seed is even, the
-    full space's 64 when not, and float64 unless R is complex."""
+    """L, the seed, the chain and the (shape, dtype) the oracle's expm must
+    get: the dimension the chain ran in, the reflection sector's 40 at
+    N = 3 when the seed is even, the full space's 64 when not or when the
+    chain was run there, and float64 unless R is complex."""
     if case == "random":
         rng = np.random.default_rng(5)
         L = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         seed = rng.normal(size=16) + 1j * rng.normal(size=16)
-        return L, seed / np.linalg.norm(seed), ((16, 16), np.complex128)
+        seed = seed / np.linalg.norm(seed)
+        return L, seed, bilanczos(L, seed), ((16, 16), np.complex128)
     rate = 0.0 if case == "closed" else 0.01
     spec = ModelSpec(N=3, g=-1.05, h=0.5, alpha=rate, gamma=rate)
     L = build_model_lindbladian(spec)
     if case == "not_even":
-        return L, sigma_x1_plus_yN(3), ((64, 64), np.float64)
+        seed = sigma_x1_plus_yN(3)
+        return L, seed, bilanczos(L, seed), ((64, 64), np.float64)
     seed = uniform_seed(spec.dim)
+    if case == "full_space":   # an even seed's chain run outside the sector
+        return L, seed, _lanczos(L, seed), ((64, 64), np.float64)
     if case == "phase":   # complex coordinates x0 of a real R
         seed = np.exp(0.7j) * seed
-    return L, seed, ((40, 40), np.float64)
+    return L, seed, bilanczos(L, seed), ((40, 40), np.float64)
 
 
-@pytest.mark.parametrize("case",
-                         ["open", "closed", "not_even", "phase", "random"])
+@pytest.mark.parametrize("case", ["open", "closed", "not_even", "phase",
+                                  "random", "full_space"])
 def test_oracle_matches_full_space_evolution(case, expm_args):
     # "random" has a complex R, so it tells the dual step E' from E^T.
-    L, seed, expm_arg = _oracle_case(case)
-    tri = bilanczos(L, seed)
+    L, seed, tri, expm_arg = _oracle_case(case)
     t = np.linspace(0, 2 if case == "random" else 5, 101)
     mo = direct_evolution_oracle(L, seed, tri, t)
     assert expm_args == [expm_arg]
@@ -514,7 +518,7 @@ def test_oracle_requires_stored_bases():
     spec = ModelSpec(N=2, g=-1.05, h=0.5)
     L = build_model_lindbladian(spec)
     seed = uniform_seed(4)
-    tri = dataclasses.replace(bilanczos(L, seed), p_basis=None)
+    tri = dataclasses.replace(bilanczos(L, seed), W=None)
     with pytest.raises(ValueError, match="stored bases"):
         direct_evolution_oracle(L, seed, tri, np.linspace(0, 1, 11))
 

@@ -273,6 +273,23 @@ def test_bound_truncates_at_probability_underflow(tmp_path):
     assert json.loads((out / "bound_summary.json").read_text())["verdict"]
 
 
+def test_bound_fails_when_underflow_leaves_too_few_samples(tmp_path):
+    # At alpha = gamma = 1000 the projected chain's P underflows at
+    # t ~ 0.2, before the second grid point (dt = 0.256): the bound's
+    # series keeps 1 sample, too few for its derivative stencils.
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, model={"N": 3, "g": -1.05, "h": 0.5,
+                                  "alpha": 1000.0, "gamma": 1000.0},
+                 t_max=10.0, n_samples=40)
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning, match="underflowed"):
+        assert main(["bound", "--config", str(cfg_path), "--out", str(out),
+                     "--quiet"]) == EXIT_NUMERICAL
+    assert json.loads((out / "error.json").read_text())["error"] \
+        == "numerical"
+    assert os.listdir(out) == ["error.json"]
+
+
 # A complete chain short of the filter window: `full` skips the filter
 # and keeps every other artifact.  Closed N = 2 and the identity seed end
 # by breakdown; open N = 1 runs to max_iter at K = 4, the whole operator
