@@ -35,9 +35,11 @@ TERM_MAX_ITER = "max_iter"
 TERM_BREAKDOWN = "breakdown"
 TERM_SERIOUS = "serious_breakdown"
 TERM_SYNTHETIC = "synthetic"
+TERM_GRID = "grid"     # cut where the time grid stops reaching (cli)
 
 STRUCTURE_TOL = 1e-6   # relative tolerance of the structure verdicts
 BREAKDOWN_TOL = 1e-10  # smallest c_j, relative to the running max of c_j
+DEPTH_BLOCK = 128      # steps per block: the arrays grow, deep_enough is asked
 
 
 @dataclass
@@ -67,23 +69,6 @@ class TridiagonalData:
         reflection sector's dimension, not that of a lifted basis)."""
         return self.termination == TERM_BREAKDOWN or self.K == self.space_dim
 
-    @property
-    def p_basis(self):
-        """dim x K, columns p_n = i^n W p~_n, lifted on each access."""
-        return self.W @ self.P.T * 1j ** np.arange(self.K)
-
-    @property
-    def q_basis(self):
-        """dim x K, columns q_n = i^n W conj(q~_n), lifted on each access:
-        conj(W) = W diag(J), so Q' P = I and Q' L P = T in full space."""
-        return self.W @ self.Q.T.conj() * 1j ** np.arange(self.K)
-
-    def tridiagonal_matrix(self):
-        T = np.diag(self.a.astype(complex))
-        T += np.diag(self.b.astype(complex), k=1)   # 1 x 1 zero when K = 1
-        T += np.diag(self.c.astype(complex), k=-1)
-        return T
-
 
 @dataclass
 class StructureReport:
@@ -109,13 +94,17 @@ def _is_symmetric(A):
     return np.array_equal(A, A.T)
 
 
-def bilanczos(L, seed, max_iter=None):
+def bilanczos(L, seed, max_iter=None, deep_enough=None):
     """Bi-Lanczos iteration on a (generally non-Hermitian) matrix.
 
     When the seed is exactly even under site reversal and L commutes with
     it (``reflection_sector`` returns the isometry B), the recursion runs
     in B's range, otherwise in full space.  ``max_iter`` defaults to the
-    dimension of the space it runs in, the result's ``space_dim``.
+    dimension of the space it runs in, the result's ``space_dim``.  The
+    chain grows by blocks of ``DEPTH_BLOCK`` steps; after each,
+    ``deep_enough(chain, |b_K|)``, when given, sees the coefficients so far
+    and the next hopping, and True ends the chain there, not ``complete``,
+    with termination ``TERM_GRID``.
 
     The right seed is divided by |seed|^2 so that q_0' p_0 = 1; a zero seed
     raises ValueError.  Each new basis vector is purged twice against all
@@ -130,7 +119,8 @@ def bilanczos(L, seed, max_iter=None):
     and the seed is real, v~_n is p~_n and one basis is built.
     """
     A = as_matrix(L)
-    return _lanczos(A, seed, max_iter, reflection_sector(A, seed))
+    return _lanczos(A, seed, max_iter, reflection_sector(A, seed),
+                    deep_enough)
 
 
 def _breakdown(rs, scale):
@@ -150,7 +140,14 @@ def _tridiag_residual(A, P, a, b, c):
     return float(np.abs(defect[:-1]).max(initial=0.0))
 
 
-def _lanczos(A, seed, max_iter=None, B=None):
+def _chain(alpha, beta, gamma, **fields):
+    """The chain a = i alpha, b = -beta, c = gamma of the recursion."""
+    return TridiagonalData(a=1j * np.array(alpha) + 0.0,   # -0.0 -> 0.0
+                           b=0j - np.array(beta), c=np.array(gamma) + 0j,
+                           **fields)
+
+
+def _lanczos(A, seed, max_iter=None, B=None, deep_enough=None):
     """The recursion of :func:`bilanczos` on A, in B's range when given:
     Lanczos on R = -i W' A W in the J-form x^T diag(J) y, with right seed
     W' seed, left seed W' conj(seed) and left operator J R^T J."""
@@ -182,9 +179,9 @@ def _lanczos(A, seed, max_iter=None, B=None):
     # mu_n = 1 / (v_n^T J p_n): the J-dual of p_n is mu_n J v_n.  Its
     # modulus stays |seed|^2.
     dtype = np.result_type(p, v)
-    mu = np.empty(max_iter, dtype=dtype)
+    mu = np.empty(min(max_iter, DEPTH_BLOCK), dtype=dtype)
     mu[0] = overlap
-    P = np.empty((max_iter, dim), dtype=dtype)
+    P = np.empty((mu.size, dim), dtype=dtype)
     V = P if one_sided else np.empty_like(P)
     P[0], V[0] = p, v
     u = R @ p
@@ -205,6 +202,15 @@ def _lanczos(A, seed, max_iter=None, B=None):
             rs = min(np.linalg.norm(r), abs(mu[0]) * np.linalg.norm(s))
             termination = _breakdown(rs, scale)
             break
+        if j == mu.size:   # a block end: stop, or grow by a block
+            if deep_enough is not None and deep_enough(_chain(
+                    alpha, beta, gamma, termination=TERM_GRID,
+                    space_dim=dim), gj):
+                termination = TERM_GRID
+                break
+            new = np.empty((min(j + DEPTH_BLOCK, max_iter) - j, dim), dtype)
+            mu, P = np.append(mu, new[:, 0]), np.vstack([P, new])
+            V = P if one_sided else np.vstack([V, new])
         bj = w / abs(w) * gj   # exactly +-gj when w is real
         p = r / gj
         v = p if one_sided else s / gj
@@ -228,10 +234,8 @@ def _lanczos(A, seed, max_iter=None, B=None):
 
     K = len(alpha)
     P, V, mu = P[:K], V[:K], mu[:K]
-    return TridiagonalData(
-        a=1j * np.array(alpha) + 0.0,   # + 0.0 turns -0.0 into 0.0
-        b=0j - np.array(beta),
-        c=np.array(gamma) + 0j,
+    return _chain(
+        alpha, beta, gamma,
         W=W, P=P, Q=mu[:, None] * (J * V),
         termination=termination,
         space_dim=dim,

@@ -14,11 +14,14 @@ stage is a usage error when requested by name and an entry of
 chosen stages use is checked before any stage runs; no number in a config
 may be non-finite; every config block rejects keys it does not know.
 ``bilanczos`` runs in the reflection-even sector of L for every model with
-the uniform seed.  Each artifact is a deterministic CSV (17 significant
-digits, LF endings) with a JSON sidecar echoing the config and version.
-Exit codes: 0 success, 1 usage error (including a bad config value), 2
-numerical failure, 3 invariant violation; on failure the run's artifacts
-are removed and ``error.json`` is written.
+the uniform seed, and without ``bilanczos.max_iter`` only as deep as the
+time grid reaches (see _deep_enough): termination "grid", and
+coefficients.csv is the prefix of the full chain that the grid needs.
+Each artifact is a deterministic CSV (17 significant digits, LF endings)
+with a JSON sidecar echoing the config and version.  Exit codes: 0
+success, 1 usage error (including a bad config value), 2 numerical
+failure, 3 invariant violation; on failure the run's artifacts are
+removed and ``error.json`` is written.
 """
 
 import argparse
@@ -27,6 +30,7 @@ import os
 import sys
 from collections import namedtuple
 from dataclasses import asdict
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -39,7 +43,8 @@ from .bound import bound_summary, dispersion_bound_check, \
     renormalized_bound_check, saturating_coefficients, saturation_report
 from .continuum import ContinuumSpec, continuum_vs_paper_report
 from .exceptions import InvariantViolation, NumericalFailure
-from .krylov_chain import direct_evolution_oracle, evolve_chain, moments
+from .krylov_chain import TAIL_CUTOFF, direct_evolution_oracle, \
+    evolve_chain, moments
 from .lindbladian import MAX_QUBITS, build_model_lindbladian, \
     uniform_seed, vectorize
 from .spin_algebra import ModelSpec
@@ -51,6 +56,7 @@ EXIT_INVARIANT = 3
 
 ORACLE_MAX_N = 4
 STRUCTURE_COEFFS = 50   # leading coefficients used for structure verdicts
+DEPTH_TOL = 1e-12       # Duhamel bound on what the grid-depth cut changes
 
 
 class UsageError(Exception):
@@ -308,9 +314,30 @@ class ArtifactWriter:
 # needs from ``run`` and leaves its own results there.  Layer functions
 # are looked up as module globals at call time.
 
+def _deep_enough(run, tri, b_next):
+    """The depth rule without ``bilanczos.max_iter``: (i) the raw chain's
+    last-site mass stays at or below TAIL_CUTOFF on the grid; then (ii) the
+    bound chain (contractive, see _run_bound) has a Duhamel bound t_max |b_K|
+    max_t |phi_{K-1}| <= DEPTH_TOL.  The evolve and bound stages reuse both."""
+    raw = evolve_chain(tri, run.t)
+    if raw.tail_mass.max() > TAIL_CUTOFF:
+        return False
+    bound = raw
+    if check_open_structure(tri, STRUCTURE_COEFFS).label != \
+            "closed structure":
+        bound = evolve_chain(project_dissipative_structure(tri), run.t)
+    if run.t[-1] * b_next * np.abs(bound.phi[-1]).max() > DEPTH_TOL:
+        return False
+    run.probes = {"raw": raw, "bound": bound}
+    return True
+
+
 def _run_lanczos(run, writer):
     run.L = build_model_lindbladian(run.model)
-    run.tri = tri = bilanczos(run.L, run.seed, max_iter=run.max_iter)
+    run.probes = {}
+    run.tri = tri = bilanczos(
+        run.L, run.seed, max_iter=run.max_iter,
+        deep_enough=None if run.max_iter else partial(_deep_enough, run))
     n_struct = min(STRUCTURE_COEFFS, tri.K)
     run.structure = report = check_open_structure(tri, n_coeffs=n_struct)
     writer.write_table("coefficients.csv", _coefficient_table(tri))
@@ -325,7 +352,8 @@ def _run_lanczos(run, writer):
 
 
 def _run_evolve(run, writer):
-    run.moments = m = moments(evolve_chain(run.tri, run.t))
+    run.moments = m = moments(run.probes.pop("raw", None)
+                              or evolve_chain(run.tri, run.t))
     writer.write_table("moments.csv", {"t": m.t, "C": m.C, "P": m.P,
                                        "M2": m.M2, "Ctilde": m.Ctilde})
 
@@ -335,9 +363,10 @@ def _run_bound(run, writer):
     # coefficients are projected onto the a = i|a|, b = c = |b| form and
     # re-evolved; closed runs already have psi = phi and are used as is.
     projected = run.structure.label != "closed structure"
+    traj = run.probes.pop("bound", None)
     if projected:
         tri_b = project_dissipative_structure(run.tri)
-        m = moments(evolve_chain(tri_b, run.t))
+        m = moments(traj or evolve_chain(tri_b, run.t))
     else:
         tri_b, m = run.tri, run.moments
     if m.t.size < 3:

@@ -30,6 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import expm
 from scipy.linalg.blas import idamax
 
+from .bilanczos import TERM_GRID
 from .exceptions import NumericalFailure
 from .lindbladian import as_matrix, hermitian_generator
 
@@ -213,8 +214,10 @@ def evolve_chain(tri, t_grid):
     psi is not propagated: by the gauge identity of the module docstring,
     psi_n = conj(D_n) phi_n = phi_n prod_{j <= n} b_j / c_j, and psi is phi
     itself when b = c entry for entry.  Raises ValueError for a chain with
-    c_n = 0 != b_n, which has no such gauge.  A chain that is not
-    ``tri.complete`` warns once its last-site mass passes ``TAIL_CUTOFF``.
+    c_n = 0 != b_n, which has no such gauge.  A chain that is neither
+    ``tri.complete`` nor cut at the grid depth (``TERM_GRID``: the rule
+    that cuts it reads this tail mass itself) warns once its last-site
+    mass passes ``TAIL_CUTOFF``.
     Raises NumericalFailure if phi or psi is not finite.
     """
     t, _ = _uniform_step(t_grid)
@@ -244,7 +247,8 @@ def evolve_chain(tri, t_grid):
 
     tail = np.abs(phi[-1, :]) ** 2
     # On a complete chain the last-site amplitude is physical.
-    if not tri.complete and tail.max() > TAIL_CUTOFF:
+    if not (tri.complete or tri.termination == TERM_GRID) \
+            and tail.max() > TAIL_CUTOFF:
         warnings.warn(
             f"truncation tail |phi_K-1|^2 reached {tail.max():.3e} "
             f"(cutoff {TAIL_CUTOFF:.1e}); results beyond that time are "

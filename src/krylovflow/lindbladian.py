@@ -22,9 +22,11 @@ the Lanczos recursion and the direct-evolution oracle alike.
 import numpy as np
 import scipy.sparse as sp
 
-# The Lanczos bases, not L, bound the size: K <= 4^N vectors of 4^N real
-# coordinates each for a Hermitian seed, i.e. up to K * 4^N * 8 B per
-# basis (134 MB at N = 6, 2.1 GB at N = 7).
+# The Lanczos bases, not L, bound the size: K vectors of up to 4^N real
+# coordinates each for a Hermitian seed, K * 4^N * 8 B per basis.  At full
+# depth K <= 4^N (134 MB at N = 6, 2.1 GB at N = 7); a chain cut at its
+# time grid's depth is far shorter (K = 256 of the 2,080-dimensional
+# reflection sector at N = 6: 4.3 MB).
 MAX_QUBITS = 6
 MAX_DIM = 4 ** MAX_QUBITS
 HERM_TOL = 1e-10   # largest |H - H'| entry allowed, relative to max|H|

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose, assert_array_equal
 
-from krylovflow.bilanczos import (TERM_BREAKDOWN, TERM_MAX_ITER,
+from krylovflow.bilanczos import (TERM_BREAKDOWN, TERM_GRID, TERM_MAX_ITER,
                                   TERM_SERIOUS, _lanczos, bilanczos,
                                   check_open_structure,
                                   project_dissipative_structure,
@@ -17,6 +17,7 @@ from krylovflow.lindbladian import build_model_lindbladian, uniform_seed, \
     vectorize
 from krylovflow.spin_algebra import ModelSpec, build_tfim, pauli_matrix, \
     site_operator
+from tests.lanczos_bases import p_basis, q_basis, tridiagonal_matrix
 
 
 def test_symmetric_two_by_two():
@@ -27,7 +28,7 @@ def test_symmetric_two_by_two():
     assert_allclose(tri.a, [0, 0], atol=1e-15)
     assert_allclose(tri.b, [1])
     assert_allclose(tri.c, [1])
-    assert_allclose(tri.tridiagonal_matrix(), L, atol=1e-15)
+    assert_allclose(tridiagonal_matrix(tri), L, atol=1e-15)
 
 
 def test_eigenvector_seed_immediate_breakdown():
@@ -48,8 +49,8 @@ def test_nilpotent_hand_example():
     assert tri.c[0] == pytest.approx(0.5)      # c_1 = sqrt|omega_1|
     assert tri.b[0] == pytest.approx(-0.5)     # b_1 = omega_1* / c_1
     assert tri.a[1] == pytest.approx(-0.5)
-    QhLP = tri.q_basis.conj().T @ (L @ tri.p_basis)
-    assert np.abs(QhLP - tri.tridiagonal_matrix()).max() < 1e-14
+    QhLP = q_basis(tri).conj().T @ (L @ p_basis(tri))
+    assert np.abs(QhLP - tridiagonal_matrix(tri)).max() < 1e-14
 
 
 def test_serious_breakdown_reported():
@@ -100,7 +101,8 @@ def test_tridiagonal_residual_skips_last_column():
     L = build_model_lindbladian(spec)
     seed = uniform_seed(spec.dim)
     tri = _lanczos(L, seed, max_iter=10)
-    defect = np.abs(L @ tri.p_basis - tri.p_basis @ tri.tridiagonal_matrix())
+    P = p_basis(tri)
+    defect = np.abs(L @ P - P @ tridiagonal_matrix(tri))
     assert defect[:, -1].max() > 1e-2
     assert tri.residual_tridiag == pytest.approx(defect[:, :-1].max(),
                                                  rel=1e-6)
@@ -126,7 +128,7 @@ def test_third_reorth_pass_is_idempotent():
     L = build_model_lindbladian(spec)
     seed = uniform_seed(8)
     tri = bilanczos(L, seed)
-    P, Q = tri.p_basis, tri.q_basis
+    P, Q = p_basis(tri), q_basis(tri)
     worst = 0.0
     for j in range(1, tri.K):
         corr_p = P[:, :j] @ (Q[:, :j].conj().T @ P[:, j])
@@ -161,6 +163,38 @@ def test_closed_chain_diagonal_is_exactly_zero():
     tri = bilanczos(build_model_lindbladian(spec), seed)
     assert not np.any(tri.a)
     assert check_open_structure(tri).label == "closed structure"
+
+
+def test_deep_enough_is_asked_at_each_block_end():
+    # bilanczos asks at every DEPTH_BLOCK-th step, with the chain so far
+    # and |b_K|, the hopping to the next site, and ends the chain where the
+    # answer is True: a prefix of the full chain, bases included, across
+    # the growth of its arrays.
+    spec = ModelSpec(N=5, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
+    L = build_model_lindbladian(spec)
+    seed = uniform_seed(spec.dim)
+    full = bilanczos(L, seed)
+    asked = []
+
+    def deep_enough(chain, b_next):
+        asked.append((chain, b_next))
+        return chain.K == 256
+
+    tri = bilanczos(L, seed, deep_enough=deep_enough)
+    assert [chain.K for chain, _ in asked] == [128, 256]
+    for chain, b_next in asked:
+        K = chain.K
+        assert chain.termination == TERM_GRID and not chain.complete
+        assert chain.P is None
+        assert_array_equal(chain.a, full.a[:K])
+        assert_array_equal(chain.b, full.b[:K - 1])
+        assert_array_equal(chain.c, full.c[:K - 1])
+        assert b_next == abs(full.b[K - 1])
+    assert (tri.K, tri.termination, tri.complete) == (256, TERM_GRID, False)
+    for name in ("a", "b", "c"):
+        assert_array_equal(getattr(tri, name), getattr(asked[-1][0], name))
+    assert_array_equal(tri.P, full.P[:256])
+    assert_array_equal(tri.Q, full.Q[:256])
 
 
 @pytest.mark.parametrize("N", [3, 4, 5])
@@ -288,7 +322,8 @@ def test_sector_chain_matches_full_space(N):
     full = _lanczos(L, seed)
     sector = bilanczos(L, seed)
     assert sector.K == (4 ** N + 4 ** ((N + 1) // 2)) // 2 < full.K
-    assert sector.p_basis.shape == sector.q_basis.shape == (4 ** N, sector.K)
+    assert p_basis(sector).shape == q_basis(sector).shape \
+        == (4 ** N, sector.K)
     n = 20
     assert np.abs(sector.a[:n] - full.a[:n]).max() \
         <= 1e-10 * np.abs(full.a[:n]).max()
@@ -312,7 +347,7 @@ def test_sector_chain_is_complete_at_sector_dimension(N, K):
     seed = uniform_seed(spec.dim)
     tri = bilanczos(L, seed)
     assert (tri.K, tri.termination, tri.space_dim) == (K, TERM_MAX_ITER, K)
-    assert tri.p_basis.shape == (4 ** N, K)
+    assert p_basis(tri).shape == (4 ** N, K)
     assert tri.complete
     # At N = 2 the last-site mass reaches 7e-10 by t = 10, past
     # TAIL_CUTOFF: an incomplete chain would warn (an error in tier-1).
@@ -323,7 +358,7 @@ def test_sector_chain_is_complete_at_sector_dimension(N, K):
 def test_bases_are_stored_in_the_recursion_coordinates():
     # The chain keeps the sparse Hermitian basis W of the sector it ran in
     # and the coordinates of its bases in W: no field holds a dense
-    # dim x K array; p_basis and q_basis lift on access.
+    # dim x K array; tests/lanczos_bases.py lifts them to full space.
     spec = ModelSpec(N=4, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
     tri = bilanczos(build_model_lindbladian(spec), uniform_seed(spec.dim))
     assert tri.P.shape == tri.Q.shape == (136, 136)
@@ -376,5 +411,6 @@ def test_generic_four_by_four_reaches_krylov_dimension():
     tri = bilanczos(A, e)
     assert (tri.K, tri.termination) == (4, TERM_MAX_ITER)
     assert tri.complete
-    assert_allclose(np.sort(np.linalg.eigvals(tri.tridiagonal_matrix()).real),
+    T = tridiagonal_matrix(tri)
+    assert_allclose(np.sort(np.linalg.eigvals(T).real),
                     np.linalg.eigvalsh(A), atol=1e-12)

@@ -20,6 +20,7 @@ from krylovflow.krylov_chain import (ChainTrajectory, _power_norms,
 from krylovflow.lindbladian import build_model_lindbladian, uniform_seed, \
     vectorize
 from krylovflow.spin_algebra import ModelSpec, pauli_matrix, site_operator
+from tests.lanczos_bases import p_basis, q_basis
 from tests.test_bilanczos import sigma_x1_plus_yN, sigma_z1
 
 
@@ -451,8 +452,8 @@ def full_space_oracle(L, seed, tri, t):
         V[k] = E @ V[k - 1]
         W[k] = E.conj().T @ W[k - 1]
     n = np.arange(tri.K)[:, None]
-    phi = (-1j) ** n * (tri.q_basis.conj().T @ V.T)
-    psi_star = 1j ** n * (tri.p_basis.conj().T @ W.T)
+    phi = (-1j) ** n * (q_basis(tri).conj().T @ V.T)
+    psi_star = 1j ** n * (p_basis(tri).conj().T @ W.T)
     return moments(ChainTrajectory(t=t, phi=phi, psi=psi_star.conj(),
                                    tail_mass=np.abs(phi[-1]) ** 2))
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import krylovflow
+from krylovflow import cli
 from krylovflow.bilanczos import bilanczos
 from krylovflow.cli import (EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK,
                             EXIT_USAGE, _coefficient_table, _seed_vector,
@@ -515,21 +516,30 @@ def test_non_even_seed_runs_in_full_space(tmp_path):
         csv_table(_coefficient_table(tri))
 
 
-@pytest.mark.parametrize("N,K", [(3, 40), (4, 136), (5, 544)])
-def test_cli_writes_the_library_chain(tmp_path, N, K):
-    # One chain for every caller: the lanczos stage writes the chain of
-    # the library's bilanczos, here the reflection-even sector's.
+# Without bilanczos.max_iter the chain stops at the first block end where
+# the time grid no longer reaches its end: the N = 3 sector (40) is spent
+# before the first block, while N = 4 and 5 stop at DEPTH_BLOCK = 128.
+@pytest.mark.parametrize("N,K,termination", [
+    pytest.param(3, 40, "max_iter", id="3-40"),
+    pytest.param(4, 128, "grid", id="4-128"),
+    pytest.param(5, 128, "grid", id="5-128")])
+def test_cli_writes_the_library_chain(tmp_path, N, K, termination):
+    # One chain for every caller: the lanczos stage writes the first K
+    # coefficients of the library's bilanczos, here the reflection-even
+    # sector's, byte for byte.
     model = dict(MODEL, N=N)
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, model=model)
     out = tmp_path / "out"
     assert main(["lanczos", "--config", str(cfg_path), "--out", str(out),
                  "--quiet"]) == EXIT_OK
+    structure = json.loads((out / "structure.json").read_text())
+    assert (structure["K"], structure["termination"]) == (K, termination)
     v = uniform_seed(2 ** N)
     tri = bilanczos(build_model_lindbladian(ModelSpec(**model)), v)
-    assert tri.K == K
-    assert (out / "coefficients.csv").read_text() == \
-        csv_table(_coefficient_table(tri))
+    assert tri.complete
+    rows = csv_table(_coefficient_table(tri)).splitlines(keepends=True)
+    assert (out / "coefficients.csv").read_text() == "".join(rows[:K + 1])
 
 
 def test_complex_seed_runs_two_sided_recursion(tmp_path):
@@ -550,3 +560,116 @@ def test_complex_seed_runs_two_sided_recursion(tmp_path):
     assert structure["residual_biortho"] < 1e-12
     oracle = read_csv(out / "oracle.csv")
     assert oracle["relC"].max() < 1e-6 and oracle["relP"].max() < 1e-6
+
+
+# The acceptance model (tests/test_acceptance.py) on its time grid.
+PAPER = {"model": dict(MODEL, N=5), "t_max": 10.0, "n_samples": 400}
+slow = pytest.mark.skipif(os.environ.get("KRYLOVFLOW_SLOW_TESTS") != "1",
+                          reason="set KRYLOVFLOW_SLOW_TESTS=1 to run")
+
+
+def run_paper(tmp_path, monkeypatch, name, command="full", **overrides):
+    """Run ``command`` on PAPER with ``overrides``; returns the output
+    directory, its structure.json and the moments the bound stage checked
+    (None if it did not run)."""
+    checked = []
+    check = cli.dispersion_bound_check
+    monkeypatch.setattr(cli, "dispersion_bound_check",
+                        lambda m, b1: checked.append(m) or check(m, b1))
+    cfg_path = tmp_path / f"{name}.json"
+    write_config(cfg_path, **{**PAPER, **overrides})
+    out = tmp_path / name
+    assert main([command, "--config", str(cfg_path), "--out", str(out),
+                 "--quiet"]) == EXIT_OK
+    structure = json.loads((out / "structure.json").read_text())
+    return out, structure, checked[-1] if checked else None
+
+
+def assert_grid_depth_matches_full_depth(tmp_path, monkeypatch, model, K,
+                                         space_dim):
+    # C and P of both chains, the raw one of moments.csv and the bound
+    # chain, within 1e-10 of their peaks, and the same bound verdict.
+    out, structure, bound = run_paper(tmp_path, monkeypatch, "grid",
+                                      model=model)
+    ref_out, ref_structure, ref_bound = run_paper(
+        tmp_path, monkeypatch, "deep", model=model,
+        bilanczos={"max_iter": space_dim})
+    assert (structure["K"], structure["termination"]) == (K, "grid")
+    assert ref_structure["K"] == space_dim
+    m, ref = read_csv(out / "moments.csv"), read_csv(ref_out / "moments.csv")
+    for x, y in ((m["C"], ref["C"]), (m["P"], ref["P"]),
+                 (bound.C, ref_bound.C), (bound.P, ref_bound.P)):
+        assert x.shape == y.shape
+        assert np.abs(x - y).max() <= 1e-10 * np.abs(y).max()
+    summary, ref_summary = (json.loads((o / "bound_summary.json").read_text())
+                            for o in (out, ref_out))
+    for key in ("verdict", "n_violations"):
+        assert summary[key] == ref_summary[key]
+
+
+def test_n5_grid_depth_matches_full_depth(tmp_path, monkeypatch):
+    assert_grid_depth_matches_full_depth(tmp_path, monkeypatch,
+                                         dict(MODEL, N=5), 128, 544)
+
+
+@slow
+def test_n6_grid_depth_matches_full_depth(tmp_path, monkeypatch):
+    # The full-depth N = 6 run takes about 7 s.
+    assert_grid_depth_matches_full_depth(tmp_path, monkeypatch,
+                                         dict(MODEL, N=6), 256, 2080)
+
+
+def test_longer_grid_grows_a_deeper_chain(tmp_path, monkeypatch):
+    # At t_max = 20 the raw chain's tail passes TAIL_CUTOFF at K = 128: the
+    # first check fails and the chain grows a block.  The probes' tails
+    # raise no RuntimeWarning, which tier-1 would turn into an error.
+    depths = [run_paper(tmp_path, monkeypatch, f"t{t_max}", t_max=t_max)[1]
+              for t_max in (10.0, 20.0)]
+    assert [(s["K"], s["termination"]) for s in depths] == \
+        [(128, "grid"), (256, "grid")]
+
+
+def test_duhamel_check_deepens_a_closed_chain(tmp_path, monkeypatch):
+    # Closed N = 5 at K = 128: the raw tail, 2.0e-17, passes TAIL_CUTOFF,
+    # but the raw chain is the bound chain and its Duhamel bound exceeds
+    # DEPTH_TOL, so the chain grows to the next block end.
+    _, structure, _ = run_paper(tmp_path, monkeypatch, "closed", "lanczos",
+                                model=dict(CLOSED_MODEL, N=5))
+    assert (structure["K"], structure["termination"]) == (256, "grid")
+
+
+# The projected chain is propagated only once the raw one passes its tail
+# check (at t_max = 20 not at K = 128), and the two propagations at the
+# final depth are the ones the evolve and bound stages use.
+@pytest.mark.parametrize("t_max,depths", [(10.0, [128, 128]),
+                                          (20.0, [128, 256, 256])])
+def test_grid_depth_chains_are_propagated_once(tmp_path, monkeypatch, t_max,
+                                               depths):
+    evolved = []
+    evolve = cli.evolve_chain
+    monkeypatch.setattr(cli, "evolve_chain",
+                        lambda tri, t: evolved.append(tri.K) or evolve(tri, t))
+    run_paper(tmp_path, monkeypatch, "n5", t_max=t_max)
+    assert evolved == depths
+
+
+def test_n6_full_run_stops_at_grid_depth(tmp_path, monkeypatch):
+    _, structure, _ = run_paper(tmp_path, monkeypatch, "n6",
+                                model=dict(MODEL, N=6))
+    assert structure["termination"] == "grid"
+    assert structure["K"] <= 256
+
+
+@pytest.mark.parametrize("max_iter", [100, 200])
+def test_explicit_max_iter_fixes_the_depth(tmp_path, monkeypatch, max_iter):
+    _, structure, _ = run_paper(tmp_path, monkeypatch, "fixed", "lanczos",
+                                bilanczos={"max_iter": max_iter})
+    assert (structure["K"], structure["termination"]) == \
+        (max_iter, "max_iter")
+
+
+def test_lanczos_and_full_write_the_same_chain(tmp_path, monkeypatch):
+    outs = [run_paper(tmp_path, monkeypatch, command, command)[0]
+            for command in ("lanczos", "full")]
+    one, two = ((out / "coefficients.csv").read_bytes() for out in outs)
+    assert one == two
