@@ -35,7 +35,7 @@ TERM_MAX_ITER = "max_iter"
 TERM_BREAKDOWN = "breakdown"
 TERM_SERIOUS = "serious_breakdown"
 TERM_SYNTHETIC = "synthetic"
-TERM_GRID = "grid"     # cut where the time grid stops reaching (cli)
+TERM_GRID = "grid"     # cut by deep_enough; a label, judged like max_iter
 
 STRUCTURE_TOL = 1e-6   # relative tolerance of the structure verdicts
 BREAKDOWN_TOL = 1e-10  # smallest c_j, relative to the running max of c_j

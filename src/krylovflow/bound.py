@@ -12,14 +12,13 @@ closed systems (MT_TOL, MT_NOISE_FLOOR) and the synthetic coefficient
 family that saturates the bound exactly.
 """
 
-import warnings as _warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bilanczos import TERM_SYNTHETIC, TridiagonalData
 from .exceptions import InvariantViolation, NumericalFailure
-from .krylov_chain import TAIL_CUTOFF, evolve_chain, finite_diff, moments
+from .krylov_chain import evolve_chain, finite_diff, moments
 
 BOUND_TOL = 1e-6          # relative noise floor for bound violations
 IDENTITY_TOL = 1e-8       # renormalized-vs-plain lhs agreement
@@ -162,22 +161,17 @@ def saturating_coefficients(alpha0, gamma0, K):
 def saturation_report(alpha0, gamma0, K=400, t_max=6.0, n_samples=1201):
     """Bound report for the saturating synthetic chain.
 
-    The chain is evolved on [0, t_max]; the report is restricted to times
-    where the packet has not reached the finite chain end (tail mass below
-    ``krylov_chain.TAIL_CUTOFF``) and lists violations beyond
+    The chain is evolved on [0, t_max]; the report is restricted to the
+    trajectory's ``horizon``, the times where the packet has not reached
+    the finite chain end, and lists violations beyond
     ``BOUND_TOL * max(rhs)`` of those times.  Because a_n = 0 makes C, P
     and M2 exactly even in t, the series is mirror-extended across t = 0
     so every reported derivative uses a central stencil; samples past the
-    tail cutoff stay available as stencil neighbours but are not
-    reported.
+    horizon stay available as stencil neighbours but are not reported.
     """
     tri = saturating_coefficients(alpha0, gamma0, K)
     t = np.linspace(0.0, float(t_max), int(n_samples))
-    with _warnings.catch_warnings():
-        # The finite chain end is expected; the tail cutoff below handles it.
-        _warnings.filterwarnings("ignore", message="truncation tail",
-                                 category=RuntimeWarning)
-        traj = evolve_chain(tri, t)
+    traj = evolve_chain(tri, t)
     m = moments(traj)
 
     h = t[1] - t[0]
@@ -186,8 +180,7 @@ def saturation_report(alpha0, gamma0, K=400, t_max=6.0, n_samples=1201):
                     P=mirror(m.P), M2=mirror(m.M2), Ctilde=mirror(m.Ctilde))
     lhs, dC, _ = _plain_lhs(m_ext)
 
-    keep = traj.tail_mass[:m.t.size] < TAIL_CUTOFF
-    stop = int(np.argmin(keep)) if not np.all(keep) else m.t.size
+    stop = min(traj.horizon, m.t.size)
     # Drop the two ghost samples, then the tail.
     return _report(m_ext, tri.b[0], lhs, dC, slice(2, 2 + stop))
 

@@ -12,11 +12,13 @@ filter: a complete chain is shorter than the filter window).  A skipped
 stage is a usage error when requested by name and an entry of
 ``full_summary.json["skipped"]`` under ``full``.  Every config value the
 chosen stages use is checked before any stage runs; no number in a config
-may be non-finite; every config block rejects keys it does not know.
+may be non-finite; the config and its blocks reject keys they do not know.
 ``bilanczos`` runs in the reflection-even sector of L for every model with
 the uniform seed, and without ``bilanczos.max_iter`` only as deep as the
 time grid reaches (see _deep_enough): termination "grid", and
 coefficients.csv is the prefix of the full chain that the grid needs.
+The evolve and bound stages warn where the end of an incomplete chain
+shows on the grid (see _chain_moments).
 Each artifact is a deterministic CSV (17 significant digits, LF endings)
 with a JSON sidecar echoing the config and version.  Exit codes: 0
 success, 1 usage error (including a bad config value), 2 numerical
@@ -28,6 +30,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from collections import namedtuple
 from dataclasses import asdict
 from functools import partial
@@ -57,6 +60,9 @@ EXIT_INVARIANT = 3
 ORACLE_MAX_N = 4
 STRUCTURE_COEFFS = 50   # leading coefficients used for structure verdicts
 DEPTH_TOL = 1e-12       # Duhamel bound on what the grid-depth cut changes
+CONFIG_KEYS = ("model", "bilanczos", "seed_kind", "t_max", "n_samples",
+               "continuum", "saturation", "filter", "coefficients_csv",
+               "output_dir")
 
 
 class UsageError(Exception):
@@ -249,6 +255,9 @@ def _parse_filter(cfg):
 
 def _parse(cfg, stages):
     """Parse and check every config value the stages use."""
+    unknown = sorted(set(cfg) - set(CONFIG_KEYS))
+    if unknown:
+        raise UsageError(f"unknown config keys {unknown}")
     run = SimpleNamespace()
     grid = lambda cfg: {"t": np.linspace(0.0, *_grid(cfg, 10.0, 400))}
     parsers = [("time grid", grid)] + [
@@ -314,21 +323,39 @@ class ArtifactWriter:
 # needs from ``run`` and leaves its own results there.  Layer functions
 # are looked up as module globals at call time.
 
+def _bound_chain(tri):
+    """The contractive chain the bound certifies: ``tri`` if its leading
+    coefficients have closed structure, else its dissipative projection."""
+    if check_open_structure(tri, STRUCTURE_COEFFS).label == \
+            "closed structure":
+        return tri
+    return project_dissipative_structure(tri)
+
+
+def _chain_moments(run, tri, probe):
+    """Moments of ``tri`` (the lanczos stage's ``probe`` trajectory if any);
+    warns where the end of an incomplete chain shows on the grid."""
+    traj = run.probes.pop(probe, None) or evolve_chain(tri, run.t)
+    if not tri.complete and traj.horizon < run.t.size:
+        warnings.warn(
+            f"truncation tail |phi_K-1|^2 reached {max(traj.tail_mass):.3e} "
+            f"(cutoff {TAIL_CUTOFF:.1e}); results beyond that time are "
+            "affected by the finite chain", RuntimeWarning)
+    return moments(traj)
+
+
 def _deep_enough(run, tri, b_next):
     """The depth rule without ``bilanczos.max_iter``: (i) the raw chain's
-    last-site mass stays at or below TAIL_CUTOFF on the grid; then (ii) the
-    bound chain (contractive, see _run_bound) has a Duhamel bound t_max |b_K|
+    horizon spans the grid; (ii) the bound chain's Duhamel bound t_max |b_K|
     max_t |phi_{K-1}| <= DEPTH_TOL.  The evolve and bound stages reuse both."""
     raw = evolve_chain(tri, run.t)
-    if raw.tail_mass.max() > TAIL_CUTOFF:
+    if raw.horizon < run.t.size:
         return False
-    bound = raw
-    if check_open_structure(tri, STRUCTURE_COEFFS).label != \
-            "closed structure":
-        bound = evolve_chain(project_dissipative_structure(tri), run.t)
+    tri_b = _bound_chain(tri)
+    bound = raw if tri_b is tri else evolve_chain(tri_b, run.t)
     if run.t[-1] * b_next * np.abs(bound.phi[-1]).max() > DEPTH_TOL:
         return False
-    run.probes = {"raw": raw, "bound": bound}
+    run.probes = {"raw": raw} if bound is raw else {"raw": raw, "bound": bound}
     return True
 
 
@@ -339,7 +366,7 @@ def _run_lanczos(run, writer):
         run.L, run.seed, max_iter=run.max_iter,
         deep_enough=None if run.max_iter else partial(_deep_enough, run))
     n_struct = min(STRUCTURE_COEFFS, tri.K)
-    run.structure = report = check_open_structure(tri, n_coeffs=n_struct)
+    report = check_open_structure(tri, n_coeffs=n_struct)
     writer.write_table("coefficients.csv", _coefficient_table(tri))
     writer.write_json("structure.json", {
         **asdict(report),
@@ -352,23 +379,16 @@ def _run_lanczos(run, writer):
 
 
 def _run_evolve(run, writer):
-    run.moments = m = moments(run.probes.pop("raw", None)
-                              or evolve_chain(run.tri, run.t))
+    run.moments = m = _chain_moments(run, run.tri, "raw")
     writer.write_table("moments.csv", {"t": m.t, "C": m.C, "P": m.P,
                                        "M2": m.M2, "Ctilde": m.Ctilde})
 
 
 def _run_bound(run, writer):
-    # The bound applies to the dissipative chain.  For open runs the
-    # coefficients are projected onto the a = i|a|, b = c = |b| form and
-    # re-evolved; closed runs already have psi = phi and are used as is.
-    projected = run.structure.label != "closed structure"
-    traj = run.probes.pop("bound", None)
-    if projected:
-        tri_b = project_dissipative_structure(run.tri)
-        m = moments(traj or evolve_chain(tri_b, run.t))
-    else:
-        tri_b, m = run.tri, run.moments
+    # A closed chain is its own bound chain, already evolved and judged.
+    tri_b = _bound_chain(run.tri)
+    projected = tri_b is not run.tri
+    m = _chain_moments(run, tri_b, "bound") if projected else run.moments
     if m.t.size < 3:
         raise NumericalFailure(f"total probability underflowed after "
                                f"{m.t.size} sample(s); the bound needs 3")

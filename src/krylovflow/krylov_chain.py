@@ -18,7 +18,7 @@ SIAM J. Sci. Comput. 33, 2011); each Taylor term is one product of the
 stacked diagonals with a sliding window of the last term.  The Lanczos
 chain of a Lindbladian from a Hermitian seed has Re a = 0 and real b, c,
 so A_phi is real and the raw chain is propagated in real arithmetic, like
-the projected one; its D_n are +-1.
+the projected one; its D_n are +-1.  A chain end is measured, not warned of.
 """
 
 import warnings
@@ -30,7 +30,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import expm
 from scipy.linalg.blas import idamax
 
-from .bilanczos import TERM_GRID
 from .exceptions import NumericalFailure
 from .lindbladian import as_matrix, hermitian_generator
 
@@ -46,6 +45,11 @@ class ChainTrajectory:
     tail_mass: np.ndarray  # |phi_{K-1}|^2 per time
     # always 0; kept only because perfbench/worker.py reads it
     refinements: int = 0
+
+    @property
+    def horizon(self):
+        """Number of leading samples with last-site mass <= TAIL_CUTOFF."""
+        return int(np.argmax(np.append(self.tail_mass, np.inf) > TAIL_CUTOFF))
 
 
 @dataclass
@@ -214,11 +218,8 @@ def evolve_chain(tri, t_grid):
     psi is not propagated: by the gauge identity of the module docstring,
     psi_n = conj(D_n) phi_n = phi_n prod_{j <= n} b_j / c_j, and psi is phi
     itself when b = c entry for entry.  Raises ValueError for a chain with
-    c_n = 0 != b_n, which has no such gauge.  A chain that is neither
-    ``tri.complete`` nor cut at the grid depth (``TERM_GRID``: the rule
-    that cuts it reads this tail mass itself) warns once its last-site
-    mass passes ``TAIL_CUTOFF``.
-    Raises NumericalFailure if phi or psi is not finite.
+    c_n = 0 != b_n, which has no such gauge, and NumericalFailure if phi or
+    psi is not finite; a finite chain end raises and warns nothing.
     """
     t, _ = _uniform_step(t_grid)
     if abs(t[0]) > 1e-12:
@@ -244,16 +245,8 @@ def evolve_chain(tri, t_grid):
             psi = np.cumprod(np.concatenate([[1.0], ratio]))[:, None] * phi
     if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(psi))):
         raise NumericalFailure("chain propagation produced non-finite values")
-
-    tail = np.abs(phi[-1, :]) ** 2
-    # On a complete chain the last-site amplitude is physical.
-    if not (tri.complete or tri.termination == TERM_GRID) \
-            and tail.max() > TAIL_CUTOFF:
-        warnings.warn(
-            f"truncation tail |phi_K-1|^2 reached {tail.max():.3e} "
-            f"(cutoff {TAIL_CUTOFF:.1e}); results beyond that time are "
-            "affected by the finite chain", RuntimeWarning)
-    return ChainTrajectory(t=t, phi=phi, psi=psi, tail_mass=tail)
+    return ChainTrajectory(t=t, phi=phi, psi=psi,
+                           tail_mass=np.abs(phi[-1, :]) ** 2)
 
 
 def moments(traj):

@@ -13,8 +13,9 @@ from krylovflow.bilanczos import TERM_BREAKDOWN, TridiagonalData, \
     _lanczos, bilanczos, project_dissipative_structure
 from krylovflow.bound import saturating_coefficients
 from krylovflow.exceptions import NumericalFailure
-from krylovflow.krylov_chain import (ChainTrajectory, _power_norms,
-                                     _propagate, _taylor_parameters,
+from krylovflow.krylov_chain import (TAIL_CUTOFF, ChainTrajectory,
+                                     _power_norms, _propagate,
+                                     _taylor_parameters,
                                      direct_evolution_oracle, evolve_chain,
                                      finite_diff, moments)
 from krylovflow.lindbladian import build_model_lindbladian, uniform_seed, \
@@ -94,9 +95,25 @@ def test_dissipative_probability_non_increasing():
                           b=(0.6 * n).astype(complex),
                           c=(0.6 * n).astype(complex))
     t = np.linspace(0, 3, 301)
-    with pytest.warns(RuntimeWarning, match="truncation tail"):
-        m = moments(evolve_chain(tri, t))
+    traj = evolve_chain(tri, t)
+    assert traj.horizon < t.size   # the packet reaches the chain end
+    m = moments(traj)
     assert np.diff(m.P).max() < 1e-10
+
+
+def test_truncated_chain_evolves_silently_with_short_horizon():
+    # The open N = 3 chain cut at K = 20 reaches its end on [0, 10]: the
+    # trajectory measures where, and evolve_chain itself warns of nothing.
+    spec = ModelSpec(N=3, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
+    tri = bilanczos(build_model_lindbladian(spec), uniform_seed(spec.dim),
+                    max_iter=20)
+    t = np.linspace(0, 10, 400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = evolve_chain(tri, t)
+    assert not tri.complete and 0 < traj.horizon < t.size
+    assert traj.tail_mass[:traj.horizon].max() <= TAIL_CUTOFF \
+        < traj.tail_mass[traj.horizon]
 
 
 def test_cauchy_schwarz_moment_inequality():
@@ -362,11 +379,8 @@ def test_propagator_matches_expm_multiply_on_model_chains(project, N, rates):
 
 
 def test_propagator_matches_expm_multiply_on_saturating_chain():
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="truncation tail",
-                                category=RuntimeWarning)
-        _assert_matches_expm_multiply(saturating_coefficients(1.0, 1.0, 400),
-                                      np.linspace(0, 6, 1201))
+    _assert_matches_expm_multiply(saturating_coefficients(1.0, 1.0, 400),
+                                  np.linspace(0, 6, 1201))
 
 
 def test_n5_raw_chain_evolves_without_runtime_warnings():

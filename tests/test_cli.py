@@ -15,6 +15,7 @@ from krylovflow.cli import (EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK,
 from krylovflow.lindbladian import MAX_QUBITS, build_model_lindbladian, \
     uniform_seed
 from krylovflow.spin_algebra import ModelSpec, pauli_matrix
+from perfbench.workloads import ALL as WORKLOADS
 
 MODEL = {"N": 2, "g": -1.05, "h": 0.5, "alpha": 0.01, "gamma": 0.01}
 
@@ -203,6 +204,11 @@ BAD_CONFIGS = {
     # t_max keeps the truncated chain's tail under its warning cutoff
     "chain_shorter_than_filter": {"bilanczos": {"max_iter": 5},
                                   "t_max": 0.02},
+    # The top level rejects unknown keys too: a misspelt grid or block
+    # would otherwise fall back to its default silently.
+    "t_mx": {"t_mx": 2.0, "n_sample": 41},
+    "continum": {"continum": {"case": "constant_a", "alpha": 3.0,
+                              "beta": 2.0}},
 }
 
 
@@ -223,6 +229,12 @@ def test_bad_config_value_is_usage_error(tmp_path, monkeypatch, overrides):
     error = json.loads((out / "error.json").read_text())
     assert error["error"] == "usage"
     assert os.listdir(out) == ["error.json"]
+
+
+def test_benchmark_configs_use_known_keys():
+    for workload in WORKLOADS.values():
+        for cfg in workload(0):
+            assert set(cfg) <= set(cli.CONFIG_KEYS)
 
 
 def test_integral_float_counts_parse(tmp_path):
@@ -621,8 +633,8 @@ def test_n6_grid_depth_matches_full_depth(tmp_path, monkeypatch):
 
 def test_longer_grid_grows_a_deeper_chain(tmp_path, monkeypatch):
     # At t_max = 20 the raw chain's tail passes TAIL_CUTOFF at K = 128: the
-    # first check fails and the chain grows a block.  The probes' tails
-    # raise no RuntimeWarning, which tier-1 would turn into an error.
+    # first check fails and the chain grows a block.  The probes raise no
+    # RuntimeWarning, which tier-1 would turn into an error.
     depths = [run_paper(tmp_path, monkeypatch, f"t{t_max}", t_max=t_max)[1]
               for t_max in (10.0, 20.0)]
     assert [(s["K"], s["termination"]) for s in depths] == \
@@ -651,6 +663,50 @@ def test_grid_depth_chains_are_propagated_once(tmp_path, monkeypatch, t_max,
                         lambda tri, t: evolved.append(tri.K) or evolve(tri, t))
     run_paper(tmp_path, monkeypatch, "n5", t_max=t_max)
     assert evolved == depths
+
+
+def test_n5_grid_depth_chains_span_the_grid(tmp_path, monkeypatch):
+    # Both chains the stages use, raw and projected, keep their last-site
+    # mass at or below TAIL_CUTOFF on the whole grid: a chain cut at the
+    # grid depth needs no exemption from the truncation warning.
+    trajs = []
+    evolve = cli.evolve_chain
+    monkeypatch.setattr(cli, "evolve_chain", lambda tri, t:
+                        trajs.append(evolve(tri, t)) or trajs[-1])
+    run_paper(tmp_path, monkeypatch, "n5", "bound")
+    assert [traj.horizon for traj in trajs] == [400, 400]
+
+
+# N = 3 models cut at K = 20: the chain end shows on [0, 10].  The evolve
+# stage warns of the raw chain, the bound stage of the projected chain it
+# evolves, once each; a closed chain is its own bound chain and is not
+# judged twice.
+@pytest.mark.parametrize("command,model,tails", [
+    ("evolve", MODEL, ["1.427e-02"]),
+    ("bound", MODEL, ["1.427e-02", "1.151e-02"]),
+    ("bound", CLOSED_MODEL, ["7.680e-02"])],
+    ids=["evolve", "bound", "bound_closed"])
+def test_stages_warn_of_their_chain_truncation(tmp_path, monkeypatch,
+                                               command, model, tails):
+    with pytest.warns(RuntimeWarning) as caught:
+        run_paper(tmp_path, monkeypatch, command, command,
+                  model=dict(model, N=3), bilanczos={"max_iter": 20})
+    assert [str(w.message) for w in caught] == [
+        f"truncation tail |phi_K-1|^2 reached {tail} (cutoff 1.0e-10); "
+        "results beyond that time are affected by the finite chain"
+        for tail in tails]
+
+
+def test_complete_chain_end_is_not_judged(tmp_path, monkeypatch):
+    # Open N = 2 is complete at K = 10, and both its chains' last-site
+    # masses pass TAIL_CUTOFF on [0, 10]: that mass is physical, so no
+    # stage warns (tier-1 would turn a warning into an error).
+    trajs = []
+    evolve = cli.evolve_chain
+    monkeypatch.setattr(cli, "evolve_chain", lambda tri, t:
+                        trajs.append(evolve(tri, t)) or trajs[-1])
+    run_paper(tmp_path, monkeypatch, "n2", "bound", model=dict(MODEL))
+    assert [traj.horizon < 400 for traj in trajs] == [True, True]
 
 
 def test_n6_full_run_stops_at_grid_depth(tmp_path, monkeypatch):
