@@ -665,14 +665,20 @@ def test_grid_depth_chains_are_propagated_once(tmp_path, monkeypatch, t_max,
     assert evolved == depths
 
 
-def test_n5_grid_depth_chains_span_the_grid(tmp_path, monkeypatch):
-    # Both chains the stages use, raw and projected, keep their last-site
-    # mass at or below TAIL_CUTOFF on the whole grid: a chain cut at the
-    # grid depth needs no exemption from the truncation warning.
+def recorded_trajectories(monkeypatch):
+    """The trajectories of the evolve_chain calls cli makes from now on."""
     trajs = []
     evolve = cli.evolve_chain
     monkeypatch.setattr(cli, "evolve_chain", lambda tri, t:
                         trajs.append(evolve(tri, t)) or trajs[-1])
+    return trajs
+
+
+def test_n5_grid_depth_chains_span_the_grid(tmp_path, monkeypatch):
+    # Both chains the stages use, raw and projected, keep their last-site
+    # mass at or below TAIL_CUTOFF on the whole grid: a chain cut at the
+    # grid depth needs no exemption from the truncation warning.
+    trajs = recorded_trajectories(monkeypatch)
     run_paper(tmp_path, monkeypatch, "n5", "bound")
     assert [traj.horizon for traj in trajs] == [400, 400]
 
@@ -701,10 +707,7 @@ def test_complete_chain_end_is_not_judged(tmp_path, monkeypatch):
     # Open N = 2 is complete at K = 10, and both its chains' last-site
     # masses pass TAIL_CUTOFF on [0, 10]: that mass is physical, so no
     # stage warns (tier-1 would turn a warning into an error).
-    trajs = []
-    evolve = cli.evolve_chain
-    monkeypatch.setattr(cli, "evolve_chain", lambda tri, t:
-                        trajs.append(evolve(tri, t)) or trajs[-1])
+    trajs = recorded_trajectories(monkeypatch)
     run_paper(tmp_path, monkeypatch, "n2", "bound", model=dict(MODEL))
     assert [traj.horizon < 400 for traj in trajs] == [True, True]
 
