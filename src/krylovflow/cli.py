@@ -21,9 +21,9 @@ The evolve and bound stages warn where the end of an incomplete chain
 shows on the grid (see _chain_moments).
 Each artifact is a deterministic CSV (17 significant digits, LF endings)
 with a JSON sidecar echoing the config and version.  Exit codes: 0
-success, 1 usage error (including a bad config value), 2 numerical
-failure, 3 invariant violation; on failure the run's artifacts are
-removed and ``error.json`` is written.
+success, 1 usage error (including a bad config value or a size too
+large to allocate), 2 numerical failure, 3 invariant violation; on
+failure the run's artifacts are removed and ``error.json`` is written.
 """
 
 import argparse
@@ -503,8 +503,10 @@ def _plan(command, cfg):
     return [stage for stage in STAGES if stage.name in names]
 
 
-# The error.json kind and exit code of each failure a run reports.
+# The error.json kind and exit code of each failure a run reports.  A
+# MemoryError comes from a config size no machine can allocate.
 ERRORS = {UsageError: ("usage", EXIT_USAGE),
+          MemoryError: ("usage", EXIT_USAGE),
           NumericalFailure: ("numerical", EXIT_NUMERICAL),
           InvariantViolation: ("invariant", EXIT_INVARIANT)}
 

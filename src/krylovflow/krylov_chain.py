@@ -14,11 +14,14 @@ projected and saturating chain) D = 1 and psi = phi.  A chain with
 c_n = 0 != b_n has no such gauge and is rejected.  phi is propagated
 exactly, as exp(t A_phi) e0 on the whole uniform time grid, by a Taylor
 propagator for tridiagonal generators (algorithm 5.2 of Al-Mohy & Higham,
-SIAM J. Sci. Comput. 33, 2011); each Taylor term is one product of the
-stacked diagonals with a sliding window of the last term.  The Lanczos
-chain of a Lindbladian from a Hermitian seed has Re a = 0 and real b, c,
-so A_phi is real and the raw chain is propagated in real arithmetic, like
-the projected one; its D_n are +-1.  A chain end is measured, not warned of.
+SIAM J. Sci. Comput. 33, 2011).  It plans once per grid: Taylor degree 55
+and a substep count from the exact 1-norms of powers of A_phi, walked as
+whole grid steps per block or whole substeps per grid step.  Each Taylor
+term is one product of the stacked diagonals with a sliding window of the
+last term.  The Lanczos chain of a Lindbladian from a Hermitian seed has
+Re a = 0 and real b, c, so A_phi is real and the raw chain is propagated
+in real arithmetic, like the projected one; its D_n are +-1.  A chain end
+is measured, not warned of.
 """
 
 import warnings
@@ -72,61 +75,34 @@ def _uniform_step(t_grid):
     return t, float(dt[0])
 
 
-# theta_m of Al-Mohy & Higham (2011), table 3.1, in double precision: the
-# truncated Taylor series of degree m, applied s times to exp(tA / s), is
-# accurate to unit roundoff once the relevant norm of tA / s is below
-# theta_m.  The entries m <= 30 are from Higham & Al-Mohy, Acta Numer. 19
-# (2010), table A.3.
-_THETA = {
-    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
-    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
-    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
-    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
-    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
-    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
-    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
-}
-_M_MAX = 55
-_P_MAX = 8            # largest p with p (p - 1) <= _M_MAX + 1
-_ELL = 2              # norm-estimate columns the bound (3.13) assumes
+# theta_55 of Al-Mohy & Higham (2011), table 3.1, in double precision: the
+# truncated Taylor series of degree 55, applied s times to exp(tA / s), is
+# accurate to unit roundoff once t max(d_p, d_{p+1}) / s <= theta_55 for
+# one p with p (p - 1) <= 55 + 1, where d_p = ||A^p||_1^(1/p).
+_THETA_55 = 9.9
+_P_MAX = 8            # largest p with p (p - 1) <= 55 + 1
 _TOL = 2.0 ** -53
 
 
-def _power_norms(A):
-    """Exact 1-norms of A^p, p = 1 .. _P_MAX + 1, for a sparse banded A.
+def _taylor_plan(A, t):
+    """Taylor degree m and substep count s for exp(tA), A sparse banded.
 
-    A tridiagonal A has a (2p + 1)-diagonal A^p, so the powers stay cheap.
+    s = ceil(t min_p max(d_p, d_{p+1}) / theta_55) over p = 2 .. _P_MAX, at
+    least 1, with exact d_p = ||A^p||_1^(1/p): a tridiagonal A has a
+    (2p + 1)-diagonal A^p, so the powers stay cheap.  As d_p <= ||A||_1, a
+    plan from ||A||_1 alone would take no fewer substeps.  m is 55, a cap
+    on the terms the loop sums, and 0 only for A = 0: a nilpotent A has
+    s = 0 too but is no identity map.
     """
-    norms = np.empty(_P_MAX + 1)
+    norms = np.empty(_P_MAX + 1)   # ||A^p||_1, p = 1 .. _P_MAX + 1
     P = A
     for p in range(_P_MAX + 1):
         if p:
             P = P @ A
         norms[p] = abs(P).sum(axis=0).max()
-    return norms
-
-
-def _taylor_parameters(norms, t):
-    """Taylor degree m and substep count s for exp(tA): fragment (3.1).
-
-    ``norms`` are the 1-norms of A^p from :func:`_power_norms`; the pair
-    minimizes the matvec count m s subject to the accuracy bound.
-    """
-    one_norm = t * norms[0]
-    if one_norm == 0:
-        return 0, 1
-    # Condition (3.13): when it holds, ||tA||_1 alone sets s.
-    if one_norm <= (2 * _ELL * _P_MAX * (_P_MAX + 3)
-                    * _THETA[_M_MAX] / _M_MAX):
-        cost = [(m, int(np.ceil(one_norm / theta)))
-                for m, theta in _THETA.items()]
-    else:
-        d = t * norms ** (1.0 / np.arange(1, _P_MAX + 2))   # d_p, p = 1..
-        cost = [(m, int(np.ceil(max(d[p - 1], d[p]) / _THETA[m])))
-                for p in range(2, _P_MAX + 1)
-                for m in _THETA if m >= p * (p - 1) - 1]
-    m, s = min(cost, key=lambda ms: ms[0] * ms[1])
-    return m, max(s, 1)
+    d = norms ** (1.0 / np.arange(1, _P_MAX + 2))   # d_p from p = 1
+    s = int(np.ceil(t * np.maximum(d[1:-1], d[2:]).min() / _THETA_55))
+    return (55 if norms[0] else 0), max(s, 1)
 
 
 def _inf_norm(x):
@@ -142,27 +118,25 @@ def _propagate(A, y0, h, q):
 
     A is a sparse tridiagonal matrix.  This is algorithm 5.2 of Al-Mohy &
     Higham, SIAM J. Sci. Comput. 33 (2011): A is shifted by its mean
-    diagonal mu, and the Taylor degree m and substep count s for [0, q h]
-    come from exact 1-norms of powers of the shifted A.  One Taylor loop
-    walks [0, q h] in blocks.  If q > s, a block is d = q // s grid steps
-    (the last one shorter when d does not divide q).  Otherwise the plan
-    for one grid step sets m and a substep count r, a block is one
-    substep of h / r, and every r-th block ends on a grid point.  A block
-    of length tau sums T_p = (tau A)^p Z / p! from its first point Z into
-    its last point, cut once two successive terms fall below unit roundoff
-    of the sum; its inner points sum_p (k h / tau)^p T_p are one matrix
-    product.  The terms are the rows of a zero-padded array, so T_p sums the
-    stacked diagonals of (tau / p) A times the (3, n) sliding window of
-    T_{p-1}.  The arithmetic is real when A and y0 are (norms from idamax).
+    diagonal mu, and one plan for [0, q h], :func:`_taylor_plan` of the
+    shifted A, sets the Taylor degree m and the substep count s.  One
+    Taylor loop walks [0, q h] in blocks of d = max(q // s, 1) grid steps,
+    with r = ceil(s / q) substeps per grid step: when s < q a block is d
+    grid steps (the last one shorter when d does not divide q), otherwise
+    one substep of h / r, and every r-th block ends on a grid point.  A
+    block of length tau sums T_p = (tau A)^p Z / p! from its first point Z
+    into its last point, cut once two successive terms fall below unit
+    roundoff of the sum; its inner points sum_p (k h / tau)^p T_p are one
+    matrix product.  The terms are the rows of a zero-padded array, so T_p
+    sums the stacked diagonals of (tau / p) A times the (3, n) sliding
+    window of T_{p-1}.  The arithmetic is real when A and y0 are (norms
+    from idamax).
     """
     n = y0.size
     mu = A.diagonal().mean()
     A = A - mu * sp.eye(n, dtype=A.dtype, format="csr")
-    norms = _power_norms(A)
-    m, s = _taylor_parameters(norms, q * h)
-    r, d = 1, max(q // s, 1)
-    if q <= s:
-        m, r = _taylor_parameters(norms, h)
+    m, s = _taylor_plan(A, q * h)
+    r, d = -(-s // q), max(q // s, 1)
     X = np.empty((q + 1, n), dtype=np.result_type(A.dtype, y0.dtype))
     X[0] = y0
     D = np.zeros((3, n), dtype=X.dtype)   # D[:, i] multiplies x[i-1:i+2]

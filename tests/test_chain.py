@@ -14,10 +14,8 @@ from krylovflow.bilanczos import TERM_BREAKDOWN, TridiagonalData, \
 from krylovflow.bound import saturating_coefficients
 from krylovflow.exceptions import NumericalFailure
 from krylovflow.krylov_chain import (TAIL_CUTOFF, ChainTrajectory,
-                                     _power_norms, _propagate,
-                                     _taylor_parameters,
-                                     direct_evolution_oracle, evolve_chain,
-                                     finite_diff, moments)
+                                     _propagate, direct_evolution_oracle,
+                                     evolve_chain, finite_diff, moments)
 from krylovflow.lindbladian import build_model_lindbladian, uniform_seed, \
     vectorize
 from krylovflow.spin_algebra import ModelSpec, pauli_matrix, site_operator
@@ -243,7 +241,7 @@ def test_propagation_independent_of_global_random_state():
 def _taylor_plan(A, t_end):
     """(m, s) that _propagate picks for exp(t_end A), A shifted as there."""
     A = sp.csr_array(A - A.diagonal().mean() * sp.eye(A.shape[0]))
-    return _taylor_parameters(_power_norms(A), t_end)
+    return krylov_chain._taylor_plan(A, t_end)
 
 
 def _stiff_chain():
@@ -332,7 +330,7 @@ def test_grid_propagator_matches_dense_expm(chain, path):
     q = t.size - 1
     m, s = _taylor_plan(A, t[-1])
     if "per-step" in path:   # several substeps per grid step
-        assert q <= s and _taylor_plan(A, t[-1] / q)[1] > 1
+        assert s > q
     if path == "unequal blocks":
         assert q > s and q % (q // s) != 0
     if path == "zero plan":
@@ -348,6 +346,26 @@ def test_grid_propagator_matches_dense_expm(chain, path):
         assert np.linalg.norm(X[k] - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("K", [2, 3])
+def test_nilpotent_generator_is_propagated(K):
+    # Equal a_n, b = 0 and c != 0: the shifted generator is nilpotent (a_n
+    # is a dyadic fraction, so the mean diagonal is exact), every d_p with
+    # p >= K vanishes and the plan's s is 0.  It is still no identity map,
+    # so the plan keeps its Taylor terms.
+    tri = TridiagonalData(a=np.full(K, 0.25 + 0.5j),
+                          b=np.zeros(K - 1, dtype=complex),
+                          c=np.full(K - 1, 1.5 + 0j),
+                          termination=TERM_BREAKDOWN)
+    t = np.linspace(0, 2, 21)
+    A = _recursion_generators(tri)[0]
+    assert _taylor_plan(A, t[-1]) == (55, 1)
+    phi = evolve_chain(tri, t).phi
+    e0 = np.eye(K)[0]
+    for k, tk in enumerate(t):
+        ref = expm(tk * A.toarray()) @ e0
+        assert np.linalg.norm(phi[:, k] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def _assert_matches_expm_multiply(tri, t):
     """Both trajectories against scipy's expm_multiply of the recursion
     generators, grid point by grid point, to 1e-10 relative."""
@@ -361,18 +379,24 @@ def _assert_matches_expm_multiply(tri, t):
         assert np.all(err <= 1e-10 * np.linalg.norm(ref, axis=0))
 
 
-@pytest.mark.parametrize("project, N, rates", [
-    pytest.param(project, N, (0.01, 0.01), id=f"{project}-{N}")
+@pytest.mark.parametrize("project, N, rates, max_iter", [
+    pytest.param(project, N, (0.01, 0.01), None, id=f"{project}-{N}")
     for project in (False, True) for N in (3, 4)
 ] + [
     # The projected chain of this model takes the per-step path.
-    pytest.param(True, 4, (0.0171, 0.2), id="True-4-per-step"),
+    pytest.param(True, 4, (0.0171, 0.2), None, id="True-4-per-step"),
+] + [
+    # The grid-depth N = 5 chains of the pipeline; the projected one has
+    # the near-breakdown block that sets the most substeps per grid step.
+    pytest.param(project, 5, (0.01, 0.01), 128, id=f"{project}-5-grid")
+    for project in (False, True)
 ])
-def test_propagator_matches_expm_multiply_on_model_chains(project, N, rates):
+def test_propagator_matches_expm_multiply_on_model_chains(project, N, rates,
+                                                          max_iter):
     alpha, gamma = rates
     spec = ModelSpec(N=N, g=-1.05, h=0.5, alpha=alpha, gamma=gamma)
     seed = uniform_seed(spec.dim)
-    tri = bilanczos(build_model_lindbladian(spec), seed)
+    tri = bilanczos(build_model_lindbladian(spec), seed, max_iter=max_iter)
     if project:
         tri = project_dissipative_structure(tri)
     _assert_matches_expm_multiply(tri, np.linspace(0, 10, 400))

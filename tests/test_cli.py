@@ -209,6 +209,13 @@ BAD_CONFIGS = {
     "t_mx": {"t_mx": 2.0, "n_sample": 41},
     "continum": {"continum": {"case": "constant_a", "alpha": 3.0,
                               "beta": 2.0}},
+    # Sizes no machine can allocate: 10**15 float64 samples are 7.1 PiB,
+    # which a 64-bit allocator refuses at once.  The saturation grid is
+    # made only after the earlier stages have written, so that case also
+    # checks the rollback.  Never use a size a machine could allocate.
+    "huge_n_samples": {"n_samples": 10 ** 15},
+    "huge_saturation_K": {"saturation": {"K": 10 ** 15}},
+    "huge_saturation_n_samples": {"saturation": {"n_samples": 10 ** 15}},
 }
 
 
