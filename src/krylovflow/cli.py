@@ -4,15 +4,15 @@ Usage:  krylovflow <subcommand> --config <file.json> [--out DIR] [--quiet]
 
 The pipeline is one table of stages, run in this order: lanczos, evolve,
 bound, oracle, continuum, saturation, filter.  A subcommand runs its
-stage and the stages that one needs (evolve and filter need lanczos,
-filter not when the config names a ``coefficients_csv``; bound and oracle
-need evolve); ``full`` runs them all.  A skip rule is checked just before
-its stage (oracle: N > ORACLE_MAX_N; continuum: no ``continuum`` block;
-filter: a complete chain is shorter than the filter window).  A skipped
-stage is a usage error when requested by name and an entry of
-``full_summary.json["skipped"]`` under ``full``.  Every config value the
-chosen stages use is checked before any stage runs; no number in a config
-may be non-finite; the config and its blocks reject keys they do not know.
+stage and the stages that one needs (evolve and filter need lanczos;
+bound and oracle need evolve); ``full`` runs them all.  A skip rule is
+checked just before its stage (oracle: N > ORACLE_MAX_N; continuum: no
+``continuum`` block; filter: a complete chain is shorter than the filter
+window).  A skipped stage is a usage error when requested by name and
+an entry of ``full_summary.json["skipped"]`` under ``full``.  Every
+config value the chosen stages use is checked before any stage runs; no
+number in a config may be non-finite; the config and its blocks reject
+keys they do not know.
 ``bilanczos`` runs in the reflection-even sector of L for every model with
 the uniform seed, and without ``bilanczos.max_iter`` only as deep as the
 time grid reaches (see _deep_enough): termination "grid", and
@@ -61,8 +61,7 @@ ORACLE_MAX_N = 4
 STRUCTURE_COEFFS = 50   # leading coefficients used for structure verdicts
 DEPTH_TOL = 1e-12       # Duhamel bound on what the grid-depth cut changes
 CONFIG_KEYS = ("model", "bilanczos", "seed_kind", "t_max", "n_samples",
-               "continuum", "saturation", "filter", "coefficients_csv",
-               "output_dir")
+               "continuum", "saturation", "filter", "output_dir")
 
 
 class UsageError(Exception):
@@ -84,18 +83,6 @@ def csv_table(columns):
                       for v in values.tolist()])
     rows = [",".join(columns)] + [",".join(row) for row in zip(*cells)]
     return "\n".join(rows) + "\n"
-
-
-def read_table(text):
-    """Columns of CSV text as {header name: [cell text, ...]}."""
-    rows = [line.split(",") for line in text.splitlines() if line.strip()]
-    if not rows:
-        raise ValueError("empty CSV table")
-    header = rows[0]
-    if any(len(row) != len(header) for row in rows):
-        raise ValueError(f"CSV rows differ in length from header {header}")
-    return {name: [row[j] for row in rows[1:]]
-            for j, name in enumerate(header)}
 
 
 def _coefficient_table(tri):
@@ -227,30 +214,9 @@ def _parse_saturation(cfg):
 
 
 def _parse_filter(cfg):
-    fcfg = FilterConfig(**_fields(_block(cfg, "filter"), "filter",
-                                  outlier_window=_count, outlier_k=_finite,
-                                  smooth_window=_count))
-    path = cfg.get("coefficients_csv")
-    if path is None:
-        return {"filter": fcfg, "series": None}
-    with open(path, "r", encoding="utf-8") as fh:
-        table = read_table(fh.read())
-    if "a_re" in table:
-        # A coefficients.csv table: every cell is a number except the
-        # b and c cells of the n = 0 row.
-        v = {name: np.array([_finite(x) for x in
-                             (cells[1:] if name[0] in "bc" else cells)])
-             for name, cells in table.items()}
-        series = _filter_inputs(v["a_re"] + 1j * v["a_im"],
-                                v["b_re"] + 1j * v["b_im"])
-    else:
-        names = list(table)
-        if names[0] != "n" or len(names) < 2:
-            raise ValueError(
-                "expected CSV header starting with 'n,<series>'")
-        series = [("filtered.csv",
-                   np.array([_finite(x) for x in table[names[1]]]), {})]
-    return {"filter": fcfg, "series": series}
+    return {"filter": FilterConfig(**_fields(
+        _block(cfg, "filter"), "filter", outlier_window=_count,
+        outlier_k=_finite, smooth_window=_count))}
 
 
 def _parse(cfg, stages):
@@ -428,14 +394,13 @@ def _run_saturation(run, writer):
 
 
 def _filter_skip(run):
-    """A series shorter than the filter window: a reason to skip when it
-    comes from a complete Lanczos chain, else a usage error."""
+    """A series shorter than the filter window: a reason to skip when the
+    chain is complete, else a usage error."""
     window = max(run.filter.outlier_window, run.filter.smooth_window)
-    for name, series, _ in (run.series or
-                            _filter_inputs(run.tri.a, run.tri.b)):
+    for name, series, _ in _filter_inputs(run.tri.a, run.tri.b):
         if series.size < window:
             reason = f"series length {series.size} < filter window {window}"
-            if run.series is None and run.tri.complete:
+            if run.tri.complete:
                 return reason
             raise UsageError(f"{name}: {reason}")
     return None
@@ -443,8 +408,7 @@ def _filter_skip(run):
 
 def _run_filter(run, writer):
     fcfg = run.filter
-    for name, series, extra in (run.series or
-                                _filter_inputs(run.tri.a, run.tri.b)):
+    for name, series, extra in _filter_inputs(run.tri.a, run.tri.b):
         cleaned, smoothed, _ = filter_series(series, fcfg)
         writer.write_table(name, {"n": np.arange(series.size),
                                   "raw": series, "cleaned": cleaned,
@@ -452,45 +416,37 @@ def _run_filter(run, writer):
                            extra={"filter": fcfg.__dict__, **extra})
 
 
-# needs(cfg) -> stage names; skip(run) -> reason or None; parse(cfg) ->
-# parsed values (see _parse); run(run, writer) does the stage's work.
+# needs: a tuple of stage names; skip(run) -> reason or None; parse(cfg)
+# -> parsed values (see _parse); run(run, writer) does the stage's work.
 Stage = namedtuple("Stage", "name needs artifacts skip parse run")
-
-
-def _needs(*names):
-    return lambda cfg: names
-
 
 # The pipeline in run order; a stage needs only earlier rows.
 STAGES = (
-    Stage("lanczos", _needs(), ("coefficients.csv", "structure.json"),
+    Stage("lanczos", (), ("coefficients.csv", "structure.json"),
           None, _parse_lanczos, _run_lanczos),
-    Stage("evolve", _needs("lanczos"), ("moments.csv",),
+    Stage("evolve", ("lanczos",), ("moments.csv",),
           None, None, _run_evolve),
-    Stage("bound", _needs("evolve"), ("bound.csv", "bound_summary.json"),
+    Stage("bound", ("evolve",), ("bound.csv", "bound_summary.json"),
           None, None, _run_bound),
-    Stage("oracle", _needs("evolve"), ("oracle.csv",),
+    Stage("oracle", ("evolve",), ("oracle.csv",),
           lambda run: (f"N > {ORACLE_MAX_N}"
                        if run.model.N > ORACLE_MAX_N else None),
           None, _run_oracle),
-    Stage("continuum", _needs(), ("continuum.csv",),
+    Stage("continuum", (), ("continuum.csv",),
           lambda run: ("no continuum block"
                        if run.continuum is None else None),
           _parse_continuum, _run_continuum),
-    Stage("saturation", _needs(),
+    Stage("saturation", (),
           ("saturation.csv", "saturation_summary.json"),
           None, _parse_saturation, _run_saturation),
-    Stage("filter",
-          lambda cfg: (() if cfg.get("coefficients_csv") is not None
-                       else ("lanczos",)),
-          ("filtered_b_abs.csv", "filtered_a_im.csv", "filtered.csv"),
+    Stage("filter", ("lanczos",), ("filtered_b_abs.csv", "filtered_a_im.csv"),
           _filter_skip, _parse_filter, _run_filter),
 )
 
 SUBCOMMANDS = tuple(stage.name for stage in STAGES) + ("full",)
 
 
-def _plan(command, cfg):
+def _plan(command):
     """The rows a subcommand runs: its stage and, transitively, its needs."""
     if command == "full":
         return STAGES
@@ -499,7 +455,7 @@ def _plan(command, cfg):
     names = {command}
     for stage in reversed(STAGES):
         if stage.name in names:
-            names.update(stage.needs(cfg))
+            names.update(stage.needs)
     return [stage for stage in STAGES if stage.name in names]
 
 
@@ -515,7 +471,7 @@ def run_pipeline(cfg, command, out_dir, quiet=False):
     """Run one subcommand; returns the exit code."""
     writer = ArtifactWriter(out_dir, cfg, command, quiet)
     try:
-        stages = _plan(command, cfg)
+        stages = _plan(command)
         run = _parse(cfg, stages)
         skipped = []
         for stage in stages:

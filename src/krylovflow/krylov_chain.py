@@ -75,6 +75,14 @@ def _uniform_step(t_grid):
     return t, float(dt[0])
 
 
+def _grid_from_zero(t_grid):
+    """:func:`_uniform_step` of a grid that must start at t = 0."""
+    t, dt = _uniform_step(t_grid)
+    if abs(t[0]) > 1e-12:
+        raise ValueError("time grid must start at 0")
+    return t, dt
+
+
 # theta_55 of Al-Mohy & Higham (2011), table 3.1, in double precision: the
 # truncated Taylor series of degree 55, applied s times to exp(tA / s), is
 # accurate to unit roundoff once t max(d_p, d_{p+1}) / s <= theta_55 for
@@ -92,7 +100,8 @@ def _taylor_plan(A, t):
     (2p + 1)-diagonal A^p, so the powers stay cheap.  As d_p <= ||A||_1, a
     plan from ||A||_1 alone would take no fewer substeps.  m is 55, a cap
     on the terms the loop sums, and 0 only for A = 0: a nilpotent A has
-    s = 0 too but is no identity map.
+    s = 0 too but is no identity map.  An s beyond the float range raises
+    NumericalFailure.
     """
     norms = np.empty(_P_MAX + 1)   # ||A^p||_1, p = 1 .. _P_MAX + 1
     P = A
@@ -101,8 +110,12 @@ def _taylor_plan(A, t):
             P = P @ A
         norms[p] = abs(P).sum(axis=0).max()
     d = norms ** (1.0 / np.arange(1, _P_MAX + 2))   # d_p from p = 1
-    s = int(np.ceil(t * np.maximum(d[1:-1], d[2:]).min() / _THETA_55))
-    return (55 if norms[0] else 0), max(s, 1)
+    with np.errstate(over="ignore"):
+        s = np.ceil(t * np.maximum(d[1:-1], d[2:]).min() / _THETA_55)
+    if not np.isfinite(s):
+        raise NumericalFailure(f"Taylor plan of exp(tA) for t = {t:.3e} "
+                               "needs a non-finite number of substeps")
+    return (55 if norms[0] else 0), max(int(s), 1)
 
 
 def _inf_norm(x):
@@ -195,9 +208,7 @@ def evolve_chain(tri, t_grid):
     c_n = 0 != b_n, which has no such gauge, and NumericalFailure if phi or
     psi is not finite; a finite chain end raises and warns nothing.
     """
-    t, _ = _uniform_step(t_grid)
-    if abs(t[0]) > 1e-12:
-        raise ValueError("time grid must start at 0")
+    t, _ = _grid_from_zero(t_grid)
     a, b, c = (np.asarray(x, dtype=complex) for x in (tri.a, tri.b, tri.c))
     gauged = b != c
     if np.any(c[gauged] == 0):
@@ -270,7 +281,7 @@ def direct_evolution_oracle(L, seed, tri, t_grid):
         raise ValueError("oracle limited to superoperator dimension <= 4096")
     if tri.W is None:
         raise ValueError("direct evolution oracle requires stored bases")
-    t, dt = _uniform_step(t_grid)
+    t, dt = _grid_from_zero(t_grid)
     R = hermitian_generator(A, tri.W)
     x0 = tri.W.conj().T @ np.asarray(seed, dtype=complex)
     if np.isrealobj(R) and not np.any(x0.imag):

@@ -5,9 +5,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 from krylovflow.analysis import (MAD_SCALE, FilterConfig, _outlier_sweep,
                                  filter_series, remove_outliers, smooth)
 from krylovflow.bilanczos import bilanczos
-from krylovflow.cli import csv_table, read_table
+from krylovflow.cli import csv_table
 from krylovflow.lindbladian import build_model_lindbladian, uniform_seed
 from krylovflow.spin_algebra import ModelSpec
+from tests.csv_tables import read_table
 
 
 def test_constant_series_unchanged():

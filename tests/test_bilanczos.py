@@ -11,12 +11,13 @@ from krylovflow.bilanczos import (TERM_BREAKDOWN, TERM_GRID, TERM_MAX_ITER,
                                   project_dissipative_structure,
                                   TridiagonalData)
 from krylovflow.bound import saturating_coefficients
-from krylovflow.cli import _coefficient_table, csv_table, read_table
+from krylovflow.cli import _coefficient_table, csv_table
 from krylovflow.krylov_chain import evolve_chain, moments
 from krylovflow.lindbladian import build_model_lindbladian, uniform_seed, \
     vectorize
 from krylovflow.spin_algebra import ModelSpec, build_tfim, pauli_matrix, \
     site_operator
+from tests.csv_tables import read_table
 from tests.lanczos_bases import p_basis, q_basis, tridiagonal_matrix
 
 

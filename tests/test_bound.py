@@ -11,10 +11,11 @@ from krylovflow.bound import (dispersion_bound_check,
                               renormalized_bound_check,
                               saturating_coefficients, saturation_report,
                               bound_summary)
-from krylovflow.cli import _bound_table, csv_table, read_table
+from krylovflow.cli import _bound_table, csv_table
 from krylovflow.krylov_chain import evolve_chain, finite_diff, moments
 from krylovflow.lindbladian import build_model_lindbladian, uniform_seed
 from krylovflow.spin_algebra import ModelSpec
+from tests.csv_tables import read_table
 from tests.test_chain import two_site_rotation
 
 

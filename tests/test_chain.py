@@ -601,3 +601,31 @@ def test_finite_diff_rejects_nonuniform():
 def test_evolve_requires_grid_from_zero():
     with pytest.raises(ValueError):
         evolve_chain(two_site_rotation(), np.linspace(1, 2, 10))
+
+
+def paper_model_n2():
+    """(L, seed, chain) of the N = 2 paper model at alpha = gamma = 0.01."""
+    L = build_model_lindbladian(ModelSpec(N=2, g=-1.05, h=0.5, alpha=0.01,
+                                          gamma=0.01))
+    seed = uniform_seed(4)
+    return L, seed, bilanczos(L, seed)
+
+
+def test_oracle_requires_grid_from_zero():
+    # The oracle's first row is the seed: a grid from t = 1 would label
+    # it t = 1 (C = 4.4e-32, P = 1, where the chain gives 0.2297 and
+    # 0.9728).
+    L, seed, tri = paper_model_n2()
+    with pytest.raises(ValueError, match="start at 0"):
+        direct_evolution_oracle(L, seed, tri, np.linspace(1, 2, 11))
+
+
+def test_overflowing_taylor_plan_raises_numerical_failure():
+    # t max(d_p, d_p+1) overflows float64: no substep count, and no
+    # overflow warning on the way.
+    _, _, tri = paper_model_n2()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match="non-finite number of "
+                                                   "substeps"):
+            evolve_chain(tri, np.linspace(0, 1e308, 61))

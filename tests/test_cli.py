@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -125,39 +126,21 @@ def test_continuum_constant_a_columns(tmp_path):
     assert table["relP"].max() < 1e-10
 
 
-def test_filter_external_csv(tmp_path):
-    src = tmp_path / "series.csv"
-    lines = ["n,raw"] + [f"{i},{v}" for i, v in
-                         enumerate([1, 1, 1, 1, 50, 1, 1, 1, 1, 1])]
-    src.write_text("\n".join(lines) + "\n")
-    cfg_path = tmp_path / "cfg.json"
-    write_config(cfg_path, coefficients_csv=str(src))
-    out = tmp_path / "out"
-    assert main(["filter", "--config", str(cfg_path), "--out", str(out),
-                 "--quiet"]) == EXIT_OK
-    table = read_csv(out / "filtered.csv")
-    assert table["raw"][4] == 50
-    assert table["cleaned"][4] == 1
-
-
-def test_filter_rejects_malformed_coefficients_csv(tmp_path):
+def test_coefficients_csv_is_an_unknown_key(tmp_path):
+    # The filter reads only the chain its own run computes; a saved
+    # coefficients.csv is no input.
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path)
     out = tmp_path / "out"
     assert main(["lanczos", "--config", str(cfg_path), "--out", str(out),
                  "--quiet"]) == EXIT_OK
-    lines = (out / "coefficients.csv").read_text().splitlines()
-    for bad in ("x", "nan", "inf"):
-        cells = lines[3].split(",")
-        cells[3] = bad  # the b_re cell of n = 2
-        src = tmp_path / f"bad_{bad}.csv"
-        src.write_text("\n".join(lines[:3] + [",".join(cells)] + lines[4:])
-                       + "\n")
-        write_config(cfg_path, coefficients_csv=str(src))
-        out = tmp_path / f"filtered_{bad}"
-        assert main(["filter", "--config", str(cfg_path), "--out", str(out),
-                     "--quiet"]) == EXIT_USAGE
-        assert os.listdir(out) == ["error.json"]
+    write_config(cfg_path, coefficients_csv=str(out / "coefficients.csv"))
+    out = tmp_path / "filtered"
+    assert main(["filter", "--config", str(cfg_path), "--out", str(out),
+                 "--quiet"]) == EXIT_USAGE
+    assert os.listdir(out) == ["error.json"]
+    error = json.loads((out / "error.json").read_text())
+    assert "unknown config keys ['coefficients_csv']" in error["message"]
 
 
 def test_continuum_time_grid_defaults_to_pipeline_grid(tmp_path):
@@ -175,7 +158,18 @@ def test_continuum_time_grid_defaults_to_pipeline_grid(tmp_path):
 # with exit 1, error.json and no artifacts left behind.
 BAD_CONFIGS = {
     "t_max": {"t_max": "abc"},
+    "t_max_zero": {"t_max": 0},
+    "t_max_negative": {"t_max": -1},
     "n_samples": {"n_samples": "x"},
+    "n_samples_two": {"n_samples": 2},
+    "saturation_t_max_zero": {"saturation": {"t_max": 0}},
+    "saturation_n_samples_two": {"saturation": {"n_samples": 2}},
+    "seed_kind_name": {"seed_kind": "gaussian"},
+    # written by the test: a 3 x 3 seed at N = 2, and a zero matrix
+    "seed_shape": {"seed_kind": {"kind": "custom", "path": "seed_eye3.npy"}},
+    "seed_zero": {"seed_kind": {"kind": "custom", "path": "seed_zero.npy"}},
+    "filter_not_object": {"filter": [3]},
+    "model_not_object": {"model": 5},
     "qubit_cap": {"model": dict(MODEL, N=MAX_QUBITS + 1)},
     "max_iter": {"bilanczos": {"max_iter": "abc"}},
     "max_iter_zero": {"bilanczos": {"max_iter": 0}},
@@ -228,6 +222,8 @@ def test_bad_config_value_is_usage_error(tmp_path, monkeypatch, overrides):
     np.save(tmp_path / "seed_nan.npy", nan_seed)
     np.save(tmp_path / "seed_inf.npy", np.full((4, 4), np.inf))
     np.save(tmp_path / "seed_eye.npy", np.eye(4))
+    np.save(tmp_path / "seed_eye3.npy", np.eye(3))
+    np.save(tmp_path / "seed_zero.npy", np.zeros((4, 4)))
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, **overrides)
     out = tmp_path / "out"
@@ -361,6 +357,7 @@ def config_text(**overrides):
 # inf; such a number would get past the range checks.
 MALFORMED_CONFIGS = {
     "not_json": ("lanczos", "{ not json"),
+    "not_object": ("lanczos", "[1, 2]"),
     "saturation_nan": ("saturation",
                        config_text(saturation={"alpha0": float("nan")})),
     "continuum_nan": ("continuum", config_text(continuum={
@@ -419,6 +416,21 @@ def test_numerical_failure_exit_code(tmp_path):
     error = json.loads((out / "error.json").read_text())
     assert error["error"] == "numerical"
     assert not (out / "continuum.csv").exists()
+
+
+def test_overflowing_taylor_plan_is_numerical_failure(tmp_path):
+    # At t_max = 1e308 the propagator's substep count overflows float64:
+    # exit 2 with the lanczos stage rolled back, and no overflow warning.
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, t_max=1e308)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", "--config", str(cfg_path), "--out", str(out),
+                     "--quiet"]) == EXIT_NUMERICAL
+    assert os.listdir(out) == ["error.json"]
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "numerical"
 
 
 def test_continuum_without_block_is_usage_error(tmp_path):

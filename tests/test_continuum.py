@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from krylovflow.cli import csv_table, read_table
+from krylovflow.cli import csv_table
 from krylovflow.continuum import (CONSTANT_A, LINEAR_A, ContinuumSpec,
                                   analytic_C_P, characteristics_solver,
                                   continuum_vs_paper_report)
 from krylovflow.exceptions import NumericalFailure
+from tests.csv_tables import read_table
 
 
 def test_analytic_at_zero():
