@@ -6,10 +6,10 @@ For a chain run with moments C(t), P(t), M2(t) the bound compares
     rhs(t) = 4 |b1|^2 (M2 - C^2)          (variance side)
 
 and holds when rhs - lhs >= -BOUND_TOL * max(rhs) (finite-difference noise).
-The renormalized form uses Ctilde = C/P and agrees to IDENTITY_TOL.  Also
-provided: the Mandelstam-Tamm-style time scale tau_K = DeltaK/|dC/dt| for
-closed systems (MT_TOL, MT_NOISE_FLOOR) and the synthetic coefficient
-family that saturates the bound exactly.
+The renormalized form uses Ctilde = C/P and agrees to IDENTITY_TOL.  Each
+report has tau_K = DeltaK/|dC/dt|, NaN at turning points of C (|dC/dt| <=
+MT_NOISE_FLOOR max|dC/dt|), for the Mandelstam-Tamm-style limit of closed
+systems (MT_TOL).  Also: the synthetic chain that saturates the bound.
 """
 
 from dataclasses import dataclass
@@ -23,7 +23,7 @@ from .krylov_chain import evolve_chain, finite_diff, moments
 BOUND_TOL = 1e-6          # relative noise floor for bound violations
 IDENTITY_TOL = 1e-8       # renormalized-vs-plain lhs agreement
 MT_TOL = 1e-4             # slack on the verdict tau_K * b1 >= 1/2
-MT_NOISE_FLOOR = 1e-6     # |dC/dt| cutoff (relative) for tau_K samples
+MT_NOISE_FLOOR = 1e-6     # |dC/dt| cutoff (relative): turning points
 
 
 @dataclass
@@ -33,7 +33,7 @@ class BoundReport:
     rhs: np.ndarray               # 4|b1|^2 (M2 - C^2)
     margin: np.ndarray            # rhs - lhs
     violations: np.ndarray        # indices with margin < -BOUND_TOL*max(rhs)
-    tau_K: np.ndarray             # sqrt(M2 - C^2) / |dC|, nan where guarded
+    tau_K: np.ndarray             # sqrt(M2 - C^2) / |dC|, nan at turning pts
     saturation_ratio: np.ndarray  # lhs/rhs where rhs > 0, nan elsewhere
 
     @property
@@ -66,16 +66,17 @@ def _plain_lhs(m):
 def _report(m, b1, lhs, dC, keep=slice(None)):
     """Bound report of ``lhs`` against 4|b1|^2 (M2 - C^2) on the samples
     ``keep`` of ``m``; M2 - C^2 is clipped at 0 (Cauchy-Schwarz makes it
-    nonnegative up to roundoff when P <= 1)."""
-    lhs, dC = lhs[keep], dC[keep]
+    nonnegative up to roundoff when P <= 1), and tau_K is NaN where |dC/dt|
+    <= MT_NOISE_FLOOR times its maximum over those samples."""
+    lhs, dC = lhs[keep], np.abs(dC[keep])
     var = np.maximum(m.M2[keep] - m.C[keep] ** 2, 0.0)
     rhs = 4.0 * abs(b1) ** 2 * var
     margin = rhs - lhs
     floor = BOUND_TOL * float(rhs.max())
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tau = np.sqrt(var) / np.abs(dC)
-    tau[np.abs(dC) == 0.0] = np.nan
+    moving = dC > MT_NOISE_FLOOR * dC.max()
+    tau = np.full_like(var, np.nan)
+    tau[moving] = np.sqrt(var[moving]) / dC[moving]
 
     ratio = np.full_like(rhs, np.nan)
     pos = rhs > 0
@@ -123,14 +124,12 @@ def renormalized_bound_check(m, b1):
 def mandelstam_tamm_tau(report, b1):
     """Check the speed limit tau_K * b1 >= 1/2 - MT_TOL of a closed run.
 
-    ``report`` must come from a closed-system bound check, where
-    lhs = |dC/dt|^2; samples with |dC/dt| below ``MT_NOISE_FLOOR`` times
-    its maximum (turning points of C) are excluded.
+    ``report`` must come from a closed-system bound check.  The valid
+    samples are those where ``report.tau_K`` is defined: the report has
+    already set it to NaN at the turning points of C.
     """
-    dC_abs = np.sqrt(report.lhs)
-    valid = dC_abs > MT_NOISE_FLOOR * float(dC_abs.max())
-    tau_b1 = np.full_like(dC_abs, np.nan)
-    tau_b1[valid] = report.tau_K[valid] * abs(b1)
+    valid = ~np.isnan(report.tau_K)
+    tau_b1 = report.tau_K * abs(b1)
     if not np.any(valid):
         raise NumericalFailure("no samples above the |dC/dt| noise floor")
     min_product = float(np.nanmin(tau_b1[valid]))

@@ -34,7 +34,7 @@ from scipy.linalg import expm
 from scipy.linalg.blas import idamax
 
 from .exceptions import NumericalFailure
-from .lindbladian import as_matrix, hermitian_generator
+from .lindbladian import MAX_DIM, as_matrix, hermitian_generator
 
 TAIL_CUTOFF = 1e-10   # last-site mass that signals chain truncation
 P_UNDERFLOW = 1e-300
@@ -87,21 +87,22 @@ def _grid_from_zero(t_grid):
 # truncated Taylor series of degree 55, applied s times to exp(tA / s), is
 # accurate to unit roundoff once t max(d_p, d_{p+1}) / s <= theta_55 for
 # one p with p (p - 1) <= 55 + 1, where d_p = ||A^p||_1^(1/p).
+_DEGREE = 55
 _THETA_55 = 9.9
 _P_MAX = 8            # largest p with p (p - 1) <= 55 + 1
 _TOL = 2.0 ** -53
+_MAX_SUBSTEPS = 10 ** 6   # over 100x the largest plan the test suite makes
 
 
 def _taylor_plan(A, t):
-    """Taylor degree m and substep count s for exp(tA), A sparse banded.
+    """Substep count s for exp(tA) at degree _DEGREE, A sparse banded.
 
     s = ceil(t min_p max(d_p, d_{p+1}) / theta_55) over p = 2 .. _P_MAX, at
     least 1, with exact d_p = ||A^p||_1^(1/p): a tridiagonal A has a
     (2p + 1)-diagonal A^p, so the powers stay cheap.  As d_p <= ||A||_1, a
-    plan from ||A||_1 alone would take no fewer substeps.  m is 55, a cap
-    on the terms the loop sums, and 0 only for A = 0: a nilpotent A has
-    s = 0 too but is no identity map.  An s beyond the float range raises
-    NumericalFailure.
+    plan from ||A||_1 alone would take no fewer substeps.  A plan past
+    _MAX_SUBSTEPS raises NumericalFailure, inf included: s is formed in
+    Python floats, which overflow to inf without a warning.
     """
     norms = np.empty(_P_MAX + 1)   # ||A^p||_1, p = 1 .. _P_MAX + 1
     P = A
@@ -110,12 +111,11 @@ def _taylor_plan(A, t):
             P = P @ A
         norms[p] = abs(P).sum(axis=0).max()
     d = norms ** (1.0 / np.arange(1, _P_MAX + 2))   # d_p from p = 1
-    with np.errstate(over="ignore"):
-        s = np.ceil(t * np.maximum(d[1:-1], d[2:]).min() / _THETA_55)
-    if not np.isfinite(s):
-        raise NumericalFailure(f"Taylor plan of exp(tA) for t = {t:.3e} "
-                               "needs a non-finite number of substeps")
-    return (55 if norms[0] else 0), max(int(s), 1)
+    s = float(t) * float(np.maximum(d[1:-1], d[2:]).min()) / _THETA_55
+    if not s <= _MAX_SUBSTEPS:
+        raise NumericalFailure(f"Taylor plan of exp(tA) for t = {t:.3e} needs "
+                               f"{s:.3e} substeps (> {_MAX_SUBSTEPS:.0e})")
+    return max(int(np.ceil(s)), 1)
 
 
 def _inf_norm(x):
@@ -132,23 +132,23 @@ def _propagate(A, y0, h, q):
     A is a sparse tridiagonal matrix.  This is algorithm 5.2 of Al-Mohy &
     Higham, SIAM J. Sci. Comput. 33 (2011): A is shifted by its mean
     diagonal mu, and one plan for [0, q h], :func:`_taylor_plan` of the
-    shifted A, sets the Taylor degree m and the substep count s.  One
-    Taylor loop walks [0, q h] in blocks of d = max(q // s, 1) grid steps,
-    with r = ceil(s / q) substeps per grid step: when s < q a block is d
-    grid steps (the last one shorter when d does not divide q), otherwise
-    one substep of h / r, and every r-th block ends on a grid point.  A
-    block of length tau sums T_p = (tau A)^p Z / p! from its first point Z
-    into its last point, cut once two successive terms fall below unit
-    roundoff of the sum; its inner points sum_p (k h / tau)^p T_p are one
-    matrix product.  The terms are the rows of a zero-padded array, so T_p
-    sums the stacked diagonals of (tau / p) A times the (3, n) sliding
-    window of T_{p-1}.  The arithmetic is real when A and y0 are (norms
-    from idamax).
+    shifted A, sets the substep count s under its budget, at the one Taylor
+    degree m = _DEGREE.  One Taylor loop walks [0, q h] in blocks of
+    d = max(q // s, 1) grid steps, with r = ceil(s / q) substeps per grid
+    step: when s < q a block is d grid steps (the last one shorter when d
+    does not divide q), otherwise one substep of h / r, and every r-th block
+    ends on a grid point.  A block of length tau sums T_p = (tau A)^p Z / p!
+    from its first point Z into its last point, cut once two successive
+    terms fall below unit roundoff of the sum; its inner points
+    sum_p (k h / tau)^p T_p are one matrix product.  The terms are the rows
+    of a zero-padded array, so T_p sums the stacked diagonals of
+    (tau / p) A times the (3, n) sliding window of T_{p-1}.  The arithmetic
+    is real when A and y0 are (norms from idamax).
     """
     n = y0.size
     mu = A.diagonal().mean()
     A = A - mu * sp.eye(n, dtype=A.dtype, format="csr")
-    m, s = _taylor_plan(A, q * h)
+    m, s = _DEGREE, _taylor_plan(A, q * h)
     r, d = -(-s // q), max(q // s, 1)
     X = np.empty((q + 1, n), dtype=np.result_type(A.dtype, y0.dtype))
     X[0] = y0
@@ -264,9 +264,10 @@ def direct_evolution_oracle(L, seed, tri, t_grid):
     """Moments from direct evolution of the seed, bypassing the chain ODE.
 
     The ket evolves as dv/dt = i L v and the dual vector as
-    dw/dt = -i L' w, both from ``seed`` as in ``bilanczos(L, seed)``, in
-    the coordinates of the chain's Hermitian basis W = ``tri.W``: x = W' v
-    as exp(-t R) x0 with R = -i W' L W, and y = W' w as exp(-t R') x0.
+    dw/dt = -i L' w, from ``seed`` as in ``bilanczos(L, seed)``, in the
+    coordinates of the chain's Hermitian basis W = ``tri.W``: x = W' v as
+    exp(-t R) p~_0 with R = -i W' L W and p~_0 = x0 / |seed|^2, and y = W' w
+    as exp(-t R') x0, with x0 = W' seed; so no moment scales with the seed.
     That is one dense ``expm`` of the dimension the recursion ran in: the
     reflection-even sector's when the chain ran there, exactly, as L and L'
     commute with site reversal.  For a Lindbladian and a Hermitian seed R
@@ -277,8 +278,8 @@ def direct_evolution_oracle(L, seed, tri, t_grid):
     from the code path of chain trajectories.
     """
     A = as_matrix(L)
-    if A.shape[0] > 4096:
-        raise ValueError("oracle limited to superoperator dimension <= 4096")
+    if A.shape[0] > MAX_DIM:
+        raise ValueError(f"oracle limited to dimension <= {MAX_DIM}")
     if tri.W is None:
         raise ValueError("direct evolution oracle requires stored bases")
     t, dt = _grid_from_zero(t_grid)
@@ -293,7 +294,7 @@ def direct_evolution_oracle(L, seed, tri, t_grid):
     # Rows of X and Y are x and y at the grid points.
     X = np.empty((t.size, x0.size), dtype=np.result_type(E, x0))
     Y = np.empty_like(X)
-    X[0] = Y[0] = x0
+    X[0], Y[0] = x0 / np.vdot(seed, seed).real, x0
     for k in range(1, t.size):
         X[k] = E @ X[k - 1]
         Y[k] = Eh @ Y[k - 1]

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -12,10 +13,12 @@ from krylovflow.bound import (dispersion_bound_check,
                               saturating_coefficients, saturation_report,
                               bound_summary)
 from krylovflow.cli import _bound_table, csv_table
-from krylovflow.krylov_chain import evolve_chain, finite_diff, moments
+from krylovflow.krylov_chain import MomentSeries, evolve_chain, \
+    finite_diff, moments
 from krylovflow.lindbladian import build_model_lindbladian, uniform_seed
 from krylovflow.spin_algebra import ModelSpec
 from tests.csv_tables import read_table
+from tests.su11_chain import SU11_CASES, su11_chain, su11_moments
 from tests.test_chain import two_site_rotation
 
 
@@ -119,6 +122,19 @@ def test_mandelstam_tamm_excludes_turning_points():
     assert np.all(np.isnan(mt.tau_b1[~mt.valid]))
 
 
+def test_tau_K_is_undefined_at_turning_points():
+    # C = (t - t0)^2 turns at t0 = 1 + 1e-7, between two grid points: at
+    # t = 1, |dC/dt| = 2e-7 is not 0 but under MT_NOISE_FLOOR of its
+    # maximum, 2.  The MT check takes its samples from tau_K alone.
+    t = np.linspace(0, 2, 201)
+    C = (t - (1 + 1e-7)) ** 2
+    m = MomentSeries(t=t, C=C, P=np.ones_like(t), M2=C ** 2 + 1.0, Ctilde=C)
+    report = dispersion_bound_check(m, b1=1.0)
+    assert_array_equal(np.flatnonzero(np.isnan(report.tau_K)), [100])
+    mt = mandelstam_tamm_tau(dataclasses.replace(report, lhs=None), b1=1.0)
+    assert_array_equal(mt.valid, ~np.isnan(report.tau_K))
+
+
 def test_saturating_coefficients_small_n():
     tri = saturating_coefficients(2.0, 3.0, 4)
     assert tri.b[0] == pytest.approx(np.sqrt(3.0 / 2))  # n(n-1) = 0
@@ -190,6 +206,27 @@ def test_saturation_report_is_the_plain_check_sliced(kw):
     assert bound_summary(report)["tol"] == 1e-6
 
 
+# Largest error of the chain's lhs and rhs against those of the closed-form
+# series, relative to their maxima over the horizon: the measured
+# (2.1e-13, 1.4e-14), (6.5e-14, 3.2e-14) and (2.0e-8, 1.8e-8) times 10,
+# rounded down.
+SU11_BOUND_TOL = {"chi0.3": (2.1e-12, 1.3e-13), "chi1": (6.4e-13, 3.1e-13),
+                  "chi0": (1.9e-7, 1.8e-7)}
+
+
+@pytest.mark.parametrize("case", SU11_CASES)
+def test_bound_matches_exact_su11_series(case):
+    # The same check on the chain's moments and on the closed-form series.
+    (alpha, eta, chi), t, horizon = SU11_CASES[case]
+    tri = su11_chain(alpha, eta, chi, 400)
+    report = dispersion_bound_check(moments(evolve_chain(tri, t)), tri.b[0])
+    ref = dispersion_bound_check(su11_moments(alpha, eta, chi, t), tri.b[0])
+    assert report.holds
+    for name, rtol in zip(("lhs", "rhs"), SU11_BOUND_TOL[case]):
+        x, y = getattr(report, name)[:horizon], getattr(ref, name)[:horizon]
+        assert np.abs(x - y).max() <= rtol * np.abs(y).max(), name
+
+
 def test_bound_holds_on_small_models():
     for alpha, gamma in ((0.0, 0.0), (0.01, 0.01)):
         spec = ModelSpec(N=3, g=-1.05, h=0.5, alpha=alpha, gamma=gamma)
@@ -205,7 +242,7 @@ def test_bound_holds_on_small_models():
 def test_bound_csv_and_summary():
     m = two_site_moments()
     report = dispersion_bound_check(m, b1=1.0)
-    report.tau_K[3] = np.nan  # as where dC/dt = 0
+    report.tau_K[3] = np.nan  # as at a turning point of C
     text = csv_table(_bound_table(report))
     assert text.splitlines()[0] == "t,lhs,rhs,margin,tau_K"
     assert len(text.splitlines()) == m.t.size + 1

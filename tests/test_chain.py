@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
@@ -20,6 +20,7 @@ from krylovflow.lindbladian import build_model_lindbladian, uniform_seed, \
     vectorize
 from krylovflow.spin_algebra import ModelSpec, pauli_matrix, site_operator
 from tests.lanczos_bases import p_basis, q_basis
+from tests.su11_chain import SU11_CASES, su11_chain, su11_moments
 from tests.test_bilanczos import sigma_x1_plus_yN, sigma_z1
 
 
@@ -239,7 +240,8 @@ def test_propagation_independent_of_global_random_state():
 
 
 def _taylor_plan(A, t_end):
-    """(m, s) that _propagate picks for exp(t_end A), A shifted as there."""
+    """The substep count _propagate plans for exp(t_end A), A shifted as
+    there."""
     A = sp.csr_array(A - A.diagonal().mean() * sp.eye(A.shape[0]))
     return krylov_chain._taylor_plan(A, t_end)
 
@@ -260,7 +262,8 @@ def _stiff_two_point_chain():
 
 
 def _one_site_chain():
-    # K = 1: the shifted generator is zero, so only exp(t mu) is left.
+    # K = 1: the shifted generator is zero, so only exp(t mu) is left; the
+    # loop sums two zero terms and stops.
     return sp.csr_array([[-0.3 + 2.0j]]), np.linspace(0, 2, 21)
 
 
@@ -328,13 +331,13 @@ def _two_site_chain():
 def test_grid_propagator_matches_dense_expm(chain, path):
     A, t = chain()
     q = t.size - 1
-    m, s = _taylor_plan(A, t[-1])
+    s = _taylor_plan(A, t[-1])
     if "per-step" in path:   # several substeps per grid step
         assert s > q
     if path == "unequal blocks":
         assert q > s and q % (q // s) != 0
     if path == "zero plan":
-        assert m == 0
+        assert s == 1
     y0 = np.zeros(A.shape[0], dtype=A.dtype)
     y0[0] = 1.0
     X = _propagate(A, y0, t[-1] / q, q)
@@ -350,15 +353,15 @@ def test_grid_propagator_matches_dense_expm(chain, path):
 def test_nilpotent_generator_is_propagated(K):
     # Equal a_n, b = 0 and c != 0: the shifted generator is nilpotent (a_n
     # is a dyadic fraction, so the mean diagonal is exact), every d_p with
-    # p >= K vanishes and the plan's s is 0.  It is still no identity map,
-    # so the plan keeps its Taylor terms.
+    # p >= K vanishes and the plan is the one substep every plan takes at
+    # least.  It is still no identity map: the Taylor loop sums its terms.
     tri = TridiagonalData(a=np.full(K, 0.25 + 0.5j),
                           b=np.zeros(K - 1, dtype=complex),
                           c=np.full(K - 1, 1.5 + 0j),
                           termination=TERM_BREAKDOWN)
     t = np.linspace(0, 2, 21)
     A = _recursion_generators(tri)[0]
-    assert _taylor_plan(A, t[-1]) == (55, 1)
+    assert _taylor_plan(A, t[-1]) == 1
     phi = evolve_chain(tri, t).phi
     e0 = np.eye(K)[0]
     for k, tk in enumerate(t):
@@ -407,6 +410,32 @@ def test_propagator_matches_expm_multiply_on_saturating_chain():
                                   np.linspace(0, 6, 1201))
 
 
+# Largest error of the chain's C, P and M2 against the closed forms, relative
+# to each series' maximum over the horizon: the measured 1.5e-14, 9.4e-15
+# and 1.6e-14 (chi0.3), 3.1e-14, 1.7e-14 and 3.5e-14 (chi1), and 4.1e-10,
+# 1.0e-14 and 6.8e-9 (chi0, where the chain end is near) times 10, rounded
+# down.
+SU11_TOL = {"chi0.3": (1.5e-13, 9.4e-14, 1.6e-13),
+            "chi1": (3.1e-13, 1.6e-13, 3.4e-13),
+            "chi0": (4.0e-9, 1.0e-13, 6.8e-8)}
+
+
+@pytest.mark.parametrize("case", SU11_CASES)
+def test_chain_matches_exact_su11_moments(case):
+    (alpha, eta, chi), t, horizon = SU11_CASES[case]
+    tri = su11_chain(alpha, eta, chi, 400)
+    if chi == 0:
+        assert_array_equal(tri.b, saturating_coefficients(1.0, 1.0, 400).b)
+    traj = evolve_chain(tri, t)
+    assert traj.horizon == horizon
+    m, ref = moments(traj), su11_moments(alpha, eta, chi, t)
+    for name, tol in zip(("C", "P", "M2"), SU11_TOL[case]):
+        x, y = getattr(m, name)[:horizon], getattr(ref, name)[:horizon]
+        assert np.abs(x - y).max() <= tol * np.abs(y).max(), name
+    if chi == 0:   # a closed chain: measured 1.6e-15
+        assert np.abs(m.P[:horizon] - 1.0).max() <= 1.6e-14
+
+
 def test_n5_raw_chain_evolves_without_runtime_warnings():
     # The full chain spans the operator space, so its last-site amplitude
     # raises no truncation warning.
@@ -452,7 +481,8 @@ def _random_complex_seed(dim):
 # Every kind of seed the CLI accepts at N = 3: the uniform seed (float64,
 # even sector), sigma^z_1 (float64, full space), sigma^y_1 and
 # sigma^x_1 + sigma^y_3 (complex or non-symmetric, the dual-basis branch)
-# and a random complex custom seed (complex arithmetic throughout).
+# and a random complex custom seed (complex arithmetic throughout); then
+# three of them scaled, as the chain does not depend on the seed's scale.
 ORACLE_SEEDS = {
     "uniform": uniform_seed(8),
     "z1": sigma_z1(3),
@@ -460,6 +490,10 @@ ORACLE_SEEDS = {
     "x1_y3": sigma_x1_plus_yN(3),
     "random_complex": _random_complex_seed(64),
 }
+ORACLE_SEEDS.update({
+    f"{name}_x{label}": c * ORACLE_SEEDS[name] for name, c, label in
+    (("uniform", 2, "2"), ("y1", 0.3 + 0.4j, "0.3+0.4i"), ("x1_y3", 2, "2"))
+})
 
 
 @pytest.mark.parametrize("seed", ORACLE_SEEDS.values(), ids=ORACLE_SEEDS)
@@ -621,11 +655,12 @@ def test_oracle_requires_grid_from_zero():
 
 
 def test_overflowing_taylor_plan_raises_numerical_failure():
-    # t max(d_p, d_p+1) overflows float64: no substep count, and no
-    # overflow warning on the way.
+    # At 1e300 the plan is finite (about 5.4e299 substeps) but past the
+    # budget; at 1e308 t max(d_p, d_p+1) overflows float64.  Both fail
+    # before the Taylor loop, with no overflow warning on the way.
     _, _, tri = paper_model_n2()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NumericalFailure, match="non-finite number of "
-                                                   "substeps"):
-            evolve_chain(tri, np.linspace(0, 1e308, 61))
+    for t_max in (1e300, 1e308):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match="substeps"):
+                evolve_chain(tri, np.linspace(0, t_max, 61))

@@ -13,6 +13,7 @@ from krylovflow.bilanczos import bilanczos
 from krylovflow.cli import (EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK,
                             EXIT_USAGE, _coefficient_table, _seed_vector,
                             csv_table, main)
+from krylovflow.exceptions import InvariantViolation
 from krylovflow.lindbladian import MAX_QUBITS, build_model_lindbladian, \
     uniform_seed
 from krylovflow.spin_algebra import ModelSpec, pauli_matrix
@@ -431,6 +432,32 @@ def test_overflowing_taylor_plan_is_numerical_failure(tmp_path):
     assert os.listdir(out) == ["error.json"]
     error = json.loads((out / "error.json").read_text())
     assert error["error"] == "numerical"
+
+
+def test_taylor_plan_past_the_budget_is_numerical_failure(tmp_path):
+    # At t_max = 1e300 the plan is finite, about 5.4e299 substeps, but past
+    # the propagator's budget: exit 2 with rollback, not a loop that never
+    # ends.
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, t_max=1e300)
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(cfg_path), "--out", str(out),
+                 "--quiet"]) == EXIT_NUMERICAL
+    assert os.listdir(out) == ["error.json"]
+
+
+def test_invariant_violation_exit_code(tmp_path, monkeypatch):
+    def broken(m, b1):
+        raise InvariantViolation("renormalized lhs deviates")
+    monkeypatch.setattr(cli, "renormalized_bound_check", broken)
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    out = tmp_path / "out"
+    assert main(["bound", "--config", str(cfg_path), "--out", str(out),
+                 "--quiet"]) == EXIT_INVARIANT
+    assert os.listdir(out) == ["error.json"]
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "invariant"
 
 
 def test_continuum_without_block_is_usage_error(tmp_path):
