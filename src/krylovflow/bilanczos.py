@@ -89,9 +89,7 @@ def _check_finite(name, v):
 
 
 def _is_symmetric(A):
-    if sp.issparse(A):
-        return (A - A.T).count_nonzero() == 0
-    return np.array_equal(A, A.T)
+    return (A - A.T).count_nonzero() == 0
 
 
 def bilanczos(L, seed, max_iter=None, deep_enough=None):
@@ -111,12 +109,13 @@ def bilanczos(L, seed, max_iter=None, deep_enough=None):
     previous ones; both bases are returned, with c_n = sqrt|b_n c_n| > 0 and
     |b_n| = c_n.
 
-    The recursion is that of the module docstring, on R = -i W' L W for
-    the Hermitian operator basis W = ``hermitian_basis(dim, B)``, in
-    float64 when R and the seed's coordinates are real.  It returns W, the
-    p~_n as the rows of P, their J-duals q~_n = mu_n diag(J) v~_n as the
-    rows of Q, and a = i alpha, b = -beta, c = gamma.  If L^T = L exactly
-    and the seed is real, v~_n is p~_n and one basis is built.
+    Dense L is converted to CSR.  The recursion is that of the module
+    docstring, on R = -i W' L W for the Hermitian operator basis
+    W = ``hermitian_basis(dim, B)``, in float64 when ``hermitian_generator``
+    casts R and the seed's coordinates.  It returns W, the p~_n as the rows
+    of P, their J-duals q~_n = mu_n diag(J) v~_n as the rows of Q, and
+    a = i alpha, b = -beta, c = gamma.  If L^T = L exactly and the seed is
+    real, v~_n is p~_n and one basis is built.
     """
     A = as_matrix(L)
     return _lanczos(A, seed, max_iter, reflection_sector(A, seed),
@@ -148,19 +147,14 @@ def _chain(alpha, beta, gamma, **fields):
 
 
 def _lanczos(A, seed, max_iter=None, B=None, deep_enough=None):
-    """The recursion of :func:`bilanczos` on A, in B's range when given:
-    Lanczos on R = -i W' A W in the J-form x^T diag(J) y, with right seed
-    W' seed, left seed W' conj(seed) and left operator J R^T J."""
+    """The recursion of :func:`bilanczos` on the CSR array A, in B's range
+    when given: Lanczos on R = -i W' A W in the J-form x^T diag(J) y, with
+    right seed W' seed, left seed W' conj(seed) and left operator J R^T J,
+    float64 or complex as :func:`hermitian_generator` casts them."""
     if max_iter is not None and max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     W, J = hermitian_basis(A.shape[0], B)
-    R = hermitian_generator(A, W)
-    Wh = W.conj().T
-    seed = np.asarray(seed, dtype=complex)
-    x = Wh @ seed
-    y = Wh @ seed.conj()
-    if np.isrealobj(R) and not np.any(x.imag) and not np.any(y.imag):
-        x, y = x.real, y.real
+    R, x, y = hermitian_generator(A, W, seed, np.conj(seed))
     # The left operator N has (N y)^T J x = y^T J R x; it is R if A^T = A.
     # One-sided when then also y = x (a real seed): the left Krylov vectors
     # are the right ones, the dual basis aliases P and the left residual s

@@ -159,6 +159,8 @@ def _grid(node, t_max, n_samples):
         raise ValueError("t_max must be positive")
     if n_samples < 3:
         raise ValueError("n_samples must be at least 3")
+    if t_max / (n_samples - 1) < np.finfo(float).tiny:
+        raise ValueError("time step t_max / (n_samples - 1) is subnormal")
     return t_max, n_samples
 
 

@@ -39,8 +39,8 @@ SYMMETRY_TOL = 16 * np.finfo(float).eps
 
 
 def as_matrix(L):
-    """L as a square matrix: sparse input as is, dense as a complex array."""
-    M = L if sp.issparse(L) else np.asarray(L, dtype=complex)
+    """L as a square CSR array: the one form of L in the Lanczos layer."""
+    M = sp.csr_array(L if sp.issparse(L) else np.asarray(L, dtype=complex))
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("superoperator must be a square matrix")
     return M
@@ -121,7 +121,6 @@ def reflection_sector(L, seed):
     perm = np.add.outer(d * r, r).ravel()
     if not np.array_equal(np.asarray(seed)[perm], seed):
         return None
-    L = sp.csr_array(L)
     if abs(L[perm][:, perm] - L).max() > SYMMETRY_TOL * abs(L).max():
         return None
     k = np.arange(perm.size)
@@ -156,17 +155,24 @@ def hermitian_basis(n, B=None):
     return (V if B is None else B @ V), J
 
 
-def hermitian_generator(A, W):
-    """R = -i W' A W: the n x n matrix A in the coordinates of the basis
-    W of :func:`hermitian_basis`.
+def hermitian_generator(A, W, *vectors):
+    """R = -i W' A W and W' v for each of ``vectors``: the sparse n x n
+    matrix A and the n-vectors in the coordinates of the basis W of
+    :func:`hermitian_basis`.
 
-    R is cast to float64 when max|Im R| <= ``SYMMETRY_TOL`` max|R|: for a
-    Lindbladian it is real up to the roundoff of the sparse products.
+    The one float64 rule of the Lanczos layer: R is cast to float64 when
+    max|Im R| <= ``SYMMETRY_TOL`` max|R|, as for a Lindbladian up to the
+    roundoff of the sparse products, and then the W' v too when none has
+    an imaginary part.  The check reads R.data, so it leaves R untouched.
     """
     R = -1j * (W.conj().T @ A @ W)
-    if abs(R.imag).max() <= SYMMETRY_TOL * abs(R).max():
+    xs = [W.conj().T @ np.asarray(v, dtype=complex) for v in vectors]
+    if np.abs(R.data.imag).max(initial=0.0) \
+            <= SYMMETRY_TOL * np.abs(R.data).max(initial=0.0):
         R = R.real
-    return R
+        if not any(np.any(x.imag) for x in xs):
+            xs = [x.real for x in xs]
+    return (R, *xs)
 
 
 def uniform_seed(d):

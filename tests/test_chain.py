@@ -543,12 +543,15 @@ def _oracle_case(case):
     """L, the seed, the chain and the (shape, dtype) the oracle's expm must
     get: the dimension the chain ran in, the reflection sector's 40 at
     N = 3 when the seed is even, the full space's 64 when not or when the
-    chain was run there, and float64 unless R is complex."""
-    if case == "random":
+    chain was run there, and float64 unless R is complex.  "random_csr"
+    is "random" with L passed as a CSR array."""
+    if case.startswith("random"):
         rng = np.random.default_rng(5)
         L = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         seed = rng.normal(size=16) + 1j * rng.normal(size=16)
         seed = seed / np.linalg.norm(seed)
+        if case == "random_csr":
+            L = sp.csr_array(L)
         return L, seed, bilanczos(L, seed), ((16, 16), np.complex128)
     rate = 0.0 if case == "closed" else 0.01
     spec = ModelSpec(N=3, g=-1.05, h=0.5, alpha=rate, gamma=rate)
@@ -565,11 +568,19 @@ def _oracle_case(case):
 
 
 @pytest.mark.parametrize("case", ["open", "closed", "not_even", "phase",
-                                  "random", "full_space"])
+                                  "random", "random_csr", "full_space"])
 def test_oracle_matches_full_space_evolution(case, expm_args):
-    # "random" has a complex R, so it tells the dual step E' from E^T.
+    # "random" has a complex R, so it tells the dual step E' from E^T.  Its
+    # CSR twin has a product R = -i W' L W with unsorted indices: a realness
+    # test that sorted them in place once scrambled Im R (chain off by
+    # max|db_n| = 10.7, oracle's C off by 0.65 of its maximum), so the CSR
+    # chain must be the dense one bit for bit.
     L, seed, tri, expm_arg = _oracle_case(case)
-    t = np.linspace(0, 2 if case == "random" else 5, 101)
+    if case == "random_csr":
+        dense = _oracle_case("random")[2]
+        for name in ("a", "b", "c"):
+            assert_array_equal(getattr(tri, name), getattr(dense, name))
+    t = np.linspace(0, 2 if case.startswith("random") else 5, 101)
     mo = direct_evolution_oracle(L, seed, tri, t)
     assert expm_args == [expm_arg]
     ref = full_space_oracle(L, seed, tri, t)
@@ -627,14 +638,21 @@ def test_finite_diff_sine():
 
 
 def test_finite_diff_rejects_nonuniform():
-    t = np.array([0.0, 0.1, 0.3])
-    with pytest.raises(ValueError):
-        finite_diff(t, t)
+    # Uniformity is relative to the step: an absolute tolerance of 1e-12
+    # once took the second grid as uniform and gave [0, 2e13, 4e13].
+    for t in ([0.0, 0.1, 0.3], [0.0, 1e-13, 3e-13]):
+        with pytest.raises(ValueError, match="uniform"):
+            finite_diff([0.0, 1.0, 4.0], t)
 
 
 def test_evolve_requires_grid_from_zero():
-    with pytest.raises(ValueError):
-        evolve_chain(two_site_rotation(), np.linspace(1, 2, 10))
+    # Both checks are relative to the step: with absolute ones, the second
+    # grid was propagated at k 1.5e-13 under its own labels and the third
+    # was taken to start at 0.
+    for t in (np.linspace(1, 2, 10), [0.0, 1e-13, 3e-13],
+              [1e-13, 2e-13, 3e-13]):
+        with pytest.raises(ValueError):
+            evolve_chain(two_site_rotation(), t)
 
 
 def paper_model_n2():

@@ -161,6 +161,9 @@ BAD_CONFIGS = {
     "t_max": {"t_max": "abc"},
     "t_max_zero": {"t_max": 0},
     "t_max_negative": {"t_max": -1},
+    # steps t_max / 60 below the smallest normal float
+    "t_max_subnormal_step": {"t_max": 1e-310},
+    "t_max_subnormal": {"t_max": 1e-320},
     "n_samples": {"n_samples": "x"},
     "n_samples_two": {"n_samples": 2},
     "saturation_t_max_zero": {"saturation": {"t_max": 0}},
