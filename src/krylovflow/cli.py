@@ -10,9 +10,10 @@ checked just before its stage (oracle: N > ORACLE_MAX_N; continuum: no
 ``continuum`` block; filter: a complete chain is shorter than the filter
 window).  A skipped stage is a usage error when requested by name and
 an entry of ``full_summary.json["skipped"]`` under ``full``.  Every
-config value the chosen stages use is checked before any stage runs; no
-number in a config may be non-finite; the config and its blocks reject
-keys they do not know.
+config value the chosen stages use is checked before any stage runs;
+every config number is a finite JSON number (not a bool or a string); a
+block is a JSON object, or absent or null for its defaults; the config
+and its blocks reject keys they do not know.
 ``bilanczos`` runs in the reflection-even sector of L for every model with
 the uniform seed, and without ``bilanczos.max_iter`` only as deep as the
 time grid reaches (see _deep_enough): termination "grid", and
@@ -106,7 +107,11 @@ def _filter_inputs(a, b):
 
 
 def _finite(value):
-    """A config number (JSON literal or value) as a finite float."""
+    """A config number as a finite float: a JSON int or float passes, a
+    bool or string does not, and an int beyond the float range raises
+    OverflowError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
     x = float(value)
     if not np.isfinite(x):
         raise ValueError(f"non-finite number {value}")
@@ -121,9 +126,10 @@ def _count(value):
 
 
 def load_config(path):
+    literal = lambda text: _finite(float(text))   # float, NaN or Infinity
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
+            cfg = json.load(fh, parse_float=literal, parse_constant=literal)
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}")
     except ValueError as exc:   # JSONDecodeError, non-finite, bad UTF-8
@@ -134,10 +140,10 @@ def load_config(path):
 
 
 # Config parsers: each returns the values one stage uses and raises
-# KeyError, TypeError, ValueError or OSError on a bad value.
+# KeyError, TypeError, ValueError, OverflowError or OSError on a bad value.
 
 def _block(cfg, key):
-    node = cfg.get(key) or {}
+    node = {} if cfg.get(key) is None else cfg[key]
     if not isinstance(node, dict):
         raise TypeError(f"{key} must be a JSON object")
     return node
@@ -234,7 +240,8 @@ def _parse(cfg, stages):
     for what, parse in parsers:
         try:
             vars(run).update(parse(cfg))
-        except (KeyError, TypeError, ValueError, OSError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError,
+                OSError) as exc:
             raise UsageError(f"bad {what}: {exc}")
     return run
 

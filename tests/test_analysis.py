@@ -82,6 +82,8 @@ def test_outlier_sweep_matches_loop_reference(window, k):
 def test_window_too_large_rejected():
     with pytest.raises(ValueError):
         remove_outliers(np.ones(5), FilterConfig(outlier_window=9))
+    with pytest.raises(ValueError, match="smooth_window"):
+        smooth(np.ones(5), FilterConfig(smooth_window=7))
 
 
 def test_smooth_window_one_is_identity():

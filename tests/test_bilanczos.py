@@ -69,6 +69,11 @@ def test_zero_seed_rejected():
         bilanczos(np.eye(2, dtype=complex), np.zeros(2))
 
 
+def test_zero_max_iter_rejected():
+    with pytest.raises(ValueError, match="max_iter"):
+        bilanczos(np.eye(2, dtype=complex), np.ones(2), max_iter=0)
+
+
 def test_hermitian_coefficients_real():
     spec = ModelSpec(N=2, g=-1.05, h=0.5)
     seed = uniform_seed(4)

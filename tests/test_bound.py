@@ -13,6 +13,7 @@ from krylovflow.bound import (dispersion_bound_check,
                               saturating_coefficients, saturation_report,
                               bound_summary)
 from krylovflow.cli import _bound_table, csv_table
+from krylovflow.exceptions import NumericalFailure
 from krylovflow.krylov_chain import MomentSeries, evolve_chain, \
     finite_diff, moments
 from krylovflow.lindbladian import build_model_lindbladian, uniform_seed
@@ -133,6 +134,22 @@ def test_tau_K_is_undefined_at_turning_points():
     assert_array_equal(np.flatnonzero(np.isnan(report.tau_K)), [100])
     mt = mandelstam_tamm_tau(dataclasses.replace(report, lhs=None), b1=1.0)
     assert_array_equal(mt.valid, ~np.isnan(report.tau_K))
+
+
+def test_mandelstam_tamm_needs_a_defined_tau():
+    report = dispersion_bound_check(two_site_moments(), b1=1.0)
+    report = dataclasses.replace(report,
+                                 tau_K=np.full_like(report.tau_K, np.nan))
+    with pytest.raises(NumericalFailure, match="noise floor"):
+        mandelstam_tamm_tau(report, b1=1.0)
+
+
+def test_renormalized_check_rejects_vanished_probability():
+    m = two_site_moments()
+    P = m.P.copy()
+    P[-1] = 0.0
+    with pytest.raises(NumericalFailure, match="underflowed"):
+        renormalized_bound_check(dataclasses.replace(m, P=P), b1=1.0)
 
 
 def test_saturating_coefficients_small_n():

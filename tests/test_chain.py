@@ -645,12 +645,22 @@ def test_finite_diff_rejects_nonuniform():
             finite_diff([0.0, 1.0, 4.0], t)
 
 
+@pytest.mark.parametrize("series,t,match", [
+    ([0.0, 1.0], [0.0, 0.1, 0.2], "lengths differ"),
+    ([0.0, 1.0], [0.0, 0.1], "at least 3 samples")],
+    ids=["mismatched", "two_samples"])
+def test_finite_diff_rejects_short_or_mismatched_input(series, t, match):
+    with pytest.raises(ValueError, match=match):
+        finite_diff(series, t)
+
+
 def test_evolve_requires_grid_from_zero():
     # Both checks are relative to the step: with absolute ones, the second
     # grid was propagated at k 1.5e-13 under its own labels and the third
     # was taken to start at 0.
+    # A single sample has no step.
     for t in (np.linspace(1, 2, 10), [0.0, 1e-13, 3e-13],
-              [1e-13, 2e-13, 3e-13]):
+              [1e-13, 2e-13, 3e-13], [0.0]):
         with pytest.raises(ValueError):
             evolve_chain(two_site_rotation(), t)
 

@@ -214,6 +214,17 @@ BAD_CONFIGS = {
     "huge_n_samples": {"n_samples": 10 ** 15},
     "huge_saturation_K": {"saturation": {"K": 10 ** 15}},
     "huge_saturation_n_samples": {"saturation": {"n_samples": 10 ** 15}},
+    # An integer literal beyond the float range is a usage error, not an
+    # OverflowError.
+    "t_max_beyond_float": {"t_max": 10 ** 400},
+    "n_samples_beyond_float": {"n_samples": 10 ** 400},
+    "g_beyond_float": {"model": dict(MODEL, g=10 ** 400)},
+    # A config number is a JSON number: not a bool, not a string.
+    "t_max_boolean": {"t_max": True},
+    "t_max_string": {"t_max": "2.5"},
+    # Only an absent or null block means the defaults.
+    "saturation_zero": {"saturation": 0},
+    "filter_false": {"filter": False},
 }
 
 
@@ -385,6 +396,16 @@ def test_malformed_config_is_usage_error(tmp_path, command, text):
     assert main([command, "--config", str(bad),
                  "--out", str(tmp_path / "o")]) == EXIT_USAGE
     assert not (tmp_path / "o").exists()
+
+
+def test_out_at_a_regular_file_is_usage_error(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    out = tmp_path / "out"
+    out.write_text("kept\n")
+    assert main(["lanczos", "--config", str(cfg_path), "--out", str(out),
+                 "--quiet"]) == EXIT_USAGE
+    assert out.read_text() == "kept\n"
 
 
 def test_missing_config_is_usage_error(tmp_path):

@@ -115,6 +115,21 @@ def test_constant_a_factorization():
     assert_allclose(C_s, C0_s * P_s, rtol=1e-9)
 
 
+def test_solver_on_an_all_zero_grid():
+    # No characteristic is integrated: the packet is still at x = 0.
+    C, P = characteristics_solver(lambda x: 1.0, lambda x: 1.0, [0.0, 0.0])
+    assert_array_equal(C, [0.0, 0.0])
+    assert_array_equal(P, [1.0, 1.0])
+
+
+def test_negative_time_rejected():
+    spec = ContinuumSpec(case=LINEAR_A, alpha=0.7, beta=2.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        analytic_C_P(spec, [0.0, -0.1])
+    with pytest.raises(ValueError, match="nonnegative"):
+        characteristics_solver(spec.b_of_x(), spec.a_of_x(), [0.0, -0.1])
+
+
 def test_overflow_guard():
     spec = ContinuumSpec(case=CONSTANT_A, alpha=0.0, beta=2.0)
     with pytest.raises(NumericalFailure):

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from krylovflow.lindbladian import (build_lindbladian,
+from krylovflow.lindbladian import (as_matrix, build_lindbladian,
                                     build_model_lindbladian, devectorize,
                                     hermitian_basis, hermitian_generator,
                                     reflection_sector, uniform_seed,
@@ -37,6 +37,10 @@ def test_vectorize_round_trip():
 def test_vectorize_rejects_non_square():
     with pytest.raises(ValueError):
         vectorize(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="square"):
+        as_matrix(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="perfect square"):
+        devectorize(np.zeros(5))
 
 
 def test_closed_liouvillian_single_qubit_z():
@@ -104,6 +108,8 @@ def test_uniform_seed_small():
     assert s4.shape == (16,)
     assert_allclose(s4, np.full(16, 0.25))
     assert np.linalg.norm(s4) == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(ValueError, match="d must be"):
+        uniform_seed(1)
 
 
 def test_uniform_seed_devectorizes_to_ones():

@@ -51,6 +51,8 @@ def test_site_operator_out_of_range():
         site_operator(X, 0, 2)
     with pytest.raises(ValueError):
         site_operator(X, 3, 2)
+    with pytest.raises(ValueError, match="2x2"):
+        site_operator(np.eye(3), 1, 2)
 
 
 def test_tfim_single_site():
@@ -139,6 +141,8 @@ def test_model_spec_validation():
         ModelSpec(N=0, g=1.0, h=0.0)
     with pytest.raises(ValueError):
         ModelSpec(N=2, g=1.0, h=0.0, alpha=-0.1)
+    with pytest.raises(ValueError, match="finite"):
+        ModelSpec(N=2, g=np.nan, h=0.0)
 
 
 def test_model_spec_defaults():
