@@ -185,46 +185,49 @@ def _lanczos(A, seed, max_iter=None, B=None, deep_enough=None):
     termination = TERM_MAX_ITER
     g_max = 0.0
 
-    for j in range(1, max_iter):
-        _check_finite("residuals", r)
-        _check_finite("residuals", s)
-        w = mu[j - 1] * (s @ (J * r))
-        gj = np.sqrt(abs(w))
-        scale = max(g_max, abs(alpha[0])) or 1.0
-        if gj < BREAKDOWN_TOL * scale:
-            # |mu| s is the left residual in the units of q_n.
-            rs = min(np.linalg.norm(r), abs(mu[0]) * np.linalg.norm(s))
-            termination = _breakdown(rs, scale)
-            break
-        if j == mu.size:   # a block end: stop, or grow by a block
-            if deep_enough is not None and deep_enough(_chain(
-                    alpha, beta, gamma, termination=TERM_GRID,
-                    space_dim=dim), gj):
-                termination = TERM_GRID
+    if deep_enough is not None:   # under the caller's floating-point rules
+        deep_enough = np.errstate(**np.geterr())(deep_enough)
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks report
+        for j in range(1, max_iter):
+            _check_finite("residuals", r)
+            _check_finite("residuals", s)
+            w = mu[j - 1] * (s @ (J * r))
+            gj = np.sqrt(abs(w))
+            scale = max(g_max, abs(alpha[0])) or 1.0
+            if gj < BREAKDOWN_TOL * scale:
+                # |mu| s is the left residual in the units of q_n.
+                rs = min(np.linalg.norm(r), abs(mu[0]) * np.linalg.norm(s))
+                termination = _breakdown(rs, scale)
                 break
-            new = np.empty((min(j + DEPTH_BLOCK, max_iter) - j, dim), dtype)
-            mu, P = np.append(mu, new[:, 0]), np.vstack([P, new])
-            V = P if one_sided else np.vstack([V, new])
-        bj = w / abs(w) * gj   # exactly +-gj when w is real
-        p = r / gj
-        v = p if one_sided else s / gj
-        # Two passes: the second removes what rounding left after the
-        # first ("twice is enough": Kahan, in Parlett 1980).
-        for _ in range(2):
-            p -= (mu[:j] * (V[:j] @ (J * p))) @ P[:j]
-            if not one_sided:
-                v -= (mu[:j] * (P[:j] @ (J * v))) @ V[:j]
-        mu[j] = mu[j - 1] * gj / bj
-        u = R @ p
-        aj = mu[j] * (v @ (J * u))
-        _check_finite("coefficients", np.array([aj, bj, gj]))
-        r = u - aj * p - bj * P[j - 1]
-        s = r if one_sided else N @ v - aj * v - bj * V[j - 1]
-        P[j], V[j] = p, v
-        alpha.append(aj)
-        beta.append(bj)
-        gamma.append(gj)
-        g_max = max(g_max, gj)
+            if j == mu.size:   # a block end: stop, or grow by a block
+                if deep_enough is not None and deep_enough(_chain(
+                        alpha, beta, gamma, termination=TERM_GRID,
+                        space_dim=dim), gj):
+                    termination = TERM_GRID
+                    break
+                new = np.empty((min(DEPTH_BLOCK, max_iter - j), dim), dtype)
+                mu, P = np.append(mu, new[:, 0]), np.vstack([P, new])
+                V = P if one_sided else np.vstack([V, new])
+            bj = w / abs(w) * gj   # exactly +-gj when w is real
+            p = r / gj
+            v = p if one_sided else s / gj
+            # Two passes: the second removes what rounding left after the
+            # first ("twice is enough": Kahan, in Parlett 1980).
+            for _ in range(2):
+                p -= (mu[:j] * (V[:j] @ (J * p))) @ P[:j]
+                if not one_sided:
+                    v -= (mu[:j] * (P[:j] @ (J * v))) @ V[:j]
+            mu[j] = mu[j - 1] * gj / bj
+            u = R @ p
+            aj = mu[j] * (v @ (J * u))
+            _check_finite("coefficients", np.array([aj, bj, gj]))
+            r = u - aj * p - bj * P[j - 1]
+            s = r if one_sided else N @ v - aj * v - bj * V[j - 1]
+            P[j], V[j] = p, v
+            alpha.append(aj)
+            beta.append(bj)
+            gamma.append(gj)
+            g_max = max(g_max, gj)
 
     K = len(alpha)
     P, V, mu = P[:K], V[:K], mu[:K]

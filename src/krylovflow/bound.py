@@ -157,7 +157,8 @@ def saturating_coefficients(alpha0, gamma0, K):
                            termination=TERM_SYNTHETIC)
 
 
-def saturation_report(alpha0, gamma0, K=400, t_max=6.0, n_samples=1201):
+def saturation_report(alpha0=1.0, gamma0=1.0, K=400, t_max=6.0,
+                      n_samples=1201):
     """Bound report for the saturating synthetic chain.
 
     The chain is evolved on [0, t_max]; the report is restricted to the

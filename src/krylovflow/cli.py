@@ -9,11 +9,11 @@ bound and oracle need evolve); ``full`` runs them all.  A skip rule is
 checked just before its stage (oracle: N > ORACLE_MAX_N; continuum: no
 ``continuum`` block; filter: a complete chain is shorter than the filter
 window).  A skipped stage is a usage error when requested by name and
-an entry of ``full_summary.json["skipped"]`` under ``full``.  Every
-config value the chosen stages use is checked before any stage runs;
-every config number is a finite JSON number (not a bool or a string); a
-block is a JSON object, or absent or null for its defaults; the config
-and its blocks reject keys they do not know.
+an entry of ``full_summary.json["skipped"]`` under ``full``.  The config
+table CONFIG gives each key one rule: a finite JSON number, a count, a
+JSON string, or a block (a JSON object, absent or null for the library's
+defaults).  The top level and the keys the chosen stages read are checked
+by it before any stage runs; a key the table does not list is an error.
 ``bilanczos`` runs in the reflection-even sector of L for every model with
 the uniform seed, and without ``bilanczos.max_iter`` only as deep as the
 time grid reaches (see _deep_enough): termination "grid", and
@@ -28,6 +28,7 @@ failure the run's artifacts are removed and ``error.json`` is written.
 """
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -39,7 +40,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, bound
 from .analysis import FilterConfig, filter_series
 from .bilanczos import bilanczos, check_open_structure, \
     project_dissipative_structure
@@ -61,8 +62,6 @@ EXIT_INVARIANT = 3
 ORACLE_MAX_N = 4
 STRUCTURE_COEFFS = 50   # leading coefficients used for structure verdicts
 DEPTH_TOL = 1e-12       # Duhamel bound on what the grid-depth cut changes
-CONFIG_KEYS = ("model", "bilanczos", "seed_kind", "t_max", "n_samples",
-               "continuum", "saturation", "filter", "output_dir")
 
 
 class UsageError(Exception):
@@ -106,23 +105,30 @@ def _filter_inputs(a, b):
             ("filtered_a_im.csv", np.asarray(a).imag, {"series": "a_im"})]
 
 
-def _finite(value):
-    """A config number as a finite float: a JSON int or float passes, a
-    bool or string does not, and an int beyond the float range raises
-    OverflowError."""
+def _finite(value, name="number"):
+    """The config number ``name`` as a finite float: a JSON int or float
+    passes, a bool or string does not, and an int beyond the float range
+    raises OverflowError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{value!r} is not a number")
+        raise TypeError(f"{name} = {value!r} is not a number")
     x = float(value)
     if not np.isfinite(x):
-        raise ValueError(f"non-finite number {value}")
+        raise ValueError(f"{name} = {value} is not finite")
     return x
 
 
-def _count(value):
-    """A config count as an int: 5 and 5.0 pass, 2.9 and true do not."""
-    if isinstance(value, bool) or int(value) != value:
-        raise ValueError(f"count {value!r} is not an integer")
+def _count(value, name="count"):
+    """The count ``name`` as an int: 5 and 5.0 pass, 2.9 and true do not."""
+    if type(value) not in (int, float) or int(value) != value:
+        raise ValueError(f"{name} = {value!r} is not an integer")
     return int(value)
+
+
+def _string(value, name="string"):
+    """The config string ``name``: any other JSON value is a TypeError."""
+    if not isinstance(value, str):
+        raise TypeError(f"{name} = {value!r} is not a string")
+    return value
 
 
 def load_config(path):
@@ -139,34 +145,54 @@ def load_config(path):
     return cfg
 
 
-# Config parsers: each returns the values one stage uses and raises
-# KeyError, TypeError, ValueError, OverflowError or OSError on a bad value.
-
-def _block(cfg, key):
-    node = {} if cfg.get(key) is None else cfg[key]
+def _walk(node, table, where, keys=None):
+    """The values of ``keys`` (default: those present) in the config object
+    ``node`` by their rules in ``table``; an absent value is left out, and
+    a key ``table`` lacks is a ValueError.  A block's rule is (make, table)."""
     if not isinstance(node, dict):
-        raise TypeError(f"{key} must be a JSON object")
-    return node
-
-
-def _fields(node, key, **convert):
-    """The keys present in the config object ``node``, each converted by
-    its function in ``convert``; any other key is a ValueError."""
-    unknown = sorted(set(node) - set(convert))
+        raise TypeError(f"{where} must be a JSON object")
+    unknown = sorted(set(node) - set(table))
     if unknown:
-        raise ValueError(f"unknown {key} keys {unknown}")
-    return {name: convert[name](value) for name, value in node.items()}
+        raise ValueError(f"unknown {where} keys {unknown}")
+    values = {}
+    for key in node if keys is None else keys:
+        rule, value = table[key], node.get(key)
+        if isinstance(rule, tuple):   # absent or null: {}
+            values[key] = rule[0](**_walk({} if value is None else value,
+                                          rule[1], f"{where}.{key}"))
+        elif key in node:
+            values[key] = rule(value, f"{where}.{key}")
+    return values
 
 
-def _grid(node, t_max, n_samples):
-    t_max = _finite(node.get("t_max", t_max))
-    n_samples = _count(node.get("n_samples", n_samples))
+# The config table, key -> rule.  A rule(value, name) checks and converts
+# one JSON value; a block's rule makes its stage's object (library defaults).
+SEED_KIND = {"kind": _string, "path": _string}
+CONFIG = {
+    "t_max": _finite, "n_samples": _count, "output_dir": _string,
+    "model": (ModelSpec, {"N": _count, "g": _finite, "h": _finite,
+                          "alpha": _finite, "gamma": _finite}),
+    "bilanczos": (dict, {"max_iter": _count}),
+    "seed_kind": lambda v, at: (_walk(v, SEED_KIND, at) if isinstance(v, dict)
+                                else _string(v, at)),
+    "continuum": (lambda **kw: ContinuumSpec(**kw) if kw else None,
+                  {"case": _string, "alpha": _finite, "beta": _finite,
+                   "c": _finite}),
+    "saturation": (dict, {"alpha0": _finite, "gamma0": _finite, "K": _count,
+                          "t_max": _finite, "n_samples": _count}),
+    "filter": (FilterConfig, {"outlier_window": _count, "outlier_k": _finite,
+                              "smooth_window": _count}),
+}
+DEFAULTS = {"t_max": 10.0, "n_samples": 400, "seed_kind": "uniform"}
+
+
+def _grid(t_max, n_samples, where):
     if t_max <= 0:
-        raise ValueError("t_max must be positive")
+        raise ValueError(f"{where}.t_max must be positive")
     if n_samples < 3:
-        raise ValueError("n_samples must be at least 3")
+        raise ValueError(f"{where}.n_samples must be at least 3")
     if t_max / (n_samples - 1) < np.finfo(float).tiny:
-        raise ValueError("time step t_max / (n_samples - 1) is subnormal")
+        raise ValueError(f"{where}: step t_max / (n_samples - 1) is subnormal")
     return t_max, n_samples
 
 
@@ -175,7 +201,7 @@ def _seed_vector(kind, dim_d):
         return uniform_seed(dim_d)
     if not (isinstance(kind, dict) and kind.get("kind") == "custom"):
         raise ValueError(f"unknown seed_kind {kind!r}")
-    path = _fields(kind, "seed_kind", kind=str, path=str).get("path")
+    path = kind["path"]
     M = np.load(path)
     if not isinstance(M, np.ndarray) or M.shape != (dim_d, dim_d):
         raise ValueError(f"seed {path} is not a {dim_d}x{dim_d} .npy array")
@@ -188,61 +214,29 @@ def _seed_vector(kind, dim_d):
     return v / nrm
 
 
-def _parse_lanczos(cfg):
-    model = ModelSpec(**_fields(_block(cfg, "model"), "model", N=_count,
-                                g=_finite, h=_finite, alpha=_finite,
-                                gamma=_finite))
-    if model.N > MAX_QUBITS:
-        raise ValueError(f"N = {model.N} exceeds {MAX_QUBITS} qubits")
-    max_iter = _fields(_block(cfg, "bilanczos"), "bilanczos",
-                       max_iter=_count).get("max_iter")
-    if max_iter is not None and max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    return {"model": model, "max_iter": max_iter,
-            "seed": _seed_vector(cfg.get("seed_kind", "uniform"),
-                                 model.dim)}
-
-
-def _parse_continuum(cfg):
-    if cfg.get("continuum") is None:
-        return {"continuum": None}
-    return {"continuum": ContinuumSpec(**_fields(
-        _block(cfg, "continuum"), "continuum", case=str, alpha=_finite,
-        beta=_finite, c=_finite))}
-
-
-def _parse_saturation(cfg):
-    kw = {"alpha0": 1.0, "gamma0": 1.0, "K": 400, **_fields(
-        _block(cfg, "saturation"), "saturation", alpha0=_finite,
-        gamma0=_finite, K=_count, t_max=_finite, n_samples=_count)}
-    # raises on out-of-range chain values
-    saturating_coefficients(kw["alpha0"], kw["gamma0"], kw["K"])
-    kw["t_max"], kw["n_samples"] = _grid(kw, 6.0, 1201)
-    return {"saturation": kw}
-
-
-def _parse_filter(cfg):
-    return {"filter": FilterConfig(**_fields(
-        _block(cfg, "filter"), "filter", outlier_window=_count,
-        outlier_k=_finite, smooth_window=_count))}
-
-
 def _parse(cfg, stages):
-    """Parse and check every config value the stages use."""
-    unknown = sorted(set(cfg) - set(CONFIG_KEYS))
-    if unknown:
-        raise UsageError(f"unknown config keys {unknown}")
-    run = SimpleNamespace()
-    grid = lambda cfg: {"t": np.linspace(0.0, *_grid(cfg, 10.0, 400))}
-    parsers = [("time grid", grid)] + [
-        (f"{stage.name} config", stage.parse) for stage in stages
-        if stage.parse is not None]
-    for what, parse in parsers:
-        try:
-            vars(run).update(parse(cfg))
-        except (KeyError, TypeError, ValueError, OverflowError,
-                OSError) as exc:
-            raise UsageError(f"bad {what}: {exc}")
+    """The top level and the keys the stages read, walked by CONFIG, then
+    the checks across values; a bad value is a UsageError."""
+    keys = ["t_max", "n_samples", "output_dir"] + [
+        key for stage in stages for key in stage.reads]
+    try:
+        run = SimpleNamespace(**DEFAULTS | _walk(cfg, CONFIG, "config", keys))
+        run.t = np.linspace(0.0, *_grid(run.t_max, run.n_samples, "config"))
+        if "model" in keys:
+            if run.model.N > MAX_QUBITS:
+                raise ValueError(f"config.model.N > {MAX_QUBITS} qubits")
+            if run.bilanczos.get("max_iter", 1) < 1:
+                raise ValueError("config.bilanczos.max_iter is below 1")
+            run.seed = _seed_vector(run.seed_kind, run.model.dim)
+        if "saturation" in keys:   # at saturation_report's defaults, read
+            # in ``bound``: a tracer may wrap the ``cli`` name without them
+            params = inspect.signature(bound.saturation_report).parameters
+            kw = {k: p.default for k, p in params.items()} | run.saturation
+            saturating_coefficients(kw["alpha0"], kw["gamma0"], kw["K"])
+            _grid(kw["t_max"], kw["n_samples"], "config.saturation")
+    except (KeyError, TypeError, ValueError, OverflowError,
+            OSError) as exc:
+        raise UsageError(f"bad config: {exc}")
     return run
 
 
@@ -256,11 +250,11 @@ class ArtifactWriter:
         self.quiet = quiet
         self.written = []
         try:
-            os.makedirs(out_dir, exist_ok=True)
+            os.makedirs(_string(out_dir, "output_dir"), exist_ok=True)
             probe = os.path.join(out_dir, ".write_probe")
             open(probe, "w").close()
             os.remove(probe)
-        except OSError as exc:
+        except (OSError, TypeError) as exc:
             raise UsageError(f"output dir {out_dir} not writable: {exc}")
 
     def write_text(self, name, text, extra=None):
@@ -337,9 +331,10 @@ def _deep_enough(run, tri, b_next):
 def _run_lanczos(run, writer):
     run.L = build_model_lindbladian(run.model)
     run.probes = {}
+    max_iter = run.bilanczos.get("max_iter")
     run.tri = tri = bilanczos(
-        run.L, run.seed, max_iter=run.max_iter,
-        deep_enough=None if run.max_iter else partial(_deep_enough, run))
+        run.L, run.seed, max_iter=max_iter,
+        deep_enough=None if max_iter else partial(_deep_enough, run))
     n_struct = min(STRUCTURE_COEFFS, tri.K)
     report = check_open_structure(tri, n_coeffs=n_struct)
     writer.write_table("coefficients.csv", _coefficient_table(tri))
@@ -425,31 +420,31 @@ def _run_filter(run, writer):
                            extra={"filter": fcfg.__dict__, **extra})
 
 
-# needs: a tuple of stage names; skip(run) -> reason or None; parse(cfg)
-# -> parsed values (see _parse); run(run, writer) does the stage's work.
-Stage = namedtuple("Stage", "name needs artifacts skip parse run")
+# needs: stage names; reads: config keys (see _parse); skip(run) -> reason
+# or None; run(run, writer) does the stage's work.
+Stage = namedtuple("Stage", "name needs reads artifacts skip run")
 
 # The pipeline in run order; a stage needs only earlier rows.
 STAGES = (
-    Stage("lanczos", (), ("coefficients.csv", "structure.json"),
-          None, _parse_lanczos, _run_lanczos),
-    Stage("evolve", ("lanczos",), ("moments.csv",),
-          None, None, _run_evolve),
-    Stage("bound", ("evolve",), ("bound.csv", "bound_summary.json"),
-          None, None, _run_bound),
-    Stage("oracle", ("evolve",), ("oracle.csv",),
+    Stage("lanczos", (), ("model", "bilanczos", "seed_kind"),
+          ("coefficients.csv", "structure.json"), None, _run_lanczos),
+    Stage("evolve", ("lanczos",), (), ("moments.csv",), None, _run_evolve),
+    Stage("bound", ("evolve",), (), ("bound.csv", "bound_summary.json"),
+          None, _run_bound),
+    Stage("oracle", ("evolve",), (), ("oracle.csv",),
           lambda run: (f"N > {ORACLE_MAX_N}"
                        if run.model.N > ORACLE_MAX_N else None),
-          None, _run_oracle),
-    Stage("continuum", (), ("continuum.csv",),
+          _run_oracle),
+    Stage("continuum", (), ("continuum",), ("continuum.csv",),
           lambda run: ("no continuum block"
                        if run.continuum is None else None),
-          _parse_continuum, _run_continuum),
-    Stage("saturation", (),
-          ("saturation.csv", "saturation_summary.json"),
-          None, _parse_saturation, _run_saturation),
-    Stage("filter", ("lanczos",), ("filtered_b_abs.csv", "filtered_a_im.csv"),
-          _filter_skip, _parse_filter, _run_filter),
+          _run_continuum),
+    Stage("saturation", (), ("saturation",),
+          ("saturation.csv", "saturation_summary.json"), None,
+          _run_saturation),
+    Stage("filter", ("lanczos",), ("filter",),
+          ("filtered_b_abs.csv", "filtered_a_im.csv"), _filter_skip,
+          _run_filter),
 )
 
 SUBCOMMANDS = tuple(stage.name for stage in STAGES) + ("full",)
@@ -503,10 +498,13 @@ def run_pipeline(cfg, command, out_dir, quiet=False):
 
 
 def _emit_error(out_dir, command, kind, message):
+    """Print the error payload, and write error.json to ``out_dir`` if set."""
     payload = {"error": kind, "command": command, "message": message,
                "version": __version__}
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text, file=sys.stderr)
+    if out_dir is None:
+        return
     try:
         with open(os.path.join(out_dir, "error.json"), "w",
                   encoding="utf-8", newline="\n") as fh:
@@ -544,9 +542,7 @@ def main(argv=None):
         out_dir = args.out or cfg.get("output_dir", ".")
         return run_pipeline(cfg, args.command, out_dir, quiet=args.quiet)
     except UsageError as exc:
-        print(json.dumps({"error": "usage", "message": str(exc),
-                          "version": __version__}, indent=2,
-                         sort_keys=True), file=sys.stderr)
+        _emit_error(None, args.command, "usage", str(exc))
         return EXIT_USAGE
 
 

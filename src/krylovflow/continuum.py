@@ -84,7 +84,7 @@ def analytic_C_P(spec, t):
     # LINEAR_A, printed forms (note the sign mismatch in the exponents
     # between C and P; kept verbatim, arbitrated by the solver)
     k = 2.0 * al * c / be
-    C = (c / be) * (grow - 1.0) * np.exp(k * ((1.0 - grow) + 5.0 * t))
+    C = (c / be) * (grow - 1.0) * _guarded_exp(k * ((1.0 - grow) + 5.0 * t))
     P = _guarded_exp(k * ((1.0 - np.exp(-2.0 * be * t)) + 5.0 * t))
     return C, P
 

@@ -12,6 +12,7 @@ from krylovflow.bilanczos import (TERM_BREAKDOWN, TERM_GRID, TERM_MAX_ITER,
                                   TridiagonalData)
 from krylovflow.bound import saturating_coefficients
 from krylovflow.cli import _coefficient_table, csv_table
+from krylovflow.exceptions import NumericalFailure
 from krylovflow.krylov_chain import evolve_chain, moments
 from krylovflow.lindbladian import build_model_lindbladian, uniform_seed, \
     vectorize
@@ -67,6 +68,16 @@ def test_serious_breakdown_reported():
 def test_zero_seed_rejected():
     with pytest.raises(ValueError, match="seed is zero"):
         bilanczos(np.eye(2, dtype=complex), np.zeros(2))
+
+
+def test_overflow_is_a_numerical_failure():
+    # At g = 1e155 the products of the recursion overflow float64.  Its
+    # finiteness checks report that, with no RuntimeWarning on the way
+    # (tier-1 turns one into an error).
+    L = build_model_lindbladian(ModelSpec(N=2, g=1e155, h=0.5, alpha=0.01,
+                                          gamma=0.01))
+    with pytest.raises(NumericalFailure, match="non-finite"):
+        bilanczos(L, uniform_seed(4))
 
 
 def test_zero_max_iter_rejected():
@@ -201,6 +212,19 @@ def test_deep_enough_is_asked_at_each_block_end():
         assert_array_equal(getattr(tri, name), getattr(asked[-1][0], name))
     assert_array_equal(tri.P, full.P[:256])
     assert_array_equal(tri.Q, full.Q[:256])
+
+
+def test_deep_enough_keeps_the_callers_floating_point_rules():
+    # The recursion ignores overflow and invalid operations, which its
+    # finiteness checks report; the depth check runs under the caller's
+    # rules, so a warning in it still shows.
+    spec = ModelSpec(N=4, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
+    rules = []
+    with np.errstate(over="raise", invalid="warn"):
+        bilanczos(build_model_lindbladian(spec), uniform_seed(spec.dim),
+                  deep_enough=lambda chain, b_next: rules.append(
+                      np.geterr()) or True)
+    assert [(r["over"], r["invalid"]) for r in rules] == [("raise", "warn")]
 
 
 @pytest.mark.parametrize("N", [3, 4, 5])

@@ -10,6 +10,7 @@ import pytest
 import krylovflow
 from krylovflow import cli
 from krylovflow.bilanczos import bilanczos
+from krylovflow.bound import saturation_report
 from krylovflow.cli import (EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK,
                             EXIT_USAGE, _coefficient_table, _seed_vector,
                             csv_table, main)
@@ -144,6 +145,62 @@ def test_coefficients_csv_is_an_unknown_key(tmp_path):
     assert "unknown config keys ['coefficients_csv']" in error["message"]
 
 
+# A subcommand reads the time grid and the blocks of the stages it runs:
+# continuum and saturation need no model block.
+@pytest.mark.parametrize("command,cfg", [
+    ("continuum", {"continuum": {"case": "constant_a", "alpha": 3.0,
+                                 "beta": 2.0}}),
+    ("saturation", {})])
+def test_model_free_stages_need_no_model(tmp_path, command, cfg):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out),
+                 "--quiet"]) == EXIT_OK
+    expected = SUBCOMMAND_ARTIFACTS[command]
+    assert sorted(os.listdir(out)) == sorted(
+        expected + [name + ".json" for name in expected])
+
+
+def test_saturation_defaults_are_the_library_defaults(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text("{}")
+    out = tmp_path / "out"
+    assert main(["saturation", "--config", str(cfg_path), "--out", str(out),
+                 "--quiet"]) == EXIT_OK
+    assert (out / "saturation.csv").read_text() == csv_table(
+        cli._bound_table(saturation_report(1.0, 1.0)))
+
+
+def test_evolve_default_time_grid(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg = write_config(cfg_path)
+    del cfg["t_max"], cfg["n_samples"]
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(cfg_path), "--out", str(out),
+                 "--quiet"]) == EXIT_OK
+    t = read_csv(out / "moments.csv")["t"]
+    assert (t.size, t[0], t[-1]) == (400, 0.0, 10.0)
+
+
+# A continuum block absent, null or empty names no continuum case: `full`
+# skips the stage.
+@pytest.mark.parametrize("continuum", [None, {}, "absent"],
+                         ids=["null", "empty", "absent"])
+def test_full_skips_continuum_without_a_case(tmp_path, continuum):
+    cfg_path = tmp_path / "cfg.json"
+    cfg = write_config(cfg_path, continuum=continuum)
+    if continuum == "absent":
+        del cfg["continuum"]
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["full", "--config", str(cfg_path), "--out", str(out),
+                 "--quiet"]) == EXIT_OK
+    summary = json.loads((out / "full_summary.json").read_text())
+    assert summary["skipped"] == ["continuum (no continuum block)"]
+
+
 def test_continuum_time_grid_defaults_to_pipeline_grid(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg = write_config(cfg_path)
@@ -225,6 +282,14 @@ BAD_CONFIGS = {
     # Only an absent or null block means the defaults.
     "saturation_zero": {"saturation": 0},
     "filter_false": {"filter": False},
+    # A config string is a JSON string.  The test writes a valid seed to a
+    # file named 7, which str(7) would name.
+    "seed_path_number": {"seed_kind": {"kind": "custom", "path": 7}},
+    # output_dir is checked under --out too, which overrides it.
+    "output_dir_number": {"output_dir": 5},
+    "output_dir_bool": {"output_dir": True},
+    "output_dir_null": {"output_dir": None},
+    "output_dir_list": {"output_dir": [1]},
 }
 
 
@@ -239,6 +304,8 @@ def test_bad_config_value_is_usage_error(tmp_path, monkeypatch, overrides):
     np.save(tmp_path / "seed_eye.npy", np.eye(4))
     np.save(tmp_path / "seed_eye3.npy", np.eye(3))
     np.save(tmp_path / "seed_zero.npy", np.zeros((4, 4)))
+    with open(tmp_path / "7", "wb") as fh:
+        np.save(fh, np.eye(4))
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, **overrides)
     out = tmp_path / "out"
@@ -249,10 +316,24 @@ def test_bad_config_value_is_usage_error(tmp_path, monkeypatch, overrides):
     assert os.listdir(out) == ["error.json"]
 
 
+@pytest.mark.parametrize("output_dir", [5, True, None, [1]],
+                         ids=["number", "bool", "null", "list"])
+def test_bad_output_dir_without_out_is_usage_error(tmp_path, monkeypatch,
+                                                   capsys, output_dir):
+    # With no output directory there is no error.json: the usage error is
+    # the JSON on stderr alone, in the payload every error has.
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path / "cfg.json", output_dir=output_dir)
+    assert main(["lanczos", "--config", "cfg.json", "--quiet"]) == EXIT_USAGE
+    error = json.loads(capsys.readouterr().err)
+    assert (error["error"], error["command"]) == ("usage", "lanczos")
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
 def test_benchmark_configs_use_known_keys():
     for workload in WORKLOADS.values():
         for cfg in workload(0):
-            assert set(cfg) <= set(cli.CONFIG_KEYS)
+            assert set(cfg) <= set(cli.CONFIG)
 
 
 def test_integral_float_counts_parse(tmp_path):

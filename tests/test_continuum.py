@@ -130,10 +130,16 @@ def test_negative_time_rejected():
         characteristics_solver(spec.b_of_x(), spec.a_of_x(), [0.0, -0.1])
 
 
-def test_overflow_guard():
-    spec = ContinuumSpec(case=CONSTANT_A, alpha=0.0, beta=2.0)
+# LINEAR_A at alpha = 1000 on [0, 1]: C, evaluated before P, overflowed a
+# bare exp with a RuntimeWarning before P's guard raised.  C's exponent,
+# never larger than P's, goes through the guard too.
+@pytest.mark.parametrize("spec,t", [
+    (ContinuumSpec(case=CONSTANT_A, alpha=0.0, beta=2.0), 200.0),
+    (ContinuumSpec(case=LINEAR_A, alpha=1000.0, beta=1.0),
+     np.linspace(0.0, 1.0, 400))], ids=["constant_a", "linear_a"])
+def test_overflow_guard(spec, t):
     with pytest.raises(NumericalFailure):
-        analytic_C_P(spec, 200.0)
+        analytic_C_P(spec, t)
 
 
 def test_solver_rejects_nonpositive_hopping():
