@@ -11,6 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .exceptions import require_integer
+
 MAD_SCALE = 1.4826  # consistency factor: MAD -> sigma for normal data
 
 
@@ -21,6 +23,8 @@ class FilterConfig:
     smooth_window: int = 7
 
     def __post_init__(self):
+        require_integer(self.outlier_window, "outlier_window")
+        require_integer(self.smooth_window, "smooth_window")
         if self.outlier_window < 3 or self.outlier_window % 2 == 0:
             raise ValueError("outlier_window must be an odd integer >= 3")
         if self.outlier_k <= 0:

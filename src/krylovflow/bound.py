@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilanczos import TERM_SYNTHETIC, TridiagonalData
-from .exceptions import InvariantViolation, NumericalFailure
-from .krylov_chain import evolve_chain, finite_diff, moments
+from .exceptions import InvariantViolation, NumericalFailure, \
+    require_integer
+from .krylov_chain import evolve_chain, finite_diff, moments, time_grid
 
 BOUND_TOL = 1e-6          # relative noise floor for bound violations
 IDENTITY_TOL = 1e-8       # renormalized-vs-plain lhs agreement
@@ -145,6 +146,7 @@ def saturating_coefficients(alpha0, gamma0, K):
     a_n = 0 and c_n = b_n.  Note the algebraic large-n asymptote is
     b_n -> sqrt(alpha0) * n / 2.
     """
+    require_integer(K, "K")
     if alpha0 < 0 or gamma0 < 0:
         raise ValueError("alpha0 and gamma0 must be nonnegative")
     if K < 2:
@@ -161,7 +163,8 @@ def saturation_report(alpha0=1.0, gamma0=1.0, K=400, t_max=6.0,
                       n_samples=1201):
     """Bound report for the saturating synthetic chain.
 
-    The chain is evolved on [0, t_max]; the report is restricted to the
+    The chain is evolved on ``time_grid(t_max, n_samples)``, which checks
+    both arguments; the report is restricted to the
     trajectory's ``horizon``, the times where the packet has not reached
     the finite chain end, and lists violations beyond
     ``BOUND_TOL * max(rhs)`` of those times.  Because a_n = 0 makes C, P
@@ -170,7 +173,7 @@ def saturation_report(alpha0=1.0, gamma0=1.0, K=400, t_max=6.0,
     horizon stay available as stencil neighbours but are not reported.
     """
     tri = saturating_coefficients(alpha0, gamma0, K)
-    t = np.linspace(0.0, float(t_max), int(n_samples))
+    t = time_grid(t_max, n_samples)
     traj = evolve_chain(tri, t)
     m = moments(traj)
 

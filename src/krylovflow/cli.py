@@ -3,27 +3,28 @@
 Usage:  krylovflow <subcommand> --config <file.json> [--out DIR] [--quiet]
 
 The pipeline is one table of stages, run in this order: lanczos, evolve,
-bound, oracle, continuum, saturation, filter.  A subcommand runs its
-stage and the stages that one needs (evolve and filter need lanczos;
-bound and oracle need evolve); ``full`` runs them all.  A skip rule is
-checked just before its stage (oracle: N > ORACLE_MAX_N; continuum: no
-``continuum`` block; filter: a complete chain is shorter than the filter
-window).  A skipped stage is a usage error when requested by name and
-an entry of ``full_summary.json["skipped"]`` under ``full``.  The config
-table CONFIG gives each key one rule: a finite JSON number, a count, a
-JSON string, or a block (a JSON object, absent or null for the library's
-defaults).  The top level and the keys the chosen stages read are checked
-by it before any stage runs; a key the table does not list is an error.
-``bilanczos`` runs in the reflection-even sector of L for every model with
-the uniform seed, and without ``bilanczos.max_iter`` only as deep as the
-time grid reaches (see _deep_enough): termination "grid", and
-coefficients.csv is the prefix of the full chain that the grid needs.
-The evolve and bound stages warn where the end of an incomplete chain
-shows on the grid (see _chain_moments).
-Each artifact is a deterministic CSV (17 significant digits, LF endings)
-with a JSON sidecar echoing the config and version.  Exit codes: 0
-success, 1 usage error (including a bad config value or a size too
-large to allocate), 2 numerical failure, 3 invariant violation; on
+bound, oracle, continuum, saturation, filter.  A subcommand runs its stage
+and the stages that one needs (evolve and filter need lanczos; bound and
+oracle need evolve); ``full`` runs them all.  A skip rule is checked just
+before its stage (oracle: N > ORACLE_MAX_N; continuum: no ``continuum``
+block; filter: a complete chain is shorter than the filter window); a
+skipped stage is a usage error when requested by name and an entry of
+``full_summary.json["skipped"]`` under ``full``.  The config table CONFIG
+gives each key one rule: a finite JSON number, a count, a JSON string, or
+a block (a JSON object, absent or null for the library's defaults, and
+required where it has none).  The top level, the keys the chosen stages
+read and their time grids (``krylov_chain.time_grid``) are checked before
+any stage runs; a key the table does not list is an error.  ``bilanczos``
+runs in the reflection-even sector of L for every model with the uniform
+seed, and without ``bilanczos.max_iter`` only as deep as the time grid
+reaches (see _deep_enough): termination "grid", and coefficients.csv is
+the prefix of the full chain that the grid needs.  The evolve and bound
+stages warn where the end of an incomplete chain shows on the grid (see
+_chain_moments).  A stage returns its row's artifacts, each a
+deterministic CSV (17 significant digits, LF endings) or JSON, by its
+name's suffix, with a JSON sidecar echoing the config and version.  Exit
+codes: 0 success, 1 usage error (including a bad config value or a size
+too large to allocate), 2 numerical failure, 3 invariant violation; on
 failure the run's artifacts are removed and ``error.json`` is written.
 """
 
@@ -34,6 +35,7 @@ import os
 import sys
 import warnings
 from collections import namedtuple
+from contextlib import suppress
 from dataclasses import asdict
 from functools import partial
 from types import SimpleNamespace
@@ -48,8 +50,8 @@ from .bound import bound_summary, dispersion_bound_check, \
     renormalized_bound_check, saturating_coefficients, saturation_report
 from .continuum import ContinuumSpec, continuum_vs_paper_report
 from .exceptions import InvariantViolation, NumericalFailure
-from .krylov_chain import TAIL_CUTOFF, direct_evolution_oracle, \
-    evolve_chain, moments
+from .krylov_chain import STENCIL, TAIL_CUTOFF, direct_evolution_oracle, \
+    evolve_chain, moments, time_grid
 from .lindbladian import MAX_QUBITS, build_model_lindbladian, \
     uniform_seed, vectorize
 from .spin_algebra import ModelSpec
@@ -99,10 +101,9 @@ def _bound_table(report):
             "margin": report.margin, "tau_K": report.tau_K}
 
 
-def _filter_inputs(a, b):
-    """(artifact, series, sidecar extra) of the two filtered coefficients."""
-    return [("filtered_b_abs.csv", np.abs(b), {"series": "b_abs"}),
-            ("filtered_a_im.csv", np.asarray(a).imag, {"series": "a_im"})]
+def _filter_inputs(tri):
+    """The two filtered series by name, in the filter row's artifact order."""
+    return {"b_abs": np.abs(tri.b), "a_im": np.asarray(tri.a).imag}
 
 
 def _finite(value, name="number"):
@@ -158,23 +159,43 @@ def _walk(node, table, where, keys=None):
     for key in node if keys is None else keys:
         rule, value = table[key], node.get(key)
         if isinstance(rule, tuple):   # absent or null: {}
-            values[key] = rule[0](**_walk({} if value is None else value,
-                                          rule[1], f"{where}.{key}"))
+            values[key] = _block(*rule, {} if value is None else value,
+                                 f"{where}.{key}")
         elif key in node:
             values[key] = rule(value, f"{where}.{key}")
     return values
 
 
+def _block(make, table, node, where):
+    """A block's object; a parameter of make with no default is required."""
+    values = _walk(node, table, where)
+    params = {} if make is dict else inspect.signature(make).parameters
+    for name, p in params.items():
+        if p.default is p.empty and p.kind != p.VAR_KEYWORD and \
+                name not in values:
+            raise ValueError(f"{where}.{name} is missing")
+    return make(**values)
+
+
+def _at(where, check, *args):
+    """check(*args), its ValueError prefixed by ``where``, the config path."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ValueError(f"{where}.{exc}") from None
+
+
 # The config table, key -> rule.  A rule(value, name) checks and converts
 # one JSON value; a block's rule makes its stage's object (library defaults).
-SEED_KIND = {"kind": _string, "path": _string}
+SEED_KIND = (lambda kind, path: {"kind": kind, "path": path},
+             {"kind": _string, "path": _string})
 CONFIG = {
     "t_max": _finite, "n_samples": _count, "output_dir": _string,
     "model": (ModelSpec, {"N": _count, "g": _finite, "h": _finite,
                           "alpha": _finite, "gamma": _finite}),
     "bilanczos": (dict, {"max_iter": _count}),
-    "seed_kind": lambda v, at: (_walk(v, SEED_KIND, at) if isinstance(v, dict)
-                                else _string(v, at)),
+    "seed_kind": lambda v, at: (_block(*SEED_KIND, v, at)
+                                if isinstance(v, dict) else _string(v, at)),
     "continuum": (lambda **kw: ContinuumSpec(**kw) if kw else None,
                   {"case": _string, "alpha": _finite, "beta": _finite,
                    "c": _finite}),
@@ -184,16 +205,6 @@ CONFIG = {
                               "smooth_window": _count}),
 }
 DEFAULTS = {"t_max": 10.0, "n_samples": 400, "seed_kind": "uniform"}
-
-
-def _grid(t_max, n_samples, where):
-    if t_max <= 0:
-        raise ValueError(f"{where}.t_max must be positive")
-    if n_samples < 3:
-        raise ValueError(f"{where}.n_samples must be at least 3")
-    if t_max / (n_samples - 1) < np.finfo(float).tiny:
-        raise ValueError(f"{where}: step t_max / (n_samples - 1) is subnormal")
-    return t_max, n_samples
 
 
 def _seed_vector(kind, dim_d):
@@ -221,7 +232,7 @@ def _parse(cfg, stages):
         key for stage in stages for key in stage.reads]
     try:
         run = SimpleNamespace(**DEFAULTS | _walk(cfg, CONFIG, "config", keys))
-        run.t = np.linspace(0.0, *_grid(run.t_max, run.n_samples, "config"))
+        run.t = _at("config", time_grid, run.t_max, run.n_samples)
         if "model" in keys:
             if run.model.N > MAX_QUBITS:
                 raise ValueError(f"config.model.N > {MAX_QUBITS} qubits")
@@ -233,22 +244,26 @@ def _parse(cfg, stages):
             params = inspect.signature(bound.saturation_report).parameters
             kw = {k: p.default for k, p in params.items()} | run.saturation
             saturating_coefficients(kw["alpha0"], kw["gamma0"], kw["K"])
-            _grid(kw["t_max"], kw["n_samples"], "config.saturation")
+            _at("config.saturation", time_grid, kw["t_max"], kw["n_samples"])
     except (KeyError, TypeError, ValueError, OverflowError,
             OSError) as exc:
         raise UsageError(f"bad config: {exc}")
     return run
 
 
+def _text(name, content):
+    """File ``name``'s text: a csv_table for .csv, else JSON ending in LF."""
+    if name.endswith(".csv"):
+        return csv_table(content)
+    return json.dumps(content, indent=2, sort_keys=True) + "\n"
+
+
 class ArtifactWriter:
     """Writes artifacts plus sidecars; can roll back on failure."""
 
     def __init__(self, out_dir, cfg, command, quiet):
-        self.out_dir = out_dir
-        self.cfg = cfg
-        self.command = command
-        self.quiet = quiet
-        self.written = []
+        self.out_dir, self.quiet, self.written = out_dir, quiet, []
+        self.meta = {"command": command, "version": __version__, "config": cfg}
         try:
             os.makedirs(_string(out_dir, "output_dir"), exist_ok=True)
             probe = os.path.join(out_dir, ".write_probe")
@@ -257,34 +272,21 @@ class ArtifactWriter:
         except (OSError, TypeError) as exc:
             raise UsageError(f"output dir {out_dir} not writable: {exc}")
 
-    def write_text(self, name, text, extra=None):
+    def write(self, name, content, extra=None):
+        """Artifact ``name`` (see _text) and its sidecar, plus ``extra``."""
         path = os.path.join(self.out_dir, name)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        self.written.append(path)
-        side = path + ".json"
-        meta = {"artifact": name, "command": self.command,
-                "version": __version__, "config": self.cfg, **(extra or {})}
-        with open(side, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        self.written.append(side)
+        meta = {"artifact": name, **self.meta, **(extra or {})}
+        for target, obj in ((path, content), (path + ".json", meta)):
+            with open(target, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(_text(target, obj))
+            self.written.append(target)
         if not self.quiet:
             print(f"wrote {path}")
 
-    def write_table(self, name, columns, extra=None):
-        self.write_text(name, csv_table(columns), extra)
-
-    def write_json(self, name, obj):
-        self.write_text(name, json.dumps(obj, indent=2, sort_keys=True)
-                        + "\n")
-
     def rollback(self):
         for path in self.written:
-            try:
+            with suppress(OSError):
                 os.remove(path)
-            except OSError:
-                pass
         self.written = []
 
 
@@ -328,7 +330,7 @@ def _deep_enough(run, tri, b_next):
     return True
 
 
-def _run_lanczos(run, writer):
+def _run_lanczos(run):
     run.L = build_model_lindbladian(run.model)
     run.probes = {}
     max_iter = run.bilanczos.get("max_iter")
@@ -337,71 +339,61 @@ def _run_lanczos(run, writer):
         deep_enough=None if max_iter else partial(_deep_enough, run))
     n_struct = min(STRUCTURE_COEFFS, tri.K)
     report = check_open_structure(tri, n_coeffs=n_struct)
-    writer.write_table("coefficients.csv", _coefficient_table(tri))
-    writer.write_json("structure.json", {
-        **asdict(report),
-        "n_coeffs": n_struct,
-        "K": tri.K,
+    return _coefficient_table(tri), {
+        **asdict(report), "n_coeffs": n_struct, "K": tri.K,
         "termination": tri.termination,
         "residual_biortho": tri.residual_biortho,
-        "residual_tridiag": tri.residual_tridiag,
-    })
+        "residual_tridiag": tri.residual_tridiag}
 
 
-def _run_evolve(run, writer):
+def _run_evolve(run):
     run.moments = m = _chain_moments(run, run.tri, "raw")
-    writer.write_table("moments.csv", {"t": m.t, "C": m.C, "P": m.P,
-                                       "M2": m.M2, "Ctilde": m.Ctilde})
+    return {"t": m.t, "C": m.C, "P": m.P, "M2": m.M2, "Ctilde": m.Ctilde},
 
 
-def _run_bound(run, writer):
+def _run_bound(run):
     # A closed chain is its own bound chain, already evolved and judged.
     tri_b = _bound_chain(run.tri)
     projected = tri_b is not run.tri
     m = _chain_moments(run, tri_b, "bound") if projected else run.moments
-    if m.t.size < 3:
+    if m.t.size < STENCIL:
         raise NumericalFailure(f"total probability underflowed after "
-                               f"{m.t.size} sample(s); the bound needs 3")
+                               f"{m.t.size} sample(s); the bound needs "
+                               f"{STENCIL}")
     # A K = 1 chain has no b1 and C = M2 = 0 on it: b1 = 0 gives 0 <= 0.
     b1 = tri_b.b[0] if tri_b.K > 1 else 0.0
     report = dispersion_bound_check(m, b1)
     renormalized_bound_check(m, b1)  # identity check; raises if broken
-    writer.write_table("bound.csv", _bound_table(report))
-    summary = bound_summary(report)
-    summary["projected_structure"] = projected
-    writer.write_json("bound_summary.json", summary)
+    return _bound_table(report), {**bound_summary(report),
+                                  "projected_structure": projected}
 
 
-def _run_oracle(run, writer):
+def _run_oracle(run):
     mc = run.moments
     mo = direct_evolution_oracle(run.L, run.seed, run.tri, run.t)
     # Zero-crossings (e.g. C at t = 0) are compared against a floor tied
     # to the series peak rather than the pointwise value.
-    floor_C = 1e-12 * max(float(np.abs(mo.C).max()), 1e-300)
-    floor_P = 1e-12 * max(float(np.abs(mo.P).max()), 1e-300)
-    writer.write_table("oracle.csv", {
-        "t": run.t, "C_chain": mc.C, "P_chain": mc.P,
-        "C_direct": mo.C, "P_direct": mo.P,
-        "relC": np.abs(mc.C - mo.C) / np.maximum(np.abs(mo.C), floor_C),
-        "relP": np.abs(mc.P - mo.P) / np.maximum(np.abs(mo.P), floor_P)})
+    rel = lambda x, y: np.abs(x - y) / np.maximum(
+        np.abs(y), 1e-12 * max(float(np.abs(y).max()), 1e-300))
+    return {"t": run.t, "C_chain": mc.C, "P_chain": mc.P, "C_direct": mo.C,
+            "P_direct": mo.P, "relC": rel(mc.C, mo.C),
+            "relP": rel(mc.P, mo.P)},
 
 
-def _run_continuum(run, writer):
-    writer.write_table("continuum.csv",
-                       continuum_vs_paper_report(run.continuum, run.t))
+def _run_continuum(run):
+    return continuum_vs_paper_report(run.continuum, run.t),
 
 
-def _run_saturation(run, writer):
+def _run_saturation(run):
     report = saturation_report(**run.saturation)
-    writer.write_table("saturation.csv", _bound_table(report))
-    writer.write_json("saturation_summary.json", bound_summary(report))
+    return _bound_table(report), bound_summary(report)
 
 
 def _filter_skip(run):
     """A series shorter than the filter window: a reason to skip when the
     chain is complete, else a usage error."""
     window = max(run.filter.outlier_window, run.filter.smooth_window)
-    for name, series, _ in _filter_inputs(run.tri.a, run.tri.b):
+    for name, series in _filter_inputs(run.tri).items():
         if series.size < window:
             reason = f"series length {series.size} < filter window {window}"
             if run.tri.complete:
@@ -410,18 +402,16 @@ def _filter_skip(run):
     return None
 
 
-def _run_filter(run, writer):
-    fcfg = run.filter
-    for name, series, extra in _filter_inputs(run.tri.a, run.tri.b):
-        cleaned, smoothed, _ = filter_series(series, fcfg)
-        writer.write_table(name, {"n": np.arange(series.size),
-                                  "raw": series, "cleaned": cleaned,
-                                  "smoothed": smoothed},
-                           extra={"filter": fcfg.__dict__, **extra})
+def _run_filter(run):
+    for name, series in _filter_inputs(run.tri).items():
+        cleaned, smoothed, _ = filter_series(series, run.filter)
+        yield ({"n": np.arange(series.size), "raw": series,
+                "cleaned": cleaned, "smoothed": smoothed},
+               {"filter": run.filter.__dict__, "series": name})
 
 
 # needs: stage names; reads: config keys (see _parse); skip(run) -> reason
-# or None; run(run, writer) does the stage's work.
+# or None; run(run) -> its artifacts in row order, (content, extra) or content.
 Stage = namedtuple("Stage", "name needs reads artifacts skip run")
 
 # The pipeline in run order; a stage needs only earlier rows.
@@ -481,14 +471,17 @@ def run_pipeline(cfg, command, out_dir, quiet=False):
         for stage in stages:
             reason = stage.skip(run) if stage.skip else None
             if reason is None:
-                stage.run(run, writer)
+                for name, art in zip(stage.artifacts, stage.run(run),
+                                     strict=True):
+                    writer.write(name, *art if isinstance(art, tuple)
+                                 else (art,))
             elif command == "full":
                 skipped.append(f"{stage.name} ({reason})")
             else:
                 raise UsageError(f"{stage.name} cannot run: {reason}")
         if command == "full":
-            writer.write_json("full_summary.json",
-                              {"skipped": skipped, "completed": True})
+            writer.write("full_summary.json",
+                         {"skipped": skipped, "completed": True})
     except tuple(ERRORS) as exc:
         writer.rollback()
         kind, code = next(v for k, v in ERRORS.items() if isinstance(exc, k))
@@ -499,18 +492,14 @@ def run_pipeline(cfg, command, out_dir, quiet=False):
 
 def _emit_error(out_dir, command, kind, message):
     """Print the error payload, and write error.json to ``out_dir`` if set."""
-    payload = {"error": kind, "command": command, "message": message,
-               "version": __version__}
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text, file=sys.stderr)
-    if out_dir is None:
-        return
-    try:
-        with open(os.path.join(out_dir, "error.json"), "w",
-                  encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
-    except OSError:
-        pass
+    text = _text("error.json", {"error": kind, "command": command,
+                                "message": message, "version": __version__})
+    sys.stderr.write(text)
+    if out_dir is not None:
+        path = os.path.join(out_dir, "error.json")
+        with suppress(OSError), \
+                open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
 
 
 def build_parser():

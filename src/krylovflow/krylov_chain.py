@@ -21,7 +21,9 @@ term is one product of the stacked diagonals with a sliding window of the
 last term.  The Lanczos chain of a Lindbladian from a Hermitian seed has
 Re a = 0 and real b, c, so A_phi is real and the raw chain is propagated
 in real arithmetic, like the projected one; its D_n are +-1.  A chain end
-is measured, not warned of.
+is measured, not warned of.  :func:`time_grid` is the one place a time
+grid is built; a grid passed in must be uniform, increase by a step no
+smaller than the smallest normal float and, to be propagated, start at 0.
 """
 
 import warnings
@@ -33,11 +35,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import expm
 from scipy.linalg.blas import idamax
 
-from .exceptions import NumericalFailure
+from .exceptions import NumericalFailure, require_integer
 from .lindbladian import MAX_DIM, as_matrix, hermitian_generator
 
 TAIL_CUTOFF = 1e-10   # last-site mass that signals chain truncation
 P_UNDERFLOW = 1e-300
+STENCIL = 5           # finite_diff's stencil width: time_grid's fewest samples
+_TINY = np.finfo(float).tiny   # the smallest step of a time grid
 
 
 @dataclass
@@ -65,22 +69,33 @@ class MomentSeries:
     imag_residue: float = 0.0   # max |Im sum n psi*_n phi_n|
 
 
-def _uniform_step(t_grid):
+def time_grid(t_max, n_samples):
+    """``n_samples`` points on [0, t_max]: t_max finite and > 0, n_samples an
+    integer >= STENCIL, a normal step; a ValueError names the argument."""
+    require_integer(n_samples, "n_samples")
+    if n_samples < STENCIL:
+        raise ValueError(f"n_samples = {n_samples} is below {STENCIL}")
+    if not 0 < t_max < np.inf:
+        raise ValueError(f"t_max = {t_max} is not finite and positive")
+    if t_max / (n_samples - 1) < _TINY:
+        raise ValueError("t_max / (n_samples - 1) is a subnormal step")
+    return np.linspace(0.0, float(t_max), n_samples)
+
+
+def _uniform_step(t_grid, from_zero=True):
+    """(t, step) of ``t_grid``, uniform and rising by a normal step, and from
+    0 if ``from_zero``; each check is relative, to 1e-9 of the step."""
     t = np.asarray(t_grid, dtype=float)
     if t.size < 2:
         raise ValueError("time grid needs at least 2 points")
     dt = np.diff(t)
-    if not np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):   # relative only
+    if not np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
         raise ValueError("time grid must be uniform")
-    return t, float(dt[0])
-
-
-def _grid_from_zero(t_grid):
-    """:func:`_uniform_step` of a grid that starts at 0, to 1e-9 of a step."""
-    t, dt = _uniform_step(t_grid)
-    if abs(t[0]) > 1e-9 * abs(dt):
+    if not dt[0] >= _TINY:
+        raise ValueError("time grid must increase by a normal step")
+    if from_zero and abs(t[0]) > 1e-9 * dt[0]:
         raise ValueError("time grid must start at 0")
-    return t, dt
+    return t, float(dt[0])
 
 
 # theta_55 of Al-Mohy & Higham (2011), table 3.1, in double precision: the
@@ -98,11 +113,12 @@ def _taylor_plan(A, t):
     """Substep count s for exp(tA) at degree _DEGREE, A sparse banded.
 
     s = ceil(t min_p max(d_p, d_{p+1}) / theta_55) over p = 2 .. _P_MAX, at
-    least 1, with exact d_p = ||A^p||_1^(1/p): a tridiagonal A has a
-    (2p + 1)-diagonal A^p, so the powers stay cheap.  As d_p <= ||A||_1, a
-    plan from ||A||_1 alone would take no fewer substeps.  A plan past
-    _MAX_SUBSTEPS raises NumericalFailure, inf included: s is formed in
-    Python floats, which overflow to inf without a warning.
+    least 1 (t > 0 on every grid; A = 0 for one site), with exact
+    d_p = ||A^p||_1^(1/p): a tridiagonal A has a (2p + 1)-diagonal A^p, so
+    the powers stay cheap.  As d_p <= ||A||_1, a plan from ||A||_1 alone
+    would take no fewer substeps.  A plan past _MAX_SUBSTEPS raises
+    NumericalFailure, inf included: s is formed in Python floats, which
+    overflow to inf without a warning.
     """
     norms = np.empty(_P_MAX + 1)   # ||A^p||_1, p = 1 .. _P_MAX + 1
     P = A
@@ -196,7 +212,7 @@ def _propagate(A, y0, h, q):
 
 
 def evolve_chain(tri, t_grid):
-    """Propagate the chain recursions on ``t_grid`` (uniform, starting at 0).
+    """Propagate the chain recursions on ``t_grid`` (uniform, rising from 0).
 
     phi at every grid point is exp(t A_phi) e0 for the sparse generator of
     the phi recursion, evaluated by :func:`_propagate`, which picks its own
@@ -208,7 +224,7 @@ def evolve_chain(tri, t_grid):
     c_n = 0 != b_n, which has no such gauge, and NumericalFailure if phi or
     psi is not finite; a finite chain end raises and warns nothing.
     """
-    t, _ = _grid_from_zero(t_grid)
+    t, _ = _uniform_step(t_grid)
     a, b, c = (np.asarray(x, dtype=complex) for x in (tri.a, tri.b, tri.c))
     gauged = b != c
     if np.any(c[gauged] == 0):
@@ -282,7 +298,7 @@ def direct_evolution_oracle(L, seed, tri, t_grid):
         raise ValueError(f"oracle limited to dimension <= {MAX_DIM}")
     if tri.W is None:
         raise ValueError("direct evolution oracle requires stored bases")
-    t, dt = _grid_from_zero(t_grid)
+    t, dt = _uniform_step(t_grid)
     R, x0 = hermitian_generator(A, tri.W, seed)
 
     E = expm(-dt * R.toarray())
@@ -302,23 +318,20 @@ def direct_evolution_oracle(L, seed, tri, t_grid):
 
 
 def finite_diff(series, t_grid):
-    """Fourth-order finite differences on a uniform grid.
+    """Fourth-order finite differences on a uniform, increasing grid.
 
     Five-point central stencils in the interior with matching one-sided
-    fourth-order stencils at the two points nearest each edge.  The
-    fourth-order truncation term slightly *under*estimates the slope of
-    exponentially growing series, which keeps derivative-based bound
-    ratios on the correct side of exact saturation.  Grids shorter than
-    five samples fall back to second order (numpy.gradient).
+    fourth-order stencils at the two points nearest each edge, so at least
+    STENCIL samples.  The fourth-order truncation term slightly *under*
+    estimates the slope of exponentially growing series, which keeps
+    derivative-based bound ratios on the correct side of exact saturation.
     """
     y = np.asarray(series, dtype=float)
-    t, dt = _uniform_step(t_grid)
+    t, dt = _uniform_step(t_grid, from_zero=False)
     if y.size != t.size:
         raise ValueError("series and grid lengths differ")
-    if y.size < 3:
-        raise ValueError("need at least 3 samples for derivative stencils")
-    if y.size < 5:
-        return np.gradient(y, dt, edge_order=2)
+    if y.size < STENCIL:
+        raise ValueError(f"need at least {STENCIL} samples for the stencils")
     d = np.empty_like(y)
     d[2:-2] = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12 * dt)
     d[0] = (-25 * y[0] + 48 * y[1] - 36 * y[2] + 16 * y[3]

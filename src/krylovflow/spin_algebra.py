@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .exceptions import require_integer
+
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -62,6 +64,7 @@ class ModelSpec:
     gamma: float = 0.0
 
     def __post_init__(self):
+        require_integer(self.N, "N")
         if self.N < 1:
             raise ValueError("N must be >= 1")
         for name in ("g", "h", "alpha", "gamma"):

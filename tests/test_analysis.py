@@ -134,6 +134,16 @@ def test_filter_config_validation():
         FilterConfig(smooth_window=2)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("outlier_window", 9.5), ("outlier_window", 9.0),
+    ("outlier_window", True), ("smooth_window", 7.0)])
+def test_filter_config_windows_must_be_integers(field, value):
+    # 9.5 once passed the odd-window check and failed later in NumPy.
+    with pytest.raises(ValueError, match=f"{field} = .* is not an integer"):
+        FilterConfig(**{field: value})
+    assert FilterConfig(outlier_window=np.int64(9)).outlier_window == 9
+
+
 def test_csv_round_trip():
     raw = np.array([1.0, 2.0, 50.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]) / 3
     cleaned, smoothed, _ = filter_series(raw)

@@ -174,6 +174,14 @@ def test_saturating_coefficients_validation():
         saturating_coefficients(1.0, 1.0, 1)
 
 
+@pytest.mark.parametrize("K", [400.0, 2.5, True])
+def test_saturating_chain_length_must_be_an_integer(K):
+    # 400.0 once passed and failed later in NumPy with a TypeError.
+    with pytest.raises(ValueError, match="K = .* is not an integer"):
+        saturating_coefficients(1.0, 1.0, K)
+    assert saturating_coefficients(1.0, 1.0, np.int64(40)).K == 40
+
+
 def test_saturation_report_ratio_near_one():
     report = saturation_report(1.0, 1.0, K=400, t_max=6.0, n_samples=1201)
     ratio = report.saturation_ratio

@@ -11,11 +11,12 @@ from scipy.sparse.linalg import expm_multiply
 from krylovflow import krylov_chain
 from krylovflow.bilanczos import TERM_BREAKDOWN, TridiagonalData, \
     _lanczos, bilanczos, project_dissipative_structure
-from krylovflow.bound import saturating_coefficients
+from krylovflow.bound import saturating_coefficients, saturation_report
 from krylovflow.exceptions import NumericalFailure
-from krylovflow.krylov_chain import (TAIL_CUTOFF, ChainTrajectory,
+from krylovflow.krylov_chain import (STENCIL, TAIL_CUTOFF, ChainTrajectory,
                                      _propagate, direct_evolution_oracle,
-                                     evolve_chain, finite_diff, moments)
+                                     evolve_chain, finite_diff, moments,
+                                     time_grid)
 from krylovflow.lindbladian import build_model_lindbladian, uniform_seed, \
     vectorize
 from krylovflow.spin_algebra import ModelSpec, pauli_matrix, site_operator
@@ -618,12 +619,13 @@ def test_oracle_size_cap_is_the_full_space_dimension(expm_args):
 
 
 def test_finite_diff_polynomial():
-    # 3 and 4 samples fall back to numpy.gradient, second order and so
-    # exact on t^2.
-    for t in (np.arange(0, 1, 0.01), np.linspace(0, 1, 3),
-              np.linspace(0, 1, 4)):
+    # The stencils are fourth order, so exact on t^2 and t^4 down to the
+    # shortest grid they fit, STENCIL samples.
+    for t in (np.arange(0, 1, 0.01), np.linspace(0, 1, STENCIL)):
         d = finite_diff(t ** 2, t)
         assert np.abs(d - 2 * t).max() < 1e-4
+    t = np.linspace(0, 1, STENCIL)
+    assert_allclose(finite_diff(t ** 4, t), 4 * t ** 3, atol=1e-12)
 
 
 def test_finite_diff_constant():
@@ -647,8 +649,10 @@ def test_finite_diff_rejects_nonuniform():
 
 @pytest.mark.parametrize("series,t,match", [
     ([0.0, 1.0], [0.0, 0.1, 0.2], "lengths differ"),
-    ([0.0, 1.0], [0.0, 0.1], "at least 3 samples")],
-    ids=["mismatched", "two_samples"])
+    ([0.0, 1.0], [0.0, 0.1], f"at least {STENCIL} samples"),
+    ([0.0, 1.0, 4.0, 9.0], [0.0, 0.1, 0.2, 0.3],
+     f"at least {STENCIL} samples")],
+    ids=["mismatched", "two_samples", "four_samples"])
 def test_finite_diff_rejects_short_or_mismatched_input(series, t, match):
     with pytest.raises(ValueError, match=match):
         finite_diff(series, t)
@@ -680,6 +684,67 @@ def test_oracle_requires_grid_from_zero():
     L, seed, tri = paper_model_n2()
     with pytest.raises(ValueError, match="start at 0"):
         direct_evolution_oracle(L, seed, tri, np.linspace(1, 2, 11))
+
+
+def _evolve_on(t):
+    return evolve_chain(saturating_coefficients(1.0, 1.0, 40), t)
+
+
+def _oracle_on(t):
+    return direct_evolution_oracle(*paper_model_n2(), t)
+
+
+def _finite_diff_on(t):
+    return finite_diff(np.ones(np.size(t)), t)
+
+
+def _saturation_on(t_max, n_samples):
+    return saturation_report(K=40, t_max=t_max, n_samples=n_samples)
+
+
+# (t_max, n_samples) that the grid builders reject.
+BAD_SPANS = {"t_max_negative": (-2.0, 201), "t_max_zero": (0.0, 11),
+             "t_max_nan": (np.nan, 11), "t_max_inf": (np.inf, 11),
+             "fractional": (2.0, 10.5), "integral_float": (2.0, 11.0),
+             "boolean": (2.0, True), "two_samples": (2.0, 2),
+             "four_samples": (2.0, STENCIL - 1),
+             "subnormal_step": (1e-310, 61)}
+BAD_GRIDS = {"decreasing": np.linspace(0, -2, 21), "zero_step": np.zeros(21)}
+# Each entry point of the time-grid rule on each grid it must reject, and
+# the message it must give: a builder names its argument.
+GRID_RULE = {
+    **{f"{name}-{case}": (f, span, "^(t_max|n_samples) ")
+       for name, f in (("time_grid", time_grid),
+                       ("saturation_report", _saturation_on))
+       for case, span in BAD_SPANS.items()},
+    **{f"{name}-{case}": (f, (t,), "time grid must increase")
+       for name, f in (("evolve_chain", _evolve_on), ("oracle", _oracle_on),
+                       ("finite_diff", _finite_diff_on))
+       for case, t in BAD_GRIDS.items()},
+    "evolve_chain-one_sample": (_evolve_on, ([0.0],), "at least 2 points"),
+    "oracle-one_sample": (_oracle_on, ([0.0],), "at least 2 points"),
+    "finite_diff-four_samples": (_finite_diff_on,
+                                 (np.linspace(0, 1, STENCIL - 1),),
+                                 f"at least {STENCIL} samples"),
+}
+
+
+@pytest.mark.parametrize("case", GRID_RULE)
+def test_grid_rule_rejects_bad_grids(case):
+    # A ValueError, with no RuntimeWarning on the way: at t_max = 0 the
+    # saturation report once divided by its zero step and returned NaN, and
+    # a decreasing grid was propagated backwards in time.
+    f, args, match = GRID_RULE[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            f(*args)
+
+
+def test_time_grid_is_the_linspace_of_its_span():
+    assert_array_equal(time_grid(6.0, 1201), np.linspace(0.0, 6.0, 1201))
+    assert_array_equal(time_grid(10, np.int64(400)),
+                       np.linspace(0.0, 10.0, 400))
 
 
 def test_overflowing_taylor_plan_raises_numerical_failure():

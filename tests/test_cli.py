@@ -1,8 +1,11 @@
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from krylovflow.spin_algebra import ModelSpec, pauli_matrix
 from perfbench.workloads import ALL as WORKLOADS
 
 MODEL = {"N": 2, "g": -1.05, "h": 0.5, "alpha": 0.01, "gamma": 0.01}
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(path, **overrides):
@@ -223,8 +227,11 @@ BAD_CONFIGS = {
     "t_max_subnormal": {"t_max": 1e-320},
     "n_samples": {"n_samples": "x"},
     "n_samples_two": {"n_samples": 2},
+    # one sample short of the derivative stencils
+    "n_samples_four": {"n_samples": 4},
     "saturation_t_max_zero": {"saturation": {"t_max": 0}},
     "saturation_n_samples_two": {"saturation": {"n_samples": 2}},
+    "saturation_n_samples_four": {"saturation": {"n_samples": 4}},
     "seed_kind_name": {"seed_kind": "gaussian"},
     # written by the test: a 3 x 3 seed at N = 2, and a zero matrix
     "seed_shape": {"seed_kind": {"kind": "custom", "path": "seed_eye3.npy"}},
@@ -265,9 +272,9 @@ BAD_CONFIGS = {
     "continum": {"continum": {"case": "constant_a", "alpha": 3.0,
                               "beta": 2.0}},
     # Sizes no machine can allocate: 10**15 float64 samples are 7.1 PiB,
-    # which a 64-bit allocator refuses at once.  The saturation grid is
-    # made only after the earlier stages have written, so that case also
-    # checks the rollback.  Never use a size a machine could allocate.
+    # which a 64-bit allocator refuses at once.  Both grids are made when
+    # the config is checked, before any stage writes.  Never use a size a
+    # machine could allocate.
     "huge_n_samples": {"n_samples": 10 ** 15},
     "huge_saturation_K": {"saturation": {"K": 10 ** 15}},
     "huge_saturation_n_samples": {"saturation": {"n_samples": 10 ** 15}},
@@ -290,11 +297,25 @@ BAD_CONFIGS = {
     "output_dir_bool": {"output_dir": True},
     "output_dir_null": {"output_dir": None},
     "output_dir_list": {"output_dir": [1]},
+    # A key the library object has no default for is required.
+    "seed_path_missing": {"seed_kind": {"kind": "custom"}},
+    "model_N_missing": {"model": {"g": -1.05, "h": 0.5}},
+}
+
+# The config path the message of a BAD_CONFIGS case names.
+KEY_IN_MESSAGE = {
+    "t_max_zero": "config.t_max", "t_max_subnormal_step": "config.t_max",
+    "n_samples_two": "config.n_samples", "n_samples_four": "config.n_samples",
+    "saturation_t_max_zero": "config.saturation.t_max",
+    "saturation_n_samples_two": "config.saturation.n_samples",
+    "saturation_n_samples_four": "config.saturation.n_samples",
+    "seed_path_missing": "config.seed_kind.path",
+    "model_N_missing": "config.model.N",
 }
 
 
-@pytest.mark.parametrize("overrides", BAD_CONFIGS.values(), ids=BAD_CONFIGS)
-def test_bad_config_value_is_usage_error(tmp_path, monkeypatch, overrides):
+@pytest.mark.parametrize("case", BAD_CONFIGS)
+def test_bad_config_value_is_usage_error(tmp_path, monkeypatch, case):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "seed.txt").write_text("not an array\n")
     nan_seed = np.eye(4)
@@ -307,13 +328,15 @@ def test_bad_config_value_is_usage_error(tmp_path, monkeypatch, overrides):
     with open(tmp_path / "7", "wb") as fh:
         np.save(fh, np.eye(4))
     cfg_path = tmp_path / "cfg.json"
-    write_config(cfg_path, **overrides)
+    write_config(cfg_path, **BAD_CONFIGS[case])
     out = tmp_path / "out"
     assert main(["full", "--config", str(cfg_path), "--out", str(out),
                  "--quiet"]) == EXIT_USAGE
     error = json.loads((out / "error.json").read_text())
     assert error["error"] == "usage"
     assert os.listdir(out) == ["error.json"]
+    if case in KEY_IN_MESSAGE:
+        assert KEY_IN_MESSAGE[case] in error["message"]
 
 
 @pytest.mark.parametrize("output_dir", [5, True, None, [1]],
@@ -328,6 +351,27 @@ def test_bad_output_dir_without_out_is_usage_error(tmp_path, monkeypatch,
     error = json.loads(capsys.readouterr().err)
     assert (error["error"], error["command"]) == ("usage", "lanczos")
     assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_readme_config_table_lists_the_config_keys():
+    # README's config table names the top-level keys of cli.CONFIG, and a
+    # block row names exactly its block's keys in backticks; a quoted value
+    # such as `"uniform"` is not a key.
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| key | rule | default | read by |") + 2
+    rows = {}
+    for line in itertools.takewhile(lambda l: l.startswith("|"),
+                                    lines[start:]):
+        key, rule = re.match(r"\| `(\w+)` \| ([^|]*) \|", line).groups()
+        if "block" in rule:
+            rows[key] = set(re.findall(r"`([A-Za-z_]\w*)`", rule))
+        else:
+            rows[key] = None
+    blocks = {key: set(rule[1]) for key, rule in cli.CONFIG.items()
+              if isinstance(rule, tuple)}
+    blocks["seed_kind"] = set(cli.SEED_KIND[1])
+    assert set(rows) == set(cli.CONFIG)
+    assert {k: v for k, v in rows.items() if v is not None} == blocks
 
 
 def test_benchmark_configs_use_known_keys():

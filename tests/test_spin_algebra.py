@@ -136,6 +136,14 @@ def test_sigma_pm_anticommutator_identity():
         assert_allclose(sp @ sm + sm @ sp, np.eye(2 ** N), atol=1e-14)
 
 
+@pytest.mark.parametrize("N", [True, 2.5, 2.0, "2"])
+def test_model_spec_count_must_be_an_integer(N):
+    # True once built the N = 1 model; 2.5 failed later, deep in NumPy.
+    with pytest.raises(ValueError, match="N = .* is not an integer"):
+        ModelSpec(N=N, g=1.0, h=0.0)
+    assert ModelSpec(N=np.int64(2), g=1.0, h=0.0).dim == 4
+
+
 def test_model_spec_validation():
     with pytest.raises(ValueError):
         ModelSpec(N=0, g=1.0, h=0.0)
