@@ -51,7 +51,7 @@ def _outlier_sweep(x, cfg):
     return cleaned, outliers.tolist()
 
 
-def remove_outliers(series, cfg=None):
+def remove_outliers(series, cfg):
     """Replace spikes by the local window median.
 
     A point is an outlier when it deviates from the median of its
@@ -62,7 +62,6 @@ def remove_outliers(series, cfg=None):
     idempotent; the reported index list is the union over sweeps.
     Returns (cleaned copy, sorted outlier index array).
     """
-    cfg = cfg or FilterConfig()
     x = np.asarray(series, dtype=float)
     if x.size < cfg.outlier_window:
         raise ValueError(
@@ -77,14 +76,13 @@ def remove_outliers(series, cfg=None):
     return cleaned, np.asarray(sorted(flagged), dtype=int)
 
 
-def smooth(series, cfg=None):
+def smooth(series, cfg):
     """Centered moving average with the window shrinking at the edges.
 
     The window stays centered (no phase shift): at distance d < half
     from either edge the average runs over 2d + 1 points.  Window 1 is
     the identity.
     """
-    cfg = cfg or FilterConfig()
     x = np.asarray(series, dtype=float)
     w = cfg.smooth_window
     if x.size < w:
@@ -97,8 +95,7 @@ def smooth(series, cfg=None):
     return out
 
 
-def filter_series(series, cfg=None):
+def filter_series(series, cfg):
     """Outlier removal then smoothing; returns (cleaned, smoothed, idx)."""
-    cfg = cfg or FilterConfig()
     cleaned, idx = remove_outliers(series, cfg)
     return cleaned, smooth(cleaned, cfg), idx

@@ -189,6 +189,8 @@ def _at(where, check, *args):
 # one JSON value; a block's rule makes its stage's object (library defaults).
 SEED_KIND = (lambda kind, path: {"kind": kind, "path": path},
              {"kind": _string, "path": _string})
+CONTINUUM = (ContinuumSpec, {"case": _string, "alpha": _finite,
+                             "beta": _finite, "c": _finite})
 CONFIG = {
     "t_max": _finite, "n_samples": _count, "output_dir": _string,
     "model": (ModelSpec, {"N": _count, "g": _finite, "h": _finite,
@@ -196,15 +198,16 @@ CONFIG = {
     "bilanczos": (dict, {"max_iter": _count}),
     "seed_kind": lambda v, at: (_block(*SEED_KIND, v, at)
                                 if isinstance(v, dict) else _string(v, at)),
-    "continuum": (lambda **kw: ContinuumSpec(**kw) if kw else None,
-                  {"case": _string, "alpha": _finite, "beta": _finite,
-                   "c": _finite}),
+    # A null or empty block names no case: no continuum stage.
+    "continuum": lambda v, at: (None if v in (None, {})
+                                else _block(*CONTINUUM, v, at)),
     "saturation": (dict, {"alpha0": _finite, "gamma0": _finite, "K": _count,
                           "t_max": _finite, "n_samples": _count}),
     "filter": (FilterConfig, {"outlier_window": _count, "outlier_k": _finite,
                               "smooth_window": _count}),
 }
-DEFAULTS = {"t_max": 10.0, "n_samples": 400, "seed_kind": "uniform"}
+DEFAULTS = {"t_max": 10.0, "n_samples": 400, "seed_kind": "uniform",
+            "continuum": None}
 
 
 def _seed_vector(kind, dim_d):

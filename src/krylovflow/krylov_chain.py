@@ -322,9 +322,11 @@ def finite_diff(series, t_grid):
 
     Five-point central stencils in the interior with matching one-sided
     fourth-order stencils at the two points nearest each edge, so at least
-    STENCIL samples.  The fourth-order truncation term slightly *under*
-    estimates the slope of exponentially growing series, which keeps
-    derivative-based bound ratios on the correct side of exact saturation.
+    STENCIL samples.  The truncation error has no fixed sign: on an
+    exponentially growing series the central and edge stencils
+    underestimate the slope, but those at the second point from each edge
+    overestimate it, so a derivative-based bound ratio at exact saturation
+    can land on either side of 1.
     """
     y = np.asarray(series, dtype=float)
     t, dt = _uniform_step(t_grid, from_zero=False)

@@ -19,23 +19,8 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI_PLUS = 0.5 * (PAULI_X + 1.0j * PAULI_Y)
 PAULI_MINUS = 0.5 * (PAULI_X - 1.0j * PAULI_Y)
-
-_PAULI = {
-    "I": PAULI_I,
-    "X": PAULI_X,
-    "Y": PAULI_Y,
-    "Z": PAULI_Z,
-    "PLUS": PAULI_PLUS,
-    "MINUS": PAULI_MINUS,
-}
-
-
-def pauli_matrix(kind):
-    """Return the standard 2x2 matrix for ``kind`` in {I,X,Y,Z,PLUS,MINUS}."""
-    try:
-        return _PAULI[kind.upper()].copy()
-    except KeyError:
-        raise ValueError(f"unknown Pauli kind {kind!r}") from None
+for _op in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, PAULI_PLUS, PAULI_MINUS):
+    _op.setflags(write=False)   # shared by every caller, so read-only
 
 
 def site_operator(op, site, n_sites):

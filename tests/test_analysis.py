@@ -13,7 +13,7 @@ from tests.csv_tables import read_table
 
 def test_constant_series_unchanged():
     x = np.full(20, 3.5)
-    cleaned, idx = remove_outliers(x)
+    cleaned, idx = remove_outliers(x, FilterConfig())
     assert_allclose(cleaned, x)
     assert idx.size == 0
 
@@ -31,7 +31,7 @@ def test_injected_spike_on_ramp():
     x = np.linspace(1.0, 30.0, 60)
     j = int(rng.integers(10, 50))
     x[j] *= 10.0
-    cleaned, idx = remove_outliers(x)
+    cleaned, idx = remove_outliers(x, FilterConfig())
     assert list(idx) == [j]
     assert cleaned[j] != x[j]
 
@@ -93,7 +93,7 @@ def test_smooth_window_one_is_identity():
 
 def test_smooth_constant_unchanged():
     x = np.full(30, -2.0)
-    assert_allclose(smooth(x), x)
+    assert_allclose(smooth(x, FilterConfig()), x)
 
 
 def test_smooth_noise_variance_reduction():
@@ -117,8 +117,8 @@ def test_outlier_removal_idempotent_on_model_coefficients():
     spec = ModelSpec(N=3, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
     tri = bilanczos(build_model_lindbladian(spec), uniform_seed(8))
     for series in (np.abs(tri.b), np.asarray(tri.a).imag):
-        cleaned, _ = remove_outliers(series)
-        again, idx = remove_outliers(cleaned)
+        cleaned, _ = remove_outliers(series, FilterConfig())
+        again, idx = remove_outliers(cleaned, FilterConfig())
         assert idx.size == 0
         assert_allclose(again, cleaned)
 
@@ -146,7 +146,7 @@ def test_filter_config_windows_must_be_integers(field, value):
 
 def test_csv_round_trip():
     raw = np.array([1.0, 2.0, 50.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]) / 3
-    cleaned, smoothed, _ = filter_series(raw)
+    cleaned, smoothed, _ = filter_series(raw, FilterConfig())
     text = csv_table({"n": np.arange(raw.size), "raw": raw,
                       "cleaned": cleaned, "smoothed": smoothed})
     assert text.splitlines()[0] == "n,raw,cleaned,smoothed"

@@ -16,8 +16,8 @@ from krylovflow.exceptions import NumericalFailure
 from krylovflow.krylov_chain import evolve_chain, moments
 from krylovflow.lindbladian import build_model_lindbladian, uniform_seed, \
     vectorize
-from krylovflow.spin_algebra import ModelSpec, build_tfim, pauli_matrix, \
-    site_operator
+from krylovflow.spin_algebra import PAULI_X, PAULI_Y, PAULI_Z, ModelSpec, \
+    build_tfim, site_operator
 from tests.csv_tables import read_table
 from tests.lanczos_bases import p_basis, q_basis, tridiagonal_matrix
 
@@ -400,15 +400,15 @@ def test_bases_are_stored_in_the_recursion_coordinates():
 
 def sigma_z1(N):
     """Normalized vec(sigma^z on site 1): not even under site reversal."""
-    v = vectorize(np.kron(pauli_matrix("Z"), np.eye(2 ** (N - 1))))
+    v = vectorize(np.kron(PAULI_Z, np.eye(2 ** (N - 1))))
     return v / np.linalg.norm(v)
 
 
 def sigma_x1_plus_yN(N):
     """Normalized vec(sigma^x_1 + sigma^y_N): Hermitian, but neither a
     symmetric nor an antisymmetric matrix, so conj(v) != +-v."""
-    v = vectorize(site_operator(pauli_matrix("X"), 1, N)
-                  + site_operator(pauli_matrix("Y"), N, N))
+    v = vectorize(site_operator(PAULI_X, 1, N)
+                  + site_operator(PAULI_Y, N, N))
     return v / np.linalg.norm(v)
 
 

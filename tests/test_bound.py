@@ -191,6 +191,19 @@ def test_saturation_report_ratio_near_one():
     assert report.holds
 
 
+def test_saturation_report_ratio_may_exceed_one_at_the_grid_end():
+    # The horizon spans [0, 6] here, so the last two samples take the
+    # one-sided stencils, and the second-to-last overestimates the slope:
+    # a ratio of 1 + 5.9e-12, no violation.  The ratio is not clipped.
+    report = saturation_report(alpha0=0.3, gamma0=2.0)
+    ratio = report.saturation_ratio
+    ratio = ratio[np.isfinite(ratio)]
+    assert ratio.size == 1200
+    assert report.holds
+    assert np.abs(ratio - 1.0).max() <= 1e-10
+    assert np.nanargmax(report.saturation_ratio) == report.t.size - 2
+
+
 def test_saturation_report_ignores_only_the_truncation_tail(monkeypatch):
     # The report cuts at the trajectory's horizon and silences no warning:
     # an overflow inside the propagation reaches the caller, and no

@@ -19,7 +19,7 @@ from krylovflow.krylov_chain import (STENCIL, TAIL_CUTOFF, ChainTrajectory,
                                      time_grid)
 from krylovflow.lindbladian import build_model_lindbladian, uniform_seed, \
     vectorize
-from krylovflow.spin_algebra import ModelSpec, pauli_matrix, site_operator
+from krylovflow.spin_algebra import PAULI_Y, ModelSpec, site_operator
 from tests.lanczos_bases import p_basis, q_basis
 from tests.su11_chain import SU11_CASES, su11_chain, su11_moments
 from tests.test_bilanczos import sigma_x1_plus_yN, sigma_z1
@@ -487,7 +487,7 @@ def _random_complex_seed(dim):
 ORACLE_SEEDS = {
     "uniform": uniform_seed(8),
     "z1": sigma_z1(3),
-    "y1": vectorize(site_operator(pauli_matrix("Y"), 1, 3)) / np.sqrt(8),
+    "y1": vectorize(site_operator(PAULI_Y, 1, 3)) / np.sqrt(8),
     "x1_y3": sigma_x1_plus_yN(3),
     "random_complex": _random_complex_seed(64),
 }

@@ -20,7 +20,7 @@ from krylovflow.cli import (EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK,
 from krylovflow.exceptions import InvariantViolation
 from krylovflow.lindbladian import MAX_QUBITS, build_model_lindbladian, \
     uniform_seed
-from krylovflow.spin_algebra import ModelSpec, pauli_matrix
+from krylovflow.spin_algebra import PAULI_Y, PAULI_Z, ModelSpec
 from perfbench.workloads import ALL as WORKLOADS
 
 MODEL = {"N": 2, "g": -1.05, "h": 0.5, "alpha": 0.01, "gamma": 0.01}
@@ -300,6 +300,9 @@ BAD_CONFIGS = {
     # A key the library object has no default for is required.
     "seed_path_missing": {"seed_kind": {"kind": "custom"}},
     "model_N_missing": {"model": {"g": -1.05, "h": 0.5}},
+    "continuum_case_missing": {"continuum": {"alpha": 3.0, "beta": 2.0}},
+    "continuum_beta_missing": {"continuum": {"case": "constant_a",
+                                             "alpha": 3.0}},
 }
 
 # The config path the message of a BAD_CONFIGS case names.
@@ -311,6 +314,8 @@ KEY_IN_MESSAGE = {
     "saturation_n_samples_four": "config.saturation.n_samples",
     "seed_path_missing": "config.seed_kind.path",
     "model_N_missing": "config.model.N",
+    "continuum_case_missing": "config.continuum.case",
+    "continuum_beta_missing": "config.continuum.beta",
 }
 
 
@@ -370,6 +375,7 @@ def test_readme_config_table_lists_the_config_keys():
     blocks = {key: set(rule[1]) for key, rule in cli.CONFIG.items()
               if isinstance(rule, tuple)}
     blocks["seed_kind"] = set(cli.SEED_KIND[1])
+    blocks["continuum"] = set(cli.CONTINUUM[1])
     assert set(rows) == set(cli.CONFIG)
     assert {k: v for k, v in rows.items() if v is not None} == blocks
 
@@ -710,7 +716,7 @@ def test_non_even_seed_runs_in_full_space(tmp_path):
     # Krylov dimension 63.
     model = dict(MODEL, N=3)
     seed = {"kind": "custom", "path": str(tmp_path / "z1.npy")}
-    np.save(seed["path"], np.kron(pauli_matrix("Z"), np.eye(4)).real)
+    np.save(seed["path"], np.kron(PAULI_Z, np.eye(4)).real)
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, model=model, seed_kind=seed)
     out = tmp_path / "out"
@@ -755,7 +761,7 @@ def test_complex_seed_runs_two_sided_recursion(tmp_path):
     # its dual basis.  The seed is not reversal-even, so the run is in full
     # space and ends by breakdown at the Krylov dimension 63.
     seed = {"kind": "custom", "path": str(tmp_path / "y1.npy")}
-    np.save(seed["path"], np.kron(pauli_matrix("Y"), np.eye(4)))
+    np.save(seed["path"], np.kron(PAULI_Y, np.eye(4)))
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, model=dict(MODEL, N=3), seed_kind=seed)
     out = tmp_path / "out"

@@ -9,8 +9,9 @@ from krylovflow.lindbladian import (as_matrix, build_lindbladian,
                                     hermitian_basis, hermitian_generator,
                                     reflection_sector, uniform_seed,
                                     vectorize)
-from krylovflow.spin_algebra import (ModelSpec, build_jump_operators,
-                                     build_tfim, pauli_matrix)
+from krylovflow.spin_algebra import (PAULI_MINUS, PAULI_X, PAULI_Z,
+                                     ModelSpec, build_jump_operators,
+                                     build_tfim)
 
 
 def test_vectorize_column_stacking():
@@ -44,8 +45,8 @@ def test_vectorize_rejects_non_square():
 
 
 def test_closed_liouvillian_single_qubit_z():
-    L = build_lindbladian(pauli_matrix("Z"), [])
-    Z = pauli_matrix("Z")
+    L = build_lindbladian(PAULI_Z, [])
+    Z = PAULI_Z
     ref = np.kron(np.eye(2), Z) - np.kron(Z.T, np.eye(2))
     assert_allclose(L.toarray(), ref)
     assert_allclose(np.diag(L.toarray()), [0, -2, 2, 0])
@@ -69,7 +70,7 @@ def test_closed_liouvillian_spectrum_is_differences():
 def test_closed_liouvillian_rejects_non_hermitian():
     # The Hermiticity check holds for closed and open models alike.
     H = np.array([[0, 1], [0, 0]], dtype=complex)
-    for jumps in ([], [pauli_matrix("MINUS")]):
+    for jumps in ([], [PAULI_MINUS]):
         with pytest.raises(ValueError):
             build_lindbladian(H, jumps)
 
@@ -78,8 +79,8 @@ def test_single_qubit_dephasing_decay():
     # H = 0, L = sqrt(gamma) Z: sigma_x decays at rate 2 gamma
     gamma = 0.3
     L = build_lindbladian(np.zeros((2, 2), dtype=complex),
-                          [np.sqrt(gamma) * pauli_matrix("Z")])
-    v0 = vectorize(pauli_matrix("X"))
+                          [np.sqrt(gamma) * PAULI_Z])
+    v0 = vectorize(PAULI_X)
     for t in (0.1, 0.5, 2.0):
         v = expm(1j * t * L.toarray()) @ v0
         assert_allclose(v, v0 * np.exp(-2 * gamma * t), atol=1e-12)
@@ -89,8 +90,8 @@ def test_dual_trace_preservation_single_qubit():
     # Heisenberg generator must annihilate the identity operator, which
     # is trace preservation of the dual (density-matrix) dynamics.
     g, h, alpha = -1.05, 0.5, 0.04
-    H = -g * pauli_matrix("X") - h * pauli_matrix("Z")
-    L = build_lindbladian(H, [np.sqrt(alpha) * pauli_matrix("MINUS")])
+    H = -g * PAULI_X - h * PAULI_Z
+    L = build_lindbladian(H, [np.sqrt(alpha) * PAULI_MINUS])
     assert np.linalg.norm(L @ vectorize(np.eye(2))) < 1e-12
     # and the operator-side probability P(t) = |v|^2 leaks for the
     # uniform seed (direct matrix-exponential oracle)
@@ -157,7 +158,7 @@ def test_dimension_cap():
 def test_dimension_mismatch_rejected():
     H = build_tfim(ModelSpec(N=2, g=1.0, h=0.0))
     with pytest.raises(ValueError):
-        build_lindbladian(H, [pauli_matrix("Z")])
+        build_lindbladian(H, [PAULI_Z])
 
 
 def site_reversal(N):
@@ -195,7 +196,7 @@ def test_reflection_sector_absent():
                                    build_jump_operators(spec)[:2])
     assert reflection_sector(asymmetric, seed) is None
     # sigma^z on site 1 reverses to sigma^z on site 3: not an even seed.
-    Z1 = vectorize(np.kron(pauli_matrix("Z"), np.eye(4)))
+    Z1 = vectorize(np.kron(PAULI_Z, np.eye(4)))
     assert reflection_sector(L, Z1) is None
     # One site has no reversal, and a matrix that is not 4^N square none.
     one = build_model_lindbladian(ModelSpec(N=1, g=-1.05, h=0.5))

@@ -2,51 +2,65 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from krylovflow.spin_algebra import (ModelSpec, build_jump_operators,
-                                     build_tfim, pauli_matrix,
+from krylovflow.spin_algebra import (PAULI_I, PAULI_MINUS, PAULI_PLUS,
+                                     PAULI_X, PAULI_Y, PAULI_Z, ModelSpec,
+                                     build_jump_operators, build_tfim,
                                      site_operator)
 
 
 def test_pauli_x():
-    assert_allclose(pauli_matrix("X"), [[0, 1], [1, 0]])
+    assert_allclose(PAULI_X, [[0, 1], [1, 0]])
 
 
 def test_pauli_plus():
-    X = pauli_matrix("X")
-    Y = pauli_matrix("Y")
-    assert_allclose(pauli_matrix("PLUS"), (X + 1j * Y) / 2)
-    assert_allclose(pauli_matrix("PLUS"), [[0, 1], [0, 0]])
-    assert_allclose(pauli_matrix("MINUS"), (X - 1j * Y) / 2)
+    assert_allclose(PAULI_PLUS, (PAULI_X + 1j * PAULI_Y) / 2)
+    assert_allclose(PAULI_PLUS, [[0, 1], [0, 0]])
+    assert_allclose(PAULI_MINUS, (PAULI_X - 1j * PAULI_Y) / 2)
 
 
 def test_pauli_z_involution():
-    Z = pauli_matrix("Z")
-    assert_allclose(Z @ Z, np.eye(2))
+    assert_allclose(PAULI_Z @ PAULI_Z, np.eye(2))
 
 
-def test_pauli_unknown_kind():
-    with pytest.raises(ValueError):
-        pauli_matrix("W")
+@pytest.mark.parametrize("op", [PAULI_I, PAULI_X, PAULI_Y, PAULI_Z,
+                                PAULI_PLUS, PAULI_MINUS],
+                         ids=["I", "X", "Y", "Z", "PLUS", "MINUS"])
+def test_pauli_constants_are_read_only(op):
+    # Every caller shares the one array: writing into it would change the
+    # operator for the whole process.
+    with pytest.raises(ValueError, match="read-only"):
+        op[0, 0] = 5.0
+
+
+def test_built_operators_are_writable():
+    # Built from the read-only constants, the model's operators are new
+    # arrays the caller owns, at N = 1 too, where the site embedding is
+    # the 2x2 operator itself.
+    for N in (1, 3):
+        spec = ModelSpec(N=N, g=1.0, h=0.5, alpha=0.04, gamma=0.09)
+        for op in [build_tfim(spec), *build_jump_operators(spec)]:
+            op[0, 0] += 1.0
+    assert_allclose(PAULI_X, [[0, 1], [1, 0]])
 
 
 def test_site_operator_single_site():
-    X = pauli_matrix("X")
+    X = PAULI_X
     assert_allclose(site_operator(X, 1, 1), X)
 
 
 def test_site_operator_second_of_two():
-    Z = pauli_matrix("Z")
+    Z = PAULI_Z
     assert_allclose(site_operator(Z, 2, 2), np.kron(np.eye(2), Z))
 
 
 def test_site_operator_explicit_kron():
-    X = pauli_matrix("X")
+    X = PAULI_X
     expected = np.kron(X, np.kron(np.eye(2), np.eye(2)))
     assert_allclose(site_operator(X, 1, 3), expected)
 
 
 def test_site_operator_out_of_range():
-    X = pauli_matrix("X")
+    X = PAULI_X
     with pytest.raises(ValueError):
         site_operator(X, 0, 2)
     with pytest.raises(ValueError):
@@ -58,12 +72,12 @@ def test_site_operator_out_of_range():
 def test_tfim_single_site():
     g, h = 0.7, -0.3
     H = build_tfim(ModelSpec(N=1, g=g, h=h))
-    assert_allclose(H, -g * pauli_matrix("X") - h * pauli_matrix("Z"))
+    assert_allclose(H, -g * PAULI_X - h * PAULI_Z)
 
 
 def test_tfim_two_sites_expansion():
     g, h = -1.05, 0.5
-    X, Z, I2 = pauli_matrix("X"), pauli_matrix("Z"), np.eye(2)
+    X, Z, I2 = PAULI_X, PAULI_Z, np.eye(2)
     expected = (-np.kron(Z, Z)
                 - g * (np.kron(X, I2) + np.kron(I2, X))
                 - h * (np.kron(Z, I2) + np.kron(I2, Z)))
@@ -73,7 +87,7 @@ def test_tfim_two_sites_expansion():
 def test_tfim_two_sites_eigenvalues():
     # brute-force independent construction and diagonalization
     g, h = -1.05, 0.5
-    X, Z, I2 = pauli_matrix("X"), pauli_matrix("Z"), np.eye(2)
+    X, Z, I2 = PAULI_X, PAULI_Z, np.eye(2)
     H_ref = np.zeros((4, 4), dtype=complex)
     H_ref -= np.kron(Z, Z)
     for k in range(2):
@@ -102,7 +116,7 @@ def test_jump_operators_paper_placement():
     # the bulk, in this order.
     spec = ModelSpec(N=4, g=1.0, h=0.0, alpha=0.04, gamma=0.09)
     a, g = np.sqrt(spec.alpha), np.sqrt(spec.gamma)
-    P, M, Z = (pauli_matrix(k) for k in ("PLUS", "MINUS", "Z"))
+    P, M, Z = PAULI_PLUS, PAULI_MINUS, PAULI_Z
     expected = [a * site_operator(P, 1, 4), a * site_operator(M, 1, 4),
                 a * site_operator(P, 4, 4), a * site_operator(M, 4, 4),
                 g * site_operator(Z, 2, 4), g * site_operator(Z, 3, 4)]
@@ -131,8 +145,8 @@ def test_jump_operators_six_sites():
 
 def test_sigma_pm_anticommutator_identity():
     for N, site in [(1, 1), (3, 2), (4, 4)]:
-        sp = site_operator(pauli_matrix("PLUS"), site, N)
-        sm = site_operator(pauli_matrix("MINUS"), site, N)
+        sp = site_operator(PAULI_PLUS, site, N)
+        sm = site_operator(PAULI_MINUS, site, N)
         assert_allclose(sp @ sm + sm @ sp, np.eye(2 ** N), atol=1e-14)
 
 

@@ -19,8 +19,9 @@ from krylovflow.bilanczos import bilanczos, project_dissipative_structure
 from krylovflow.krylov_chain import evolve_chain, moments
 from krylovflow.lindbladian import build_lindbladian, \
     build_model_lindbladian, uniform_seed
-from krylovflow.spin_algebra import (ModelSpec, build_jump_operators,
-                                     build_tfim, pauli_matrix, site_operator)
+from krylovflow.spin_algebra import (PAULI_MINUS, PAULI_Y, ModelSpec,
+                                     build_jump_operators, build_tfim,
+                                     site_operator)
 from tests.lanczos_bases import p_basis, q_basis, tridiagonal_matrix
 from tests.test_bilanczos import sigma_x1_plus_yN
 
@@ -67,7 +68,7 @@ def test_sparse_assembly_matches_dense_kron_formula(N):
     eye = np.eye(H.shape[0])
     comm = np.kron(eye, H) - np.kron(H.T, eye)
     for jumps in ([], build_jump_operators(_models(N)[1]),
-                  [0.3 * site_operator(pauli_matrix("MINUS"), N, N)]):
+                  [0.3 * site_operator(PAULI_MINUS, N, N)]):
         diss = np.zeros_like(comm)
         for Lk in jumps:
             LdL = Lk.conj().T @ Lk
@@ -124,7 +125,7 @@ def test_non_symmetric_lindbladian_bases_are_biorthogonal():
     # operator J R^T J differs from R; the mixed seed is not reversal-even,
     # so J is that of the full operator space, with -1 entries.
     spec = _models(3)[1]
-    H = build_tfim(spec) + 0.3 * site_operator(pauli_matrix("Y"), 2, 3)
+    H = build_tfim(spec) + 0.3 * site_operator(PAULI_Y, 2, 3)
     L = build_lindbladian(H, build_jump_operators(spec))
     assert abs(L - L.T).max() > 0.1
     v = sigma_x1_plus_yN(3)
