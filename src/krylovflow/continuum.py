@@ -1,23 +1,24 @@
-"""Thermodynamic-limit closed forms for C(t), P(t) and a characteristics
-solver for the underlying transport PDE.
+"""Thermodynamic-limit closed forms for C(t), P(t), checked against the
+characteristics of the underlying transport PDE.
 
 The continuum model has hopping b(x) = beta*x + c and decay rate a(x);
-two closed-form cases are implemented:
+two cases are implemented:
 
   LINEAR_A   a(x) = alpha*x
   CONSTANT_A a(x) = alpha
 
-``analytic_C_P`` evaluates the printed closed forms verbatim.  The
-LINEAR_A printed form is internally inconsistent (see
-``characteristics_solver``); the solver is the PDE-faithful reference and
-``continuum_vs_paper_report`` tabulates the discrepancy instead of
-asserting agreement.
+``analytic_C_P`` evaluates the printed closed forms verbatim.
+``exact_characteristics`` evaluates the characteristics of both cases in
+closed form, and ``continuum_vs_paper_report`` tabulates the printed forms
+against it.  The LINEAR_A printed form is internally inconsistent, so the
+report shows the discrepancy instead of asserting agreement.
+``characteristics_solver`` integrates the characteristics numerically for
+any b and a; it is the independent cross-check of the closed form.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .exceptions import NumericalFailure
 
@@ -55,12 +56,22 @@ class ContinuumSpec:
         return lambda x: self.beta * x + self.c
 
 
-def _guarded_exp(z):
+def _guarded_exp(z, exp=np.exp):
     z = np.asarray(z, dtype=float)
     if np.any(z > EXP_GUARD):
         raise NumericalFailure(
             f"exponent {z.max():.3g} exceeds overflow guard {EXP_GUARD:g}")
-    return np.exp(z)
+    return exp(z)
+
+
+def _along_characteristic(x_at, J_at):
+    """(C, P) from the position x and the decay integral J at y = 2t."""
+    if not np.all(np.isfinite(x_at)):
+        raise NumericalFailure("characteristic position overflows")
+    if not np.all(J_at <= EXP_GUARD):   # NaN fails too
+        raise NumericalFailure("decay integral exceeds overflow guard")
+    P = np.exp(-J_at)
+    return x_at * P, P
 
 
 def analytic_C_P(spec, t):
@@ -101,6 +112,8 @@ def characteristics_solver(b, a, t_grid):
 
     ``b`` must stay positive on the reached interval; ``a`` nonnegative.
     """
+    from scipy.integrate import solve_ivp  # only this solver needs it
+
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid < 0):
         raise ValueError("t_grid must be nonnegative")
@@ -124,15 +137,35 @@ def characteristics_solver(b, a, t_grid):
             raise NumericalFailure(
                 f"characteristic integration failed: {sol.message}")
         x_at, J_at = sol.y
-    if np.any(J_at > EXP_GUARD):
-        raise NumericalFailure("decay integral exceeds overflow guard")
-    P = np.exp(-J_at)
-    C = x_at * P
-    return C, P
+    return _along_characteristic(x_at, J_at)
+
+
+def exact_characteristics(spec, t_grid):
+    """(C(t), P(t)) of ``spec`` by the characteristics, in closed form.
+
+    The transport problem of :func:`characteristics_solver`, solved
+    exactly for b(x) = beta*x + c: along y = 2t,
+
+        x(y) = (c/beta) * expm1(beta*y),
+        J(y) = alpha*y                    (CONSTANT_A)
+             = (alpha/beta)(x(y) - c*y)   (LINEAR_A),
+
+    and P = exp(-J), C = x*P.  beta*y and J pass the overflow guard
+    ``EXP_GUARD``, and x is finite, or :class:`NumericalFailure` is raised.
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    if np.any(t_grid < 0):
+        raise ValueError("t_grid must be nonnegative")
+    al, be, c = spec.alpha, spec.beta, spec.c
+    y = 2.0 * t_grid
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        x = (c / be) * _guarded_exp(be * y, np.expm1)
+        J = al * y if spec.case == CONSTANT_A else (al / be) * (x - c * y)
+    return _along_characteristic(x, J)
 
 
 def continuum_vs_paper_report(spec, t_grid):
-    """Per-time relative differences, printed formulas vs solver.
+    """Per-time relative differences, printed formulas vs characteristics.
 
     Returns a dict of aligned arrays: t, C_paper, P_paper, C_char, P_char,
     relC, relP.  Relative differences are |paper - char| / max(|char|, eps)
@@ -140,10 +173,10 @@ def continuum_vs_paper_report(spec, t_grid):
     """
     t_grid = np.asarray(t_grid, dtype=float)
     C_p, P_p = analytic_C_P(spec, t_grid)
-    C_s, P_s = characteristics_solver(spec.b_of_x(), spec.a_of_x(), t_grid)
+    C_c, P_c = exact_characteristics(spec, t_grid)
     eps = 1e-300
-    relC = np.abs(C_p - C_s) / np.maximum(np.abs(C_s), eps)
-    relC[np.abs(C_s) < 1e-15] = np.abs(C_p - C_s)[np.abs(C_s) < 1e-15]
-    relP = np.abs(P_p - P_s) / np.maximum(np.abs(P_s), eps)
+    relC = np.abs(C_p - C_c) / np.maximum(np.abs(C_c), eps)
+    relC[np.abs(C_c) < 1e-15] = np.abs(C_p - C_c)[np.abs(C_c) < 1e-15]
+    relP = np.abs(P_p - P_c) / np.maximum(np.abs(P_c), eps)
     return {"t": t_grid, "C_paper": C_p, "P_paper": P_p,
-            "C_char": C_s, "P_char": P_s, "relC": relC, "relP": relP}
+            "C_char": C_c, "P_char": P_c, "relC": relC, "relP": relP}

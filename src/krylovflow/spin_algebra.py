@@ -24,8 +24,11 @@ for _op in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, PAULI_PLUS, PAULI_MINUS):
 
 
 def site_operator(op, site, n_sites):
-    """Embed a 2x2 operator at ``site`` (1-based) of an ``n_sites`` chain."""
-    op = np.asarray(op, dtype=complex)
+    """Embed a 2x2 operator at ``site`` (1-based) of an ``n_sites`` chain.
+
+    The result is a new array, at one site too.
+    """
+    op = np.array(op, dtype=complex)
     if op.shape != (2, 2):
         raise ValueError("site operator must be 2x2")
     if not 1 <= site <= n_sites:

@@ -1,11 +1,17 @@
+import itertools
+import json
+import os
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from krylovflow.cli import csv_table
+from krylovflow.cli import EXIT_NUMERICAL, csv_table, main
 from krylovflow.continuum import (CONSTANT_A, LINEAR_A, ContinuumSpec,
                                   analytic_C_P, characteristics_solver,
-                                  continuum_vs_paper_report)
+                                  continuum_vs_paper_report,
+                                  exact_characteristics)
 from krylovflow.exceptions import NumericalFailure
 from tests.csv_tables import read_table
 
@@ -68,6 +74,50 @@ def test_solver_linear_a_quadrature():
     assert_allclose(C_s, x_ref * P_ref, rtol=1e-9)
 
 
+@pytest.mark.parametrize("case,alpha,beta,c", itertools.product(
+    (CONSTANT_A, LINEAR_A), (0.0, 0.5, 3.0), (1.0, 2.0), (1.0, 2.5)))
+def test_exact_characteristics_match_the_solver(case, alpha, beta, c):
+    # Relative to the column maximum: where P is tiny the solver's absolute
+    # error in J (rtol 1e-13 of J) shows pointwise.
+    spec = ContinuumSpec(case=case, alpha=alpha, beta=beta, c=c)
+    t = np.linspace(0, 1, 101)
+    exact = exact_characteristics(spec, t)
+    solved = characteristics_solver(spec.b_of_x(), spec.a_of_x(), t)
+    for e, s in zip(exact, solved):
+        assert np.abs(e - s).max() <= 1e-11 * np.abs(s).max()
+
+
+# beta*y past the guard (constant_a at t = 200); J past it on [0, 10] for
+# the two linear_a points the solver fails on too, and at a huge alpha;
+# x past the float range at a huge c.
+@pytest.mark.parametrize("case,alpha,beta,c,t_max", [
+    (CONSTANT_A, 0.0, 2.0, 1.0, 200.0), (LINEAR_A, 0.3, 0.5, 1.0, 10.0),
+    (LINEAR_A, 3.0, 2.0, 1.0, 10.0), (CONSTANT_A, 1e308, 1.0, 1.0, 1.0),
+    (CONSTANT_A, 1.0, 1.0, 1e308, 1.0)])
+def test_exact_characteristics_overflow_guard(case, alpha, beta, c, t_max):
+    spec = ContinuumSpec(case=case, alpha=alpha, beta=beta, c=c)
+    t = np.linspace(0, t_max, 400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match="overflow"):
+            exact_characteristics(spec, t)
+
+
+def test_continuum_past_the_guard_exits_numerical(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "t_max": 10.0, "n_samples": 400,
+        "continuum": {"case": "linear_a", "alpha": 0.3, "beta": 0.5}}))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["continuum", "--config", str(cfg_path), "--out",
+                     str(out), "--quiet"]) == EXIT_NUMERICAL
+    assert os.listdir(out) == ["error.json"]
+    assert json.loads((out / "error.json").read_text())["error"] \
+        == "numerical"
+
+
 def test_report_constant_a_agreement():
     spec = ContinuumSpec(case=CONSTANT_A, alpha=3.0, beta=2.0)
     report = continuum_vs_paper_report(spec, np.linspace(0, 3, 61))
@@ -83,7 +133,7 @@ def test_report_linear_a_closed_limit():
 
 
 def test_report_linear_a_discrepancy_documented():
-    # printed linear-a forms disagree with the PDE-faithful solver; the
+    # printed linear-a forms disagree with the exact characteristics; the
     # report tabulates (does not hide) the discrepancy
     spec = ContinuumSpec(case=LINEAR_A, alpha=3.0, beta=2.0)
     report = continuum_vs_paper_report(spec, np.linspace(0, 1, 21))
@@ -117,9 +167,12 @@ def test_constant_a_factorization():
 
 def test_solver_on_an_all_zero_grid():
     # No characteristic is integrated: the packet is still at x = 0.
-    C, P = characteristics_solver(lambda x: 1.0, lambda x: 1.0, [0.0, 0.0])
-    assert_array_equal(C, [0.0, 0.0])
-    assert_array_equal(P, [1.0, 1.0])
+    spec = ContinuumSpec(case=LINEAR_A, alpha=3.0, beta=2.0, c=2.5)
+    for C, P in (characteristics_solver(lambda x: 1.0, lambda x: 1.0,
+                                        [0.0, 0.0]),
+                 exact_characteristics(spec, [0.0, 0.0])):
+        assert_array_equal(C, [0.0, 0.0])
+        assert_array_equal(P, [1.0, 1.0])
 
 
 def test_negative_time_rejected():
@@ -128,6 +181,8 @@ def test_negative_time_rejected():
         analytic_C_P(spec, [0.0, -0.1])
     with pytest.raises(ValueError, match="nonnegative"):
         characteristics_solver(spec.b_of_x(), spec.a_of_x(), [0.0, -0.1])
+    with pytest.raises(ValueError, match="nonnegative"):
+        exact_characteristics(spec, [0.0, -0.1])
 
 
 # LINEAR_A at alpha = 1000 on [0, 1]: C, evaluated before P, overflowed a

@@ -48,6 +48,18 @@ def test_site_operator_single_site():
     assert_allclose(site_operator(X, 1, 1), X)
 
 
+@pytest.mark.parametrize("op", [PAULI_X, np.array(PAULI_Z)],
+                         ids=["read_only", "writable"])
+def test_site_operator_returns_a_new_array(op):
+    # At one site the embedding once returned the input itself, so writing
+    # into the result wrote into the caller's operator.
+    before = op.copy()
+    embedded = site_operator(op, 1, 1)
+    assert embedded is not op
+    embedded[0, 0] += 1.0
+    assert_allclose(op, before)
+
+
 def test_site_operator_second_of_two():
     Z = PAULI_Z
     assert_allclose(site_operator(Z, 2, 2), np.kron(np.eye(2), Z))
