@@ -35,11 +35,11 @@ TERM_MAX_ITER = "max_iter"
 TERM_BREAKDOWN = "breakdown"
 TERM_SERIOUS = "serious_breakdown"
 TERM_SYNTHETIC = "synthetic"
-TERM_GRID = "grid"     # cut by deep_enough; a label, judged like max_iter
+TERM_GRID = "grid"     # cut by ChainRun.deep_enough; judged like max_iter
 
 STRUCTURE_TOL = 1e-6   # relative tolerance of the structure verdicts
 BREAKDOWN_TOL = 1e-10  # smallest c_j, relative to the running max of c_j
-DEPTH_BLOCK = 128      # steps per block: the arrays grow, deep_enough is asked
+DEPTH_BLOCK = 128      # steps per block: arrays grow, the depth hook is asked
 
 
 @dataclass
@@ -110,12 +110,10 @@ def bilanczos(L, seed, max_iter=None, deep_enough=None):
     |b_n| = c_n.
 
     Dense L is converted to CSR.  The recursion is that of the module
-    docstring, on R = -i W' L W for the Hermitian operator basis
-    W = ``hermitian_basis(dim, B)``, in float64 when ``hermitian_generator``
-    casts R and the seed's coordinates.  It returns W, the p~_n as the rows
-    of P, their J-duals q~_n = mu_n diag(J) v~_n as the rows of Q, and
-    a = i alpha, b = -beta, c = gamma.  If L^T = L exactly and the seed is
-    real, v~_n is p~_n and one basis is built.
+    docstring, on R = -i W' L W for W = ``hermitian_basis(dim, B)``.  It
+    returns W, the p~_n as the rows of P, their J-duals
+    q~_n = mu_n diag(J) v~_n as the rows of Q, and a = i alpha,
+    b = -beta, c = gamma.
     """
     A = as_matrix(L)
     return _lanczos(A, seed, max_iter, reflection_sector(A, seed),
@@ -147,10 +145,8 @@ def _chain(alpha, beta, gamma, **fields):
 
 
 def _lanczos(A, seed, max_iter=None, B=None, deep_enough=None):
-    """The recursion of :func:`bilanczos` on the CSR array A, in B's range
-    when given: Lanczos on R = -i W' A W in the J-form x^T diag(J) y, with
-    right seed W' seed, left seed W' conj(seed) and left operator J R^T J,
-    float64 or complex as :func:`hermitian_generator` casts them."""
+    """The recursion of :func:`bilanczos`, as the module docstring states
+    it, on the CSR array A, in B's range when given."""
     if max_iter is not None and max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     W, J = hermitian_basis(A.shape[0], B)
@@ -285,15 +281,10 @@ def check_open_structure(tri, n_coeffs=None):
 def project_dissipative_structure(tri):
     """Project coefficients onto the dissipative form a = i|a|, b = c = |b|.
 
-    Open-system chains are claimed to carry purely imaginary diagonals and
-    equal real off-diagonals.  A J-symmetric chain has Re a = 0 and real
-    b, c by construction, but exact arithmetic refutes the signs (see
-    :func:`check_open_structure`); this returns a copy of ``tri`` with the
-    structure imposed exactly (on-site decay rates |a_n|, symmetric real
-    hoppings |b_n|).  The projected coefficients have b = c, so the gauge
-    D that relates the two amplitude recursions (see
-    :mod:`krylovflow.krylov_chain`) is 1 and psi = phi exactly.  Bases and
-    termination metadata are carried over unchanged.
+    A copy of ``tri`` with the signs that exact arithmetic refutes (see
+    :func:`check_open_structure`) imposed: on-site decay rates |a_n| and
+    symmetric real hoppings |b_n|, so that psi = phi on the chain (see
+    :mod:`krylovflow.krylov_chain`).  Bases and termination are kept.
     """
     b_abs = np.abs(np.asarray(tri.b, dtype=complex)).astype(complex)
     return replace(tri, a=1j * np.abs(np.asarray(tri.a, dtype=complex)),

@@ -14,18 +14,16 @@ gives each key one rule: a finite JSON number, a count, a JSON string, or
 a block (a JSON object, absent or null for the library's defaults, and
 required where it has none).  The top level, the keys the chosen stages
 read and their time grids (``krylov_chain.time_grid``) are checked before
-any stage runs; a key the table does not list is an error.  ``bilanczos``
-runs in the reflection-even sector of L for every model with the uniform
-seed, and without ``bilanczos.max_iter`` only as deep as the time grid
-reaches (see _deep_enough): termination "grid", and coefficients.csv is
-the prefix of the full chain that the grid needs.  The evolve and bound
-stages warn where the end of an incomplete chain shows on the grid (see
-_chain_moments).  A stage returns its row's artifacts, each a
-deterministic CSV (17 significant digits, LF endings) or JSON, by its
-name's suffix, with a JSON sidecar echoing the config and version.  Exit
-codes: 0 success, 1 usage error (including a bad config value or a size
-too large to allocate), 2 numerical failure, 3 invariant violation; on
-failure the run's artifacts are removed and ``error.json`` is written.
+any stage runs; a key the table does not list is an error.  The chain
+policy is ``krylov_chain.ChainRun``: without ``bilanczos.max_iter`` the
+chain grows only as deep as the time grid reaches (termination "grid"),
+and the evolve and bound stages take their trajectories from it.  A stage
+returns its row's artifacts, each a deterministic CSV (17 significant
+digits, LF endings) or JSON, by its name's suffix, with a JSON sidecar
+echoing the config and version.  Exit codes: 0 success, 1 usage error
+(including a bad config value or a size too large to allocate), 2
+numerical failure, 3 invariant violation; on failure the run's artifacts
+are removed and ``error.json`` is written.
 """
 
 import argparse
@@ -33,25 +31,23 @@ import inspect
 import json
 import os
 import sys
-import warnings
 from collections import namedtuple
 from contextlib import suppress
 from dataclasses import asdict
-from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__, bound
 from .analysis import FilterConfig, filter_series
-from .bilanczos import bilanczos, check_open_structure, \
-    project_dissipative_structure
+from .bilanczos import bilanczos
 from .bound import bound_summary, dispersion_bound_check, \
     renormalized_bound_check, saturating_coefficients, saturation_report
 from .continuum import ContinuumSpec, continuum_vs_paper_report
 from .exceptions import InvariantViolation, NumericalFailure
-from .krylov_chain import STENCIL, TAIL_CUTOFF, direct_evolution_oracle, \
-    evolve_chain, moments, time_grid
+# evolve_chain is not called here; perfbench's tracer wraps it by this name.
+from .krylov_chain import STENCIL, STRUCTURE_COEFFS, ChainRun, \
+    direct_evolution_oracle, evolve_chain, moments, time_grid  # noqa: F401
 from .lindbladian import MAX_QUBITS, build_model_lindbladian, \
     uniform_seed, vectorize
 from .spin_algebra import ModelSpec
@@ -62,8 +58,6 @@ EXIT_NUMERICAL = 2
 EXIT_INVARIANT = 3
 
 ORACLE_MAX_N = 4
-STRUCTURE_COEFFS = 50   # leading coefficients used for structure verdicts
-DEPTH_TOL = 1e-12       # Duhamel bound on what the grid-depth cut changes
 
 
 class UsageError(Exception):
@@ -297,74 +291,35 @@ class ArtifactWriter:
 # needs from ``run`` and leaves its own results there.  Layer functions
 # are looked up as module globals at call time.
 
-def _bound_chain(tri):
-    """The contractive chain the bound certifies: ``tri`` if its leading
-    coefficients have closed structure, else its dissipative projection."""
-    if check_open_structure(tri, STRUCTURE_COEFFS).label == \
-            "closed structure":
-        return tri
-    return project_dissipative_structure(tri)
-
-
-def _chain_moments(run, tri, probe):
-    """Moments of ``tri`` (the lanczos stage's ``probe`` trajectory if any);
-    warns where the end of an incomplete chain shows on the grid."""
-    traj = run.probes.pop(probe, None) or evolve_chain(tri, run.t)
-    if not tri.complete and traj.horizon < run.t.size:
-        warnings.warn(
-            f"truncation tail |phi_K-1|^2 reached {max(traj.tail_mass):.3e} "
-            f"(cutoff {TAIL_CUTOFF:.1e}); results beyond that time are "
-            "affected by the finite chain", RuntimeWarning)
-    return moments(traj)
-
-
-def _deep_enough(run, tri, b_next):
-    """The depth rule without ``bilanczos.max_iter``: (i) the raw chain's
-    horizon spans the grid; (ii) the bound chain's Duhamel bound t_max |b_K|
-    max_t |phi_{K-1}| <= DEPTH_TOL.  The evolve and bound stages reuse both."""
-    raw = evolve_chain(tri, run.t)
-    if raw.horizon < run.t.size:
-        return False
-    tri_b = _bound_chain(tri)
-    bound = raw if tri_b is tri else evolve_chain(tri_b, run.t)
-    if run.t[-1] * b_next * np.abs(bound.phi[-1]).max() > DEPTH_TOL:
-        return False
-    run.probes = {"raw": raw} if bound is raw else {"raw": raw, "bound": bound}
-    return True
-
-
 def _run_lanczos(run):
     run.L = build_model_lindbladian(run.model)
-    run.probes = {}
+    run.chain = chain = ChainRun(run.t)
     max_iter = run.bilanczos.get("max_iter")
-    run.tri = tri = bilanczos(
+    chain.tri = tri = bilanczos(
         run.L, run.seed, max_iter=max_iter,
-        deep_enough=None if max_iter else partial(_deep_enough, run))
-    n_struct = min(STRUCTURE_COEFFS, tri.K)
-    report = check_open_structure(tri, n_coeffs=n_struct)
+        deep_enough=None if max_iter else chain.deep_enough)
     return _coefficient_table(tri), {
-        **asdict(report), "n_coeffs": n_struct, "K": tri.K,
-        "termination": tri.termination,
+        **asdict(chain.structure), "n_coeffs": min(STRUCTURE_COEFFS, tri.K),
+        "K": tri.K, "termination": tri.termination,
         "residual_biortho": tri.residual_biortho,
         "residual_tridiag": tri.residual_tridiag}
 
 
 def _run_evolve(run):
-    run.moments = m = _chain_moments(run, run.tri, "raw")
+    run.moments = m = moments(run.chain.trajectory())
     return {"t": m.t, "C": m.C, "P": m.P, "M2": m.M2, "Ctilde": m.Ctilde},
 
 
 def _run_bound(run):
     # A closed chain is its own bound chain, already evolved and judged.
-    tri_b = _bound_chain(run.tri)
-    projected = tri_b is not run.tri
-    m = _chain_moments(run, tri_b, "bound") if projected else run.moments
+    tri_b, b1 = run.chain.bound_chain
+    projected = tri_b is not run.chain.tri
+    m = moments(run.chain.trajectory(bound=True)) if projected \
+        else run.moments
     if m.t.size < STENCIL:
         raise NumericalFailure(f"total probability underflowed after "
                                f"{m.t.size} sample(s); the bound needs "
                                f"{STENCIL}")
-    # A K = 1 chain has no b1 and C = M2 = 0 on it: b1 = 0 gives 0 <= 0.
-    b1 = tri_b.b[0] if tri_b.K > 1 else 0.0
     report = dispersion_bound_check(m, b1)
     renormalized_bound_check(m, b1)  # identity check; raises if broken
     return _bound_table(report), {**bound_summary(report),
@@ -373,7 +328,7 @@ def _run_bound(run):
 
 def _run_oracle(run):
     mc = run.moments
-    mo = direct_evolution_oracle(run.L, run.seed, run.tri, run.t)
+    mo = direct_evolution_oracle(run.L, run.seed, run.chain.tri, run.t)
     # Zero-crossings (e.g. C at t = 0) are compared against a floor tied
     # to the series peak rather than the pointwise value.
     rel = lambda x, y: np.abs(x - y) / np.maximum(
@@ -396,17 +351,17 @@ def _filter_skip(run):
     """A series shorter than the filter window: a reason to skip when the
     chain is complete, else a usage error."""
     window = max(run.filter.outlier_window, run.filter.smooth_window)
-    for name, series in _filter_inputs(run.tri).items():
+    for name, series in _filter_inputs(run.chain.tri).items():
         if series.size < window:
             reason = f"series length {series.size} < filter window {window}"
-            if run.tri.complete:
+            if run.chain.tri.complete:
                 return reason
             raise UsageError(f"{name}: {reason}")
     return None
 
 
 def _run_filter(run):
-    for name, series in _filter_inputs(run.tri).items():
+    for name, series in _filter_inputs(run.chain.tri).items():
         cleaned, smoothed, _ = filter_series(series, run.filter)
         yield ({"n": np.arange(series.size), "raw": series,
                 "cleaned": cleaned, "smoothed": smoothed},

@@ -58,9 +58,9 @@ class ContinuumSpec:
 
 def _guarded_exp(z, exp=np.exp):
     z = np.asarray(z, dtype=float)
-    if np.any(z > EXP_GUARD):
-        raise NumericalFailure(
-            f"exponent {z.max():.3g} exceeds overflow guard {EXP_GUARD:g}")
+    if np.any(z > EXP_GUARD):   # a NaN passes; callers check the result
+        raise NumericalFailure(f"exponent {np.nanmax(z):.3g} exceeds "
+                               f"overflow guard {EXP_GUARD:g}")
     return exp(z)
 
 
@@ -87,16 +87,18 @@ def analytic_C_P(spec, t):
     if np.any(t < 0):
         raise ValueError("t must be nonnegative")
     al, be, c = spec.alpha, spec.beta, spec.c
-    grow = _guarded_exp(2.0 * be * t)
-    if spec.case == CONSTANT_A:
-        P = np.exp(-2.0 * al * t)
-        C = (c / be) * (grow - 1.0) * P
-        return C, P
-    # LINEAR_A, printed forms (note the sign mismatch in the exponents
-    # between C and P; kept verbatim, arbitrated by the solver)
-    k = 2.0 * al * c / be
-    C = (c / be) * (grow - 1.0) * _guarded_exp(k * ((1.0 - grow) + 5.0 * t))
-    P = _guarded_exp(k * ((1.0 - np.exp(-2.0 * be * t)) + 5.0 * t))
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        grow = _guarded_exp(2.0 * be * t)
+        x = (c / be) * (grow - 1.0)
+        if spec.case == CONSTANT_A:
+            P = _guarded_exp(-2.0 * al * t)
+            C = x * P
+        else:   # LINEAR_A: the exponents' sign mismatch is kept verbatim
+            k = 2.0 * al * c / be
+            C = x * _guarded_exp(k * ((1.0 - grow) + 5.0 * t))
+            P = _guarded_exp(k * ((1.0 - np.exp(-2.0 * be * t)) + 5.0 * t))
+    if not np.all(np.isfinite(C) & np.isfinite(P)):
+        raise NumericalFailure("printed forms overflow the float range")
     return C, P
 
 

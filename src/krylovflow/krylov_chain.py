@@ -12,22 +12,19 @@ psi*_n(t) = D_n conj(phi_n(t)) exactly, and only the tridiagonal K x K
 generator A_phi is propagated.  Where b = c entry for entry (every
 projected and saturating chain) D = 1 and psi = phi.  A chain with
 c_n = 0 != b_n has no such gauge and is rejected.  phi is propagated
-exactly, as exp(t A_phi) e0 on the whole uniform time grid, by a Taylor
-propagator for tridiagonal generators (algorithm 5.2 of Al-Mohy & Higham,
-SIAM J. Sci. Comput. 33, 2011).  It plans once per grid: Taylor degree 55
-and a substep count from the exact 1-norms of powers of A_phi, walked as
-whole grid steps per block or whole substeps per grid step.  Each Taylor
-term is one product of the stacked diagonals with a sliding window of the
-last term.  The Lanczos chain of a Lindbladian from a Hermitian seed has
-Re a = 0 and real b, c, so A_phi is real and the raw chain is propagated
-in real arithmetic, like the projected one; its D_n are +-1.  A chain end
-is measured, not warned of.  :func:`time_grid` is the one place a time
+exactly, as exp(t A_phi) e0 on the whole uniform time grid, by the Taylor
+propagator of :func:`_propagate`.  The Lanczos chain of a Lindbladian from
+a Hermitian seed has Re a = 0 and real b, c, so A_phi is real and the raw
+chain is propagated in real arithmetic, like the projected one; its D_n
+are +-1.  A chain end is measured here; :class:`ChainRun`, the chain
+policy of a run, warns of it.  :func:`time_grid` is the one place a time
 grid is built; a grid passed in must be uniform, increase by a step no
 smaller than the smallest normal float and, to be propagated, start at 0.
 """
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,10 +32,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import expm
 from scipy.linalg.blas import idamax
 
+from .bilanczos import check_open_structure, project_dissipative_structure
 from .exceptions import NumericalFailure, require_integer
 from .lindbladian import MAX_DIM, as_matrix, hermitian_generator
 
 TAIL_CUTOFF = 1e-10   # last-site mass that signals chain truncation
+STRUCTURE_COEFFS = 50   # leading coefficients of the structure verdict
+DEPTH_TOL = 1e-12     # Duhamel bound on what the grid-depth cut changes
 P_UNDERFLOW = 1e-300
 STENCIL = 5           # finite_diff's stencil width: time_grid's fewest samples
 _TINY = np.finfo(float).tiny   # the smallest step of a time grid
@@ -250,15 +250,66 @@ def evolve_chain(tri, t_grid):
                            tail_mass=np.abs(phi[-1, :]) ** 2)
 
 
+class ChainRun:
+    """The chain policy of a run on the time grid ``t`` for the chain
+    ``tri``, set to what ``bilanczos`` returns with ``deep_enough`` as its
+    depth hook.  The bound certifies ``bound_chain``: ``tri`` if its
+    leading STRUCTURE_COEFFS coefficients have closed ``structure``, else
+    its dissipative projection; both are contractive, as the bound needs.
+    Each trajectory is evolved at most once; the depth probe's are kept."""
+
+    def __init__(self, t, tri=None):
+        self.t, self.tri, self._trajs = t, tri, {}   # keyed by projected
+
+    @cached_property
+    def structure(self):
+        return check_open_structure(self.tri, STRUCTURE_COEFFS)
+
+    @cached_property
+    def bound_chain(self):
+        """(chain, b1), b1 = 0 on a one-coefficient chain: C = M2 = 0."""
+        closed = self.structure.label == "closed structure"
+        tri = self.tri if closed else project_dissipative_structure(self.tri)
+        return tri, tri.b[0] if tri.K > 1 else 0.0
+
+    def deep_enough(self, tri, b_next):
+        """The depth rule: (i) the raw chain's horizon spans the grid; (ii)
+        the bound chain's Duhamel bound t_max |b_K| max_t |phi_{K-1}| <=
+        DEPTH_TOL.  A chain that passes leaves its trajectories here."""
+        probe = ChainRun(self.t, tri)
+        if probe._evolved(False).horizon < self.t.size:
+            return False
+        phi = probe._evolved(True).phi[-1]
+        if self.t[-1] * b_next * np.abs(phi).max() > DEPTH_TOL:
+            return False
+        self._trajs = probe._trajs
+        return True
+
+    def _evolved(self, bound):
+        chain = self.bound_chain[0] if bound else self.tri
+        if (key := chain is not self.tri) not in self._trajs:
+            self._trajs[key] = evolve_chain(chain, self.t)
+        return self._trajs[key]
+
+    def trajectory(self, bound=False):
+        """The raw or the bound chain's trajectory; each request warns
+        where the end of an incomplete chain shows on the grid."""
+        traj = self._evolved(bound)
+        if not self.tri.complete and traj.horizon < self.t.size:
+            warnings.warn(f"truncation tail |phi_K-1|^2 reached "
+                          f"{max(traj.tail_mass):.3e} (cutoff "
+                          f"{TAIL_CUTOFF:.1e}); results beyond that time are "
+                          "affected by the finite chain", RuntimeWarning)
+        return traj
+
+
 def moments(traj):
     """Complexity, probability and second moment of a chain trajectory."""
     phi = traj.phi
-    psi_star = traj.psi.conj()
-    K = phi.shape[0]
-    n_idx = np.arange(K)[:, None]
+    n_idx = np.arange(phi.shape[0])[:, None]
 
     P = np.sum(np.abs(phi) ** 2, axis=0)
-    cross = np.sum(n_idx * psi_star * phi, axis=0)
+    cross = np.sum(n_idx * traj.psi.conj() * phi, axis=0)
     C = cross.real
     imag_residue = float(np.abs(cross.imag).max())
     M2 = np.sum(n_idx ** 2 * np.abs(phi) ** 2, axis=0)

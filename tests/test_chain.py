@@ -9,14 +9,14 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 from krylovflow import krylov_chain
-from krylovflow.bilanczos import TERM_BREAKDOWN, TridiagonalData, \
-    _lanczos, bilanczos, project_dissipative_structure
+from krylovflow.bilanczos import TERM_BREAKDOWN, TERM_GRID, \
+    TridiagonalData, _lanczos, bilanczos, project_dissipative_structure
 from krylovflow.bound import saturating_coefficients, saturation_report
 from krylovflow.exceptions import NumericalFailure
-from krylovflow.krylov_chain import (STENCIL, TAIL_CUTOFF, ChainTrajectory,
-                                     _propagate, direct_evolution_oracle,
-                                     evolve_chain, finite_diff, moments,
-                                     time_grid)
+from krylovflow.krylov_chain import (STENCIL, TAIL_CUTOFF, ChainRun,
+                                     ChainTrajectory, _propagate,
+                                     direct_evolution_oracle, evolve_chain,
+                                     finite_diff, moments, time_grid)
 from krylovflow.lindbladian import build_model_lindbladian, uniform_seed, \
     vectorize
 from krylovflow.spin_algebra import PAULI_Y, ModelSpec, site_operator
@@ -757,3 +757,106 @@ def test_overflowing_taylor_plan_raises_numerical_failure():
             warnings.simplefilter("error")
             with pytest.raises(NumericalFailure, match="substeps"):
                 evolve_chain(tri, np.linspace(0, t_max, 61))
+
+
+# The chain policy, ChainRun, without the CLI: the paper's N = 5 model and
+# its closed counterpart, grown only as deep as the time grid needs.
+PAPER_N5 = ModelSpec(N=5, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
+CLOSED_N5 = dataclasses.replace(PAPER_N5, alpha=0.0, gamma=0.0)
+PAPER_N3 = dataclasses.replace(PAPER_N5, N=3)   # complete at K = 40
+
+
+@pytest.fixture
+def evolved_depths(monkeypatch):
+    """K of every chain krylov_chain.evolve_chain evolves from now on."""
+    depths = []
+    evolve = krylov_chain.evolve_chain
+    monkeypatch.setattr(krylov_chain, "evolve_chain",
+                        lambda tri, t: depths.append(tri.K) or evolve(tri, t))
+    return depths
+
+
+def grid_depth_run(spec, t_max):
+    """The ChainRun of ``spec`` on 400 samples of [0, t_max], its chain
+    grown by bilanczos with the run's depth hook."""
+    run = ChainRun(time_grid(t_max, 400))
+    run.tri = bilanczos(build_model_lindbladian(spec), uniform_seed(spec.dim),
+                        deep_enough=run.deep_enough)
+    return run
+
+
+@pytest.mark.parametrize("spec,t_max,K", [
+    (PAPER_N5, 10.0, 128), (PAPER_N5, 20.0, 256), (CLOSED_N5, 10.0, 256)],
+    ids=["paper-10", "paper-20", "closed-10"])
+def test_chain_run_grows_the_chain_to_the_grid_depth(spec, t_max, K):
+    # The open model on [0, 20] fails the horizon check at K = 128; the
+    # closed one passes it there (tail 2.0e-17) but not the Duhamel check.
+    run = grid_depth_run(spec, t_max)
+    assert (run.tri.K, run.tri.termination) == (K, TERM_GRID)
+    assert not run.tri.complete
+    assert run.structure.label == ("closed structure" if spec is CLOSED_N5
+                                   else "mixed structure")
+
+
+@pytest.mark.parametrize("t_max,depths", [(10.0, [128, 128]),
+                                          (20.0, [128, 256, 256])])
+def test_chain_run_propagates_each_chain_once(evolved_depths, t_max, depths):
+    # The projected chain is evolved only once the raw one passes its
+    # horizon check; the stages then take the probe's two trajectories.
+    run = grid_depth_run(PAPER_N5, t_max)
+    assert evolved_depths == depths
+    for bound in (False, True, False, True):
+        traj = run.trajectory(bound=bound)
+        assert traj.horizon == 400
+    assert evolved_depths == depths
+    assert run.trajectory(bound=True) is not run.trajectory()
+
+
+def test_chain_run_evolves_the_bound_chain_only_when_asked(evolved_depths):
+    # With a fixed depth there is no probe: the raw chain is evolved on
+    # the first request, the projected one on the first request for it.
+    run = ChainRun(time_grid(2.0, 41))
+    run.tri = bilanczos(build_model_lindbladian(PAPER_N3),
+                        uniform_seed(PAPER_N3.dim))
+    assert evolved_depths == []
+    run.trajectory()
+    run.trajectory()
+    assert evolved_depths == [40]
+    chain, b1 = run.bound_chain
+    assert chain is not run.tri
+    assert_array_equal(chain.b, np.abs(run.tri.b))
+    assert b1 == abs(run.tri.b[0])
+    run.trajectory(bound=True)
+    run.trajectory(bound=True)
+    assert evolved_depths == [40, 40]
+
+
+def test_closed_chain_is_its_own_bound_chain(evolved_depths):
+    t = time_grid(1.0, 11)
+    run = ChainRun(t, two_site_rotation())
+    assert run.structure.label == "closed structure"
+    chain, b1 = run.bound_chain
+    assert chain is run.tri and b1 == 1.0
+    assert run.trajectory(bound=True) is run.trajectory()
+    assert evolved_depths == [2]
+
+
+def test_one_coefficient_chain_has_b1_zero():
+    run = ChainRun(time_grid(1.0, 11), single_site_chain(0.0))
+    chain, b1 = run.bound_chain
+    assert chain is run.tri and b1 == 0.0
+    assert run.trajectory(bound=True).phi.shape == (1, 11)
+
+
+def test_chain_run_warns_where_the_chain_end_shows():
+    # An N = 3 chain cut at K = 20 is not complete, and its last-site mass
+    # passes TAIL_CUTOFF on [0, 10]: each request warns, of its own chain.
+    run = ChainRun(time_grid(10.0, 400))
+    run.tri = bilanczos(build_model_lindbladian(PAPER_N3),
+                        uniform_seed(PAPER_N3.dim), max_iter=20)
+    for bound, tail in ((False, "1.427e-02"), (True, "1.151e-02")):
+        with pytest.warns(RuntimeWarning) as caught:
+            run.trajectory(bound=bound)
+        assert [str(w.message) for w in caught] == [
+            f"truncation tail |phi_K-1|^2 reached {tail} (cutoff 1.0e-10); "
+            "results beyond that time are affected by the finite chain"]

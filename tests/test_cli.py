@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import krylovflow
-from krylovflow import cli
+from krylovflow import cli, krylov_chain
 from krylovflow.bilanczos import bilanczos
 from krylovflow.bound import saturation_report
 from krylovflow.cli import (EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK,
@@ -625,6 +625,27 @@ def test_continuum_without_block_is_usage_error(tmp_path):
                  str(tmp_path / "o"), "--quiet"]) == EXIT_USAGE
 
 
+# Continuum parameters at the edge of the float range: alpha t, or c/beta
+# times the growth, overflows in the printed forms before any guard.  Each
+# run exits 2 with error.json alone and a message naming the overflow, and
+# no RuntimeWarning escapes (tier-1 would turn one into an error).
+@pytest.mark.parametrize("continuum", [
+    {"case": "constant_a", "alpha": 1e308, "beta": 1.0},
+    {"case": "constant_a", "alpha": 3.0, "beta": 2.0, "c": 1e308},
+    {"case": "linear_a", "alpha": 1e308, "beta": 1.0}],
+    ids=["constant_a-alpha", "constant_a-c", "linear_a-alpha"])
+def test_continuum_overflow_is_numerical_failure(tmp_path, continuum):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, continuum=continuum)
+    out = tmp_path / "out"
+    assert main(["continuum", "--config", str(cfg_path), "--out", str(out),
+                 "--quiet"]) == EXIT_NUMERICAL
+    assert os.listdir(out) == ["error.json"]
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "numerical"
+    assert "overflow" in error["message"]
+
+
 def test_full_skips_oracle_above_cap(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path,
@@ -859,18 +880,19 @@ def test_duhamel_check_deepens_a_closed_chain(tmp_path, monkeypatch):
 def test_grid_depth_chains_are_propagated_once(tmp_path, monkeypatch, t_max,
                                                depths):
     evolved = []
-    evolve = cli.evolve_chain
-    monkeypatch.setattr(cli, "evolve_chain",
+    evolve = krylov_chain.evolve_chain
+    monkeypatch.setattr(krylov_chain, "evolve_chain",
                         lambda tri, t: evolved.append(tri.K) or evolve(tri, t))
     run_paper(tmp_path, monkeypatch, "n5", t_max=t_max)
     assert evolved == depths
 
 
 def recorded_trajectories(monkeypatch):
-    """The trajectories of the evolve_chain calls cli makes from now on."""
+    """The trajectories of the evolve_chain calls the chain policy
+    (krylov_chain.ChainRun) makes from now on."""
     trajs = []
-    evolve = cli.evolve_chain
-    monkeypatch.setattr(cli, "evolve_chain", lambda tri, t:
+    evolve = krylov_chain.evolve_chain
+    monkeypatch.setattr(krylov_chain, "evolve_chain", lambda tri, t:
                         trajs.append(evolve(tri, t)) or trajs[-1])
     return trajs
 
