@@ -34,6 +34,7 @@ import sys
 from collections import namedtuple
 from contextlib import suppress
 from dataclasses import asdict
+from functools import cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -160,10 +161,16 @@ def _walk(node, table, where, keys=None):
     return values
 
 
+@cache
+def _parameters(fn):
+    """``fn``'s signature parameters, read once per function."""
+    return inspect.signature(fn).parameters
+
+
 def _block(make, table, node, where):
     """A block's object; a parameter of make with no default is required."""
     values = _walk(node, table, where)
-    params = {} if make is dict else inspect.signature(make).parameters
+    params = {} if make is dict else _parameters(make)
     for name, p in params.items():
         if p.default is p.empty and p.kind != p.VAR_KEYWORD and \
                 name not in values:
@@ -238,7 +245,7 @@ def _parse(cfg, stages):
             run.seed = _seed_vector(run.seed_kind, run.model.dim)
         if "saturation" in keys:   # at saturation_report's defaults, read
             # in ``bound``: a tracer may wrap the ``cli`` name without them
-            params = inspect.signature(bound.saturation_report).parameters
+            params = _parameters(bound.saturation_report)
             kw = {k: p.default for k, p in params.items()} | run.saturation
             saturating_coefficients(kw["alpha0"], kw["gamma0"], kw["K"])
             _at("config.saturation", time_grid, kw["t_max"], kw["n_samples"])

@@ -68,8 +68,11 @@ def _along_characteristic(x_at, J_at):
     """(C, P) from the position x and the decay integral J at y = 2t."""
     if not np.all(np.isfinite(x_at)):
         raise NumericalFailure("characteristic position overflows")
-    if not np.all(J_at <= EXP_GUARD):   # NaN fails too
-        raise NumericalFailure("decay integral exceeds overflow guard")
+    # P = exp(-J) overflows only for -J past the guard; a large J
+    # underflows P toward 0.  NaN fails too.
+    if not np.all(-J_at <= EXP_GUARD):
+        raise NumericalFailure("decay integral is NaN or -J exceeds "
+                               "overflow guard")
     P = np.exp(-J_at)
     return x_at * P, P
 
@@ -152,8 +155,9 @@ def exact_characteristics(spec, t_grid):
         J(y) = alpha*y                    (CONSTANT_A)
              = (alpha/beta)(x(y) - c*y)   (LINEAR_A),
 
-    and P = exp(-J), C = x*P.  beta*y and J pass the overflow guard
-    ``EXP_GUARD``, and x is finite, or :class:`NumericalFailure` is raised.
+    and P = exp(-J), C = x*P.  beta*y and -J pass the overflow guard
+    ``EXP_GUARD``, and x is finite, or :class:`NumericalFailure` is raised;
+    a J past the guard only underflows P toward 0.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid < 0):
@@ -171,14 +175,16 @@ def continuum_vs_paper_report(spec, t_grid):
 
     Returns a dict of aligned arrays: t, C_paper, P_paper, C_char, P_char,
     relC, relP.  Relative differences are |paper - char| / max(|char|, eps)
-    with eps guarding the t = 0 zeros.
+    with eps guarding the t = 0 zeros; one past the float range, where the
+    characteristic P underflowed and the printed one did not, reads inf.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     C_p, P_p = analytic_C_P(spec, t_grid)
     C_c, P_c = exact_characteristics(spec, t_grid)
     eps = 1e-300
-    relC = np.abs(C_p - C_c) / np.maximum(np.abs(C_c), eps)
+    with np.errstate(over="ignore"):
+        relC = np.abs(C_p - C_c) / np.maximum(np.abs(C_c), eps)
+        relP = np.abs(P_p - P_c) / np.maximum(np.abs(P_c), eps)
     relC[np.abs(C_c) < 1e-15] = np.abs(C_p - C_c)[np.abs(C_c) < 1e-15]
-    relP = np.abs(P_p - P_c) / np.maximum(np.abs(P_c), eps)
     return {"t": t_grid, "C_paper": C_p, "P_paper": P_p,
             "C_char": C_c, "P_char": P_c, "relC": relC, "relP": relP}

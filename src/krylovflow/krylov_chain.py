@@ -13,13 +13,19 @@ generator A_phi is propagated.  Where b = c entry for entry (every
 projected and saturating chain) D = 1 and psi = phi.  A chain with
 c_n = 0 != b_n has no such gauge and is rejected.  phi is propagated
 exactly, as exp(t A_phi) e0 on the whole uniform time grid, by the Taylor
-propagator of :func:`_propagate`.  The Lanczos chain of a Lindbladian from
-a Hermitian seed has Re a = 0 and real b, c, so A_phi is real and the raw
-chain is propagated in real arithmetic, like the projected one; its D_n
-are +-1.  A chain end is measured here; :class:`ChainRun`, the chain
-policy of a run, warns of it.  :func:`time_grid` is the one place a time
-grid is built; a grid passed in must be uniform, increase by a step no
-smaller than the smallest normal float and, to be propagated, start at 0.
+propagator of :func:`_propagate`.  It has two kernels and picks one by
+the predicted cost of its substep plan: the vector kernel walks the grid
+in Taylor blocks of the amplitude vector; the block kernel sums exp(h
+A_phi) for one grid step h on the K x K identity and steps by
+matrix-vector products, which wins on short stiff chains such as the
+projected N = 5 one.  The trajectory records the kernel and the plan.
+The Lanczos chain of a Lindbladian from a Hermitian seed has Re a = 0 and
+real b, c, so A_phi is real and the raw chain is propagated in real
+arithmetic, like the projected one; its D_n are +-1.  A chain end is
+measured here; :class:`ChainRun`, the chain policy of a run, warns of it.
+:func:`time_grid` is the one place a time grid is built; a grid passed in
+must be uniform, increase by a step no smaller than the smallest normal
+float and, to be propagated, start at 0.
 """
 
 import warnings
@@ -50,6 +56,8 @@ class ChainTrajectory:
     phi: np.ndarray        # K x T, real when the chain generator is
     psi: np.ndarray        # K x T (psi_n(t), un-starred)
     tail_mass: np.ndarray  # |phi_{K-1}|^2 per time
+    kernel: str = None     # _propagate's kernel, "vector" or "block"
+    plan: tuple = None     # its (s, r): substeps, substeps per grid step
     # always 0; kept only because perfbench/worker.py reads it
     refinements: int = 0
 
@@ -107,6 +115,7 @@ _THETA_55 = 9.9
 _P_MAX = 8            # largest p with p (p - 1) <= 55 + 1
 _TOL = 2.0 ** -53
 _MAX_SUBSTEPS = 10 ** 6   # over 100x the largest plan the test suite makes
+_CALL_COST = 200      # fixed cost of a Taylor term or a product, in entries
 
 
 def _taylor_plan(A, t):
@@ -142,73 +151,132 @@ def _real_inf_norm(x):
     return abs(x[idamax(x)])   # BLAS; the same value as _inf_norm
 
 
-def _propagate(A, y0, h, q):
-    """exp(k h A) y0 for k = 0 .. q, as the rows of a (q + 1) x n array.
+class _TaylorSum:
+    """Sums of T_p = (tau A)^p Z / p! for a tridiagonal A, from Z in the
+    row ``rows[0]`` to the first p that passes the cut-off test.  Z is a
+    vector or a K x K block whose rows are chain sites; the terms are the
+    rows of a zero-padded (m + 1, n + 2, ...) array, so T_p sums the stacked
+    diagonals of (tau / p) A, each row-scaling one shifted slice, times the
+    (3, n, ...) sliding window of T_{p-1}: no matrix product."""
 
-    A is a sparse tridiagonal matrix.  This is algorithm 5.2 of Al-Mohy &
-    Higham, SIAM J. Sci. Comput. 33 (2011): A is shifted by its mean
-    diagonal mu, and one plan for [0, q h], :func:`_taylor_plan` of the
-    shifted A, sets the substep count s under its budget, at the one Taylor
-    degree m = _DEGREE.  One Taylor loop walks [0, q h] in blocks of
-    d = max(q // s, 1) grid steps, with r = ceil(s / q) substeps per grid
-    step: when s < q a block is d grid steps (the last one shorter when d
-    does not divide q), otherwise one substep of h / r, and every r-th block
-    ends on a grid point.  A block of length tau sums T_p = (tau A)^p Z / p!
-    from its first point Z into its last point, cut once two successive
-    terms fall below unit roundoff of the sum; its inner points
-    sum_p (k h / tau)^p T_p are one matrix product.  The terms are the rows
-    of a zero-padded array, so T_p sums the stacked diagonals of
-    (tau / p) A times the (3, n) sliding window of T_{p-1}.  The arithmetic
-    is real when A and y0 are (norms from idamax).
-    """
-    n = y0.size
-    mu = A.diagonal().mean()
-    A = A - mu * sp.eye(n, dtype=A.dtype, format="csr")
-    m, s = _DEGREE, _taylor_plan(A, q * h)
-    r, d = -(-s // q), max(q // s, 1)
-    X = np.empty((q + 1, n), dtype=np.result_type(A.dtype, y0.dtype))
-    X[0] = y0
-    D = np.zeros((3, n), dtype=X.dtype)   # D[:, i] multiplies x[i-1:i+2]
-    D[0, 1:], D[1], D[2, :-1] = A.diagonal(-1), A.diagonal(), A.diagonal(1)
-    T = np.zeros((m + 1, n + 2), dtype=X.dtype)
-    T[0, 1:-1] = y0
-    C = np.empty((m, 3, n), dtype=X.dtype)   # (tau / p) D for p = 1 .. m
-    S = np.empty((3, n), dtype=X.dtype)
-    # views made once: they are indexed per term
-    rows, inner, coefs = list(T), list(T[:, 1:-1]), list(C)
-    windows = list(np.moveaxis(sliding_window_view(T, 3, axis=1), 2, 1))
-    norm = _real_inf_norm if X.dtype == np.float64 else _inf_norm
-    for start in range(0, q * r, d):
-        size = min(d, q * r - start)
-        if start == 0 or size < d:   # all blocks but the last have size d
-            tau_p = size * h / r / np.arange(1, m + 1)
-            np.multiply(D.view(np.float64), tau_p[:, None, None],
-                        out=C.view(np.float64))   # real view: same values
+    def __init__(self, D, Z):
+        m, n = _DEGREE, D.shape[1]
+        cols = Z.shape[1:]
+        self.D = D.reshape(D.shape + (1,) * len(cols))   # D[:, i] row i
+        self.T = np.zeros((m + 1, n + 2) + cols, dtype=Z.dtype)
+        self.T[0, 1:-1] = Z
+        self.C = np.empty((m,) + self.D.shape, dtype=Z.dtype)
+        self.S = np.empty((3, n) + cols, dtype=Z.dtype)
+        # views made once: they are indexed per term
+        self.flat = self.T.reshape(m + 1, -1)
+        self.rows = list(self.flat)
+        self.inner = list(self.T[:, 1:-1])
+        self.coefs = list(self.C)
+        self.windows = list(np.moveaxis(
+            sliding_window_view(self.T, 3, axis=1), -1, 1))
+        self.norm = (_real_inf_norm if Z.dtype == np.float64 else _inf_norm)
+
+    def set_length(self, tau):
+        """(tau / p) D for p = 1 .. m (real views: the same values)."""
+        tau_p = tau / np.arange(1, _DEGREE + 1)
+        np.multiply(self.D.view(np.float64),
+                    tau_p.reshape((-1,) + (1,) * self.D.ndim),
+                    out=self.C.view(np.float64))
+
+    def __call__(self):
+        """(p, F): the last term index and the flat sum of T_0 .. T_p, cut
+        once two successive terms fall below unit roundoff of the sum."""
+        rows, norm = self.rows, self.norm
         c1 = F_norm = norm(rows[0])
         p = 0
-        for p in range(1, m + 1):
-            np.multiply(coefs[p - 1], windows[p - 1], out=S)
-            np.add.reduce(S, axis=0, out=inner[p])
+        for p in range(1, _DEGREE + 1):
+            np.multiply(self.coefs[p - 1], self.windows[p - 1], out=self.S)
+            np.add.reduce(self.S, axis=0, out=self.inner[p])
             c2 = norm(rows[p])
             # F_norm bounds ||F|| from above, so the sum F is only formed
             # once the cut-off test can pass.
             F_norm += c2
             if c1 + c2 <= _TOL * F_norm:
-                F = np.add.reduce(T[:p + 1], axis=0)
+                F = np.add.reduce(self.flat[:p + 1], axis=0)
                 F_norm = norm(F)
                 if c1 + c2 <= _TOL * F_norm:
-                    break
+                    return p, F
             c1 = c2
-        else:
-            F = np.add.reduce(T[:p + 1], axis=0)
+        return p, np.add.reduce(self.flat[:p + 1], axis=0)
+
+
+def _kernel(n, q, r, d):
+    """The kernel of lower predicted cost, in array entries touched: up to
+    _DEGREE terms of n entries in each of the vector kernel's
+    ceil(q r / d) blocks, against up to _DEGREE terms of n x n entries in
+    each of the block kernel's r substeps plus its q matrix-vector products
+    of n x n entries; each term and product also costs _CALL_COST."""
+    vector = -(-q * r // d) * _DEGREE * (n + _CALL_COST)
+    block = (r * _DEGREE + q) * (n * n + _CALL_COST)
+    return "block" if block < vector else "vector"
+
+
+def _propagate(A, y0, h, q):
+    """(X, kernel, (s, r)): exp(k h A) y0 for k = 0 .. q as the rows of a
+    (q + 1) x n array, the kernel that made it and the plan it ran.
+
+    A is a sparse tridiagonal matrix.  This is algorithm 5.2 of Al-Mohy &
+    Higham, SIAM J. Sci. Comput. 33 (2011): A is shifted by its mean
+    diagonal mu, and one plan for [0, q h], :func:`_taylor_plan` of the
+    shifted A, sets the substep count s under its budget, at the one Taylor
+    degree m = _DEGREE, and r = ceil(s / q) substeps per grid step.  Each
+    substep of length tau sums the Taylor terms of :class:`_TaylorSum` and
+    multiplies by exp(tau mu).  Two kernels walk the grid, and
+    :func:`_kernel` picks one by predicted cost:
+
+    - "vector" walks [0, q h] in blocks of d = max(q // s, 1) grid steps:
+      when s < q a block is d grid steps (the last one shorter when d does
+      not divide q), otherwise one substep of h / r, and every r-th block
+      ends on a grid point.  A block sums its terms from its first point
+      into its last one; its inner points sum_p (k h / tau)^p T_p are one
+      matrix product.
+    - "block" sums the r substeps of one grid step on the n x n identity,
+      which gives E = exp(hA), and steps X[k] = E X[k - 1] by matrix-vector
+      products.  It pays n times the work per term but sums only r
+      substeps' terms, so it wins on short stiff chains, whose vector plan
+      walks many substeps per grid step.
+
+    The arithmetic is real when A and y0 are (norms from idamax).
+    """
+    n = y0.size
+    mu = A.diagonal().mean()
+    A = A - mu * sp.eye(n, dtype=A.dtype, format="csr")
+    s = _taylor_plan(A, q * h)
+    r, d = -(-s // q), max(q // s, 1)
+    kernel = _kernel(n, q, r, d)
+    X = np.empty((q + 1, n), dtype=np.result_type(A.dtype, y0.dtype))
+    X[0] = y0
+    D = np.zeros((3, n), dtype=X.dtype)   # D[:, i] multiplies x[i-1:i+2]
+    D[0, 1:], D[1], D[2, :-1] = A.diagonal(-1), A.diagonal(), A.diagonal(1)
+    if kernel == "block":
+        taylor = _TaylorSum(D, np.eye(n, dtype=X.dtype))
+        taylor.set_length(h / r)
+        for _ in range(r):
+            _, F = taylor()
+            np.multiply(F, np.exp(h * mu / r), out=taylor.rows[0])
+        E = taylor.inner[0]
+        for k in range(1, q + 1):
+            np.dot(E, X[k - 1], out=X[k])
+        return X, kernel, (s, r)
+    taylor = _TaylorSum(D, X[0])
+    for start in range(0, q * r, d):
+        size = min(d, q * r - start)
+        if start == 0 or size < d:   # all blocks but the last have size d
+            taylor.set_length(size * h / r)
+        p, F = taylor()
         if size > 1:
             k = np.arange(1, size)[:, None]
             W = np.exp(k * h * mu) * (k / size) ** np.arange(p + 1)
-            X[start + 1:start + size] = (W @ T[:p + 1])[:, 1:-1]
-        np.multiply(F, np.exp(size * h * mu / r), out=rows[0])
+            X[start + 1:start + size] = (W @ taylor.T[:p + 1])[:, 1:-1]
+        np.multiply(F, np.exp(size * h * mu / r), out=taylor.rows[0])
         if (start + size) % r == 0:
-            X[(start + size) // r] = inner[0]
-    return X
+            X[(start + size) // r] = taylor.inner[0]
+    return X, kernel, (s, r)
 
 
 def evolve_chain(tri, t_grid):
@@ -216,8 +284,10 @@ def evolve_chain(tri, t_grid):
 
     phi at every grid point is exp(t A_phi) e0 for the sparse generator of
     the phi recursion, evaluated by :func:`_propagate`, which picks its own
-    Taylor degree and substeps to double-precision accuracy; a real
-    generator is propagated in real arithmetic and gives real amplitudes.
+    Taylor degree and substeps to double-precision accuracy, and its
+    kernel, vector or block, by the predicted cost of that plan (the
+    trajectory's ``kernel`` and ``plan``); a real generator is propagated
+    in real arithmetic and gives real amplitudes.
     psi is not propagated: by the gauge identity of the module docstring,
     psi_n = conj(D_n) phi_n = phi_n prod_{j <= n} b_j / c_j, and psi is phi
     itself when b = c entry for entry.  Raises ValueError for a chain with
@@ -237,7 +307,8 @@ def evolve_chain(tri, t_grid):
     if not np.any(A.data.imag):   # every projected chain
         A, e0 = A.real, e0.real
     q = t.size - 1
-    phi = _propagate(A, e0, t[-1] / q, q).T
+    X, kernel, plan = _propagate(A, e0, t[-1] / q, q)
+    phi = X.T
     psi = phi
     if np.any(gauged):
         ratio = np.divide(b, c, out=np.ones(K - 1, dtype=complex),
@@ -247,7 +318,8 @@ def evolve_chain(tri, t_grid):
     if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(psi))):
         raise NumericalFailure("chain propagation produced non-finite values")
     return ChainTrajectory(t=t, phi=phi, psi=psi,
-                           tail_mass=np.abs(phi[-1, :]) ** 2)
+                           tail_mass=np.abs(phi[-1, :]) ** 2,
+                           kernel=kernel, plan=plan)
 
 
 class ChainRun:

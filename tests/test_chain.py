@@ -240,6 +240,14 @@ def test_propagation_independent_of_global_random_state():
     assert all(np.array_equal(runs[0], phi) for phi in runs[1:])
 
 
+def forced_kernels(monkeypatch):
+    """Each kernel of _propagate in turn, with _propagate forced to it."""
+    for kernel in ("vector", "block"):
+        monkeypatch.setattr(krylov_chain, "_kernel",
+                            lambda *plan, forced=kernel: forced)
+        yield kernel
+
+
 def _taylor_plan(A, t_end):
     """The substep count _propagate plans for exp(t_end A), A shifted as
     there."""
@@ -329,7 +337,7 @@ def _two_site_chain():
     (_complex_per_step_chain, "per-step"),
     (_real_spiked_chain, "real per-step"),
 ])
-def test_grid_propagator_matches_dense_expm(chain, path):
+def test_grid_propagator_matches_dense_expm(chain, path, monkeypatch):
     A, t = chain()
     q = t.size - 1
     s = _taylor_plan(A, t[-1])
@@ -341,13 +349,48 @@ def test_grid_propagator_matches_dense_expm(chain, path):
         assert s == 1
     y0 = np.zeros(A.shape[0], dtype=A.dtype)
     y0[0] = 1.0
-    X = _propagate(A, y0, t[-1] / q, q)
-    if "real" in path:
-        assert X.dtype == np.float64
     A_dense = A.toarray()
-    for k, tk in enumerate(t):
-        ref = expm(tk * A_dense) @ y0
-        assert np.linalg.norm(X[k] - ref) <= 1e-10 * np.linalg.norm(ref)
+    for kernel in forced_kernels(monkeypatch):
+        X, ran, plan = _propagate(A, y0, t[-1] / q, q)
+        assert ran == kernel and plan == (s, -(-s // q))
+        if "real" in path:
+            assert X.dtype == np.float64
+        for k, tk in enumerate(t):
+            ref = expm(tk * A_dense) @ y0
+            assert np.linalg.norm(X[k] - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_kernel_rule_picks_the_cheaper_kernel():
+    # The spiked chain walks 4 substeps per grid step: 40 vector blocks
+    # against 4 block substeps on a 40 x 40 array.  The saturating K = 400
+    # chain walks 240 blocks of 5 grid steps, each term 400 entries against
+    # 160,000 on the block; measured 25-30 ms (vector) against 60-140 ms.
+    A, t = _real_spiked_chain()
+    y0 = np.eye(A.shape[0])[0]
+    q = t.size - 1
+    assert _propagate(A, y0, t[-1] / q, q)[1:] == ("block", (39, 4))
+    traj = evolve_chain(saturating_coefficients(1.0, 1.0, 400),
+                        np.linspace(0, 6, 1201))
+    assert (traj.kernel, traj.plan) == ("vector", (239, 1))
+
+
+def test_huge_couplings_take_the_block_kernel_and_agree(monkeypatch):
+    # alpha = gamma = 1e4 at N = 3: about 9,800 substeps on 60 grid steps.
+    # The block kernel multiplies by exp(tau mu) per substep, as the vector
+    # kernel does, so neither overflows on the way to the decayed phi.
+    spec = ModelSpec(N=3, g=-1.05, h=0.5, alpha=1e4, gamma=1e4)
+    raw = bilanczos(build_model_lindbladian(spec), uniform_seed(spec.dim))
+    t = np.linspace(0, 3, 61)
+    for tri in (raw, project_dissipative_structure(raw)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = evolve_chain(tri, t)
+            assert traj.kernel == "block" and traj.plan[1] == 164
+            monkeypatch.setattr(krylov_chain, "_kernel",
+                                lambda *plan: "vector")
+            ref = evolve_chain(tri, t).phi
+            monkeypatch.undo()
+        assert np.abs(traj.phi - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("K", [2, 3])
@@ -419,22 +462,30 @@ def test_propagator_matches_expm_multiply_on_saturating_chain():
 SU11_TOL = {"chi0.3": (1.5e-13, 9.4e-14, 1.6e-13),
             "chi1": (3.1e-13, 1.6e-13, 3.4e-13),
             "chi0": (4.0e-9, 1.0e-13, 6.8e-8)}
+# Largest |P - 1| of the closed chi0 chain per kernel: the measured 1.6e-15
+# (vector) and 4.4e-14 (block) times 10.  The block kernel's 1,200
+# matrix-vector steps round once each; stepping with scipy's expm of the
+# grid step instead of the Taylor E drifts by 2.4e-14.
+SU11_CLOSED_TOL = {"vector": 1.6e-14, "block": 4.4e-13}
 
 
 @pytest.mark.parametrize("case", SU11_CASES)
-def test_chain_matches_exact_su11_moments(case):
+def test_chain_matches_exact_su11_moments(case, monkeypatch):
     (alpha, eta, chi), t, horizon = SU11_CASES[case]
     tri = su11_chain(alpha, eta, chi, 400)
     if chi == 0:
         assert_array_equal(tri.b, saturating_coefficients(1.0, 1.0, 400).b)
-    traj = evolve_chain(tri, t)
-    assert traj.horizon == horizon
-    m, ref = moments(traj), su11_moments(alpha, eta, chi, t)
-    for name, tol in zip(("C", "P", "M2"), SU11_TOL[case]):
-        x, y = getattr(m, name)[:horizon], getattr(ref, name)[:horizon]
-        assert np.abs(x - y).max() <= tol * np.abs(y).max(), name
-    if chi == 0:   # a closed chain: measured 1.6e-15
-        assert np.abs(m.P[:horizon] - 1.0).max() <= 1.6e-14
+    for kernel in forced_kernels(monkeypatch):
+        traj = evolve_chain(tri, t)
+        assert traj.kernel == kernel and traj.horizon == horizon
+        m, ref = moments(traj), su11_moments(alpha, eta, chi, t)
+        for name, tol in zip(("C", "P", "M2"), SU11_TOL[case]):
+            x, y = getattr(m, name)[:horizon], getattr(ref, name)[:horizon]
+            assert np.abs(x - y).max() <= tol * np.abs(y).max(), \
+                (kernel, name)
+        if chi == 0:   # a closed chain
+            assert np.abs(m.P[:horizon] - 1.0).max() <= \
+                SU11_CLOSED_TOL[kernel]
 
 
 def test_n5_raw_chain_evolves_without_runtime_warnings():

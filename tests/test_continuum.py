@@ -87,13 +87,10 @@ def test_exact_characteristics_match_the_solver(case, alpha, beta, c):
         assert np.abs(e - s).max() <= 1e-11 * np.abs(s).max()
 
 
-# beta*y past the guard (constant_a at t = 200); J past it on [0, 10] for
-# the two linear_a points the solver fails on too, and at a huge alpha;
-# x past the float range at a huge c.
+# beta*y past the guard (constant_a at t = 200); x past the float range at
+# a huge c.
 @pytest.mark.parametrize("case,alpha,beta,c,t_max", [
-    (CONSTANT_A, 0.0, 2.0, 1.0, 200.0), (LINEAR_A, 0.3, 0.5, 1.0, 10.0),
-    (LINEAR_A, 3.0, 2.0, 1.0, 10.0), (CONSTANT_A, 1e308, 1.0, 1.0, 1.0),
-    (CONSTANT_A, 1.0, 1.0, 1e308, 1.0)])
+    (CONSTANT_A, 0.0, 2.0, 1.0, 200.0), (CONSTANT_A, 1.0, 1.0, 1e308, 1.0)])
 def test_exact_characteristics_overflow_guard(case, alpha, beta, c, t_max):
     spec = ContinuumSpec(case=case, alpha=alpha, beta=beta, c=c)
     t = np.linspace(0, t_max, 400)
@@ -103,11 +100,55 @@ def test_exact_characteristics_overflow_guard(case, alpha, beta, c, t_max):
             exact_characteristics(spec, t)
 
 
-def test_continuum_past_the_guard_exits_numerical(tmp_path):
+# J past the guard on [0, 10] at two linear_a points, and J = inf at a huge
+# alpha: P = exp(-J) underflows toward 0, which is no overflow.
+@pytest.mark.parametrize("case,alpha,beta,c,t_max", [
+    (LINEAR_A, 0.3, 0.5, 1.0, 10.0), (LINEAR_A, 3.0, 2.0, 1.0, 10.0),
+    (CONSTANT_A, 1e308, 1.0, 1.0, 1.0)])
+def test_exact_characteristics_underflow_past_the_guard(case, alpha, beta, c,
+                                                        t_max):
+    spec = ContinuumSpec(case=case, alpha=alpha, beta=beta, c=c)
+    t = np.linspace(0, t_max, 400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        C, P = exact_characteristics(spec, t)
+    assert np.all(np.isfinite(C)) and np.all(np.isfinite(P))
+    assert P[0] == 1.0 and P[-1] == 0.0 and C[-1] == 0.0
+
+
+def test_exact_characteristics_nan_decay_integral_fails():
+    # alpha = inf makes J = inf * 0 = NaN at t = 0.
+    spec = ContinuumSpec(case=CONSTANT_A, alpha=np.inf, beta=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match="decay integral"):
+            exact_characteristics(spec, np.linspace(0, 1, 5))
+
+
+def test_continuum_with_underflowing_probability_exits_ok(tmp_path):
+    # J = 2 alpha t reaches 400 > EXP_GUARD: P >= exp(-400) ~ 1.9e-174.
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "t_max": 10.0, "n_samples": 400,
-        "continuum": {"case": "linear_a", "alpha": 0.3, "beta": 0.5}}))
+        "continuum": {"case": "constant_a", "alpha": 20.0, "beta": 2.0}}))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["continuum", "--config", str(cfg_path), "--out",
+                     str(out), "--quiet"]) == 0
+    table = read_table((out / "continuum.csv").read_text())
+    P = np.array([float(x) for x in table["P_char"]])
+    C = np.array([float(x) for x in table["C_char"]])
+    assert np.all(np.isfinite(C)) and np.all(np.isfinite(P))
+    assert 0.0 < P[-1] <= np.exp(-399.0)
+
+
+def test_continuum_past_the_guard_exits_numerical(tmp_path):
+    # beta * y = 400 at t = 10: the characteristic position overflows.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "t_max": 10.0, "n_samples": 400,
+        "continuum": {"case": "constant_a", "alpha": 0.0, "beta": 20.0}}))
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")

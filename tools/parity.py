@@ -10,8 +10,9 @@ workloads ``--only`` names.  ``<src-dir>`` is the directory that holds the
 process with 2 BLAS threads and writes its artifacts to
 ``<out-dir>/<config>/``.  ``<out-dir>/runs.json`` records, per config, the
 exit code, every warning as "<category>: <text>" (no source line, which
-moves with any edit), and the propagations: the K and a digest of the
-coefficients of each chain ``evolve_chain`` evolved, in call order.
+moves with any edit), and the propagations: the K, a digest of the
+coefficients and the propagator kernel (null for a tree whose trajectories
+do not record one) of each chain ``evolve_chain`` evolved, in call order.
 
 ``diff`` compares two ``run`` outputs file by file: byte-identical or not;
 for a CSV the largest |delta| per column relative to the column's largest
@@ -49,8 +50,10 @@ evolved, evolve = [], krylov_chain.evolve_chain
 def recording(tri, t):
     coeffs = b"".join(np.ascontiguousarray(x).tobytes()
                       for x in (tri.a, tri.b, tri.c))
-    evolved.append([tri.K, hashlib.sha256(coeffs).hexdigest()[:16]])
-    return evolve(tri, t)
+    traj = evolve(tri, t)
+    evolved.append([tri.K, hashlib.sha256(coeffs).hexdigest()[:16],
+                    getattr(traj, "kernel", None)])
+    return traj
 
 krylov_chain.evolve_chain = recording
 if getattr(cli, "evolve_chain", None) is evolve:
