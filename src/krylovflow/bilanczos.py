@@ -74,6 +74,7 @@ class TridiagonalData:
 class StructureReport:
     """Diagnostics for the claimed dissipative coefficient structure."""
 
+    n_coeffs: int   # the leading coefficients judged
     max_bc_diff: float
     max_abs_b: float
     max_re_a: float
@@ -118,12 +119,6 @@ def bilanczos(L, seed, max_iter=None, deep_enough=None):
     A = as_matrix(L)
     return _lanczos(A, seed, max_iter, reflection_sector(A, seed),
                     deep_enough)
-
-
-def _breakdown(rs, scale):
-    """A collapse of <r|s> is serious while both residuals remain large."""
-    return TERM_SERIOUS if rs > np.sqrt(BREAKDOWN_TOL) * scale \
-        else TERM_BREAKDOWN
 
 
 def _tridiag_residual(A, P, a, b, c):
@@ -191,9 +186,11 @@ def _lanczos(A, seed, max_iter=None, B=None, deep_enough=None):
             gj = np.sqrt(abs(w))
             scale = max(g_max, abs(alpha[0])) or 1.0
             if gj < BREAKDOWN_TOL * scale:
-                # |mu| s is the left residual in the units of q_n.
+                # |mu| s is the left residual in the units of q_n; the
+                # collapse is serious while both residuals remain large.
                 rs = min(np.linalg.norm(r), abs(mu[0]) * np.linalg.norm(s))
-                termination = _breakdown(rs, scale)
+                termination = TERM_SERIOUS \
+                    if rs > np.sqrt(BREAKDOWN_TOL) * scale else TERM_BREAKDOWN
                 break
             if j == mu.size:   # a block end: stop, or grow by a block
                 if deep_enough is not None and deep_enough(_chain(
@@ -268,6 +265,7 @@ def check_open_structure(tri, n_coeffs=None):
     else:
         label = "mixed structure"
     return StructureReport(
+        n_coeffs=a.size,
         max_bc_diff=max_bc,
         max_abs_b=max_abs_b,
         max_re_a=max_re_a,

@@ -19,7 +19,8 @@ import numpy as np
 from .bilanczos import TERM_SYNTHETIC, TridiagonalData
 from .exceptions import InvariantViolation, NumericalFailure, \
     require_integer
-from .krylov_chain import evolve_chain, finite_diff, moments, time_grid
+from .krylov_chain import STENCIL, evolve_chain, finite_diff, moments, \
+    time_grid
 
 BOUND_TOL = 1e-6          # relative noise floor for bound violations
 IDENTITY_TOL = 1e-8       # renormalized-vs-plain lhs agreement
@@ -58,6 +59,10 @@ class MandelstamTammReport:
 
 def _plain_lhs(m):
     """|dP/dt * C - dC/dt|^2, dC/dt and dP/dt by finite differences."""
+    if m.t.size < STENCIL:
+        raise NumericalFailure(
+            f"total probability underflowed after {m.t.size} sample(s); "
+            f"the bound needs {STENCIL}")
     dC = finite_diff(m.C, m.t)
     dC[m.M2 == 0] = 0.0   # phi on n = 0 alone (t = 0): dC/dt is exactly 0
     dP = finite_diff(m.P, m.t)

@@ -328,10 +328,11 @@ class ChainRun:
     depth hook.  The bound certifies ``bound_chain``: ``tri`` if its
     leading STRUCTURE_COEFFS coefficients have closed ``structure``, else
     its dissipative projection; both are contractive, as the bound needs.
-    Each trajectory is evolved at most once; the depth probe's are kept."""
+    Each trajectory is evolved, and warns, at most once."""
 
     def __init__(self, t, tri=None):
         self.t, self.tri, self._trajs = t, tri, {}   # keyed by projected
+        self._warned = set()   # ids of the _trajs entries that warned
 
     @cached_property
     def structure(self):
@@ -354,7 +355,7 @@ class ChainRun:
         phi = probe._evolved(True).phi[-1]
         if self.t[-1] * b_next * np.abs(phi).max() > DEPTH_TOL:
             return False
-        self._trajs = probe._trajs
+        self._trajs, self._warned = probe._trajs, set()
         return True
 
     def _evolved(self, bound):
@@ -364,10 +365,12 @@ class ChainRun:
         return self._trajs[key]
 
     def trajectory(self, bound=False):
-        """The raw or the bound chain's trajectory; each request warns
-        where the end of an incomplete chain shows on the grid."""
+        """The raw or the bound chain's trajectory (one for a closed chain);
+        its first request warns where an incomplete chain's end shows."""
         traj = self._evolved(bound)
-        if not self.tri.complete and traj.horizon < self.t.size:
+        if not self.tri.complete and traj.horizon < self.t.size \
+                and id(traj) not in self._warned:
+            self._warned.add(id(traj))
             warnings.warn(f"truncation tail |phi_K-1|^2 reached "
                           f"{max(traj.tail_mass):.3e} (cutoff "
                           f"{TAIL_CUTOFF:.1e}); results beyond that time are "
@@ -380,11 +383,12 @@ def moments(traj):
     phi = traj.phi
     n_idx = np.arange(phi.shape[0])[:, None]
 
-    P = np.sum(np.abs(phi) ** 2, axis=0)
+    w = np.abs(phi) ** 2
+    P = np.sum(w, axis=0)
     cross = np.sum(n_idx * traj.psi.conj() * phi, axis=0)
     C = cross.real
     imag_residue = float(np.abs(cross.imag).max())
-    M2 = np.sum(n_idx ** 2 * np.abs(phi) ** 2, axis=0)
+    M2 = np.sum(n_idx ** 2 * w, axis=0)
 
     t = traj.t
     under = P < P_UNDERFLOW

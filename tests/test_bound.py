@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -14,7 +15,7 @@ from krylovflow.bound import (dispersion_bound_check,
                               bound_summary)
 from krylovflow.cli import _bound_table, csv_table
 from krylovflow.exceptions import NumericalFailure
-from krylovflow.krylov_chain import MomentSeries, evolve_chain, \
+from krylovflow.krylov_chain import STENCIL, MomentSeries, evolve_chain, \
     finite_diff, moments
 from krylovflow.lindbladian import build_model_lindbladian, uniform_seed
 from krylovflow.spin_algebra import ModelSpec
@@ -134,6 +135,18 @@ def test_tau_K_is_undefined_at_turning_points():
     assert_array_equal(np.flatnonzero(np.isnan(report.tau_K)), [100])
     mt = mandelstam_tamm_tau(dataclasses.replace(report, lhs=None), b1=1.0)
     assert_array_equal(mt.valid, ~np.isnan(report.tau_K))
+
+
+@pytest.mark.parametrize("check", [dispersion_bound_check,
+                                   renormalized_bound_check])
+def test_bound_needs_stencil_samples(check):
+    # A series that underflow cut to fewer samples than the derivative
+    # stencils span fails in the library, with or without the CLI.
+    m = two_site_moments(t_max=0.3, n=STENCIL - 1)
+    with pytest.raises(NumericalFailure, match=re.escape(
+            f"underflowed after {STENCIL - 1} sample(s); the bound needs "
+            f"{STENCIL}")):
+        check(m, b1=1.0)
 
 
 def test_mandelstam_tamm_needs_a_defined_tau():

@@ -10,7 +10,8 @@ from scipy.sparse.linalg import expm_multiply
 
 from krylovflow import krylov_chain
 from krylovflow.bilanczos import TERM_BREAKDOWN, TERM_GRID, \
-    TridiagonalData, _lanczos, bilanczos, project_dissipative_structure
+    TridiagonalData, _lanczos, bilanczos, check_open_structure, \
+    project_dissipative_structure
 from krylovflow.bound import saturating_coefficients, saturation_report
 from krylovflow.exceptions import NumericalFailure
 from krylovflow.krylov_chain import (STENCIL, TAIL_CUTOFF, ChainRun,
@@ -815,6 +816,7 @@ def test_overflowing_taylor_plan_raises_numerical_failure():
 PAPER_N5 = ModelSpec(N=5, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
 CLOSED_N5 = dataclasses.replace(PAPER_N5, alpha=0.0, gamma=0.0)
 PAPER_N3 = dataclasses.replace(PAPER_N5, N=3)   # complete at K = 40
+CLOSED_N3 = dataclasses.replace(CLOSED_N5, N=3)
 
 
 @pytest.fixture
@@ -899,15 +901,52 @@ def test_one_coefficient_chain_has_b1_zero():
     assert run.trajectory(bound=True).phi.shape == (1, 11)
 
 
+def cut_run(spec):
+    """The ChainRun of ``spec`` on 400 samples of [0, 10], its chain cut
+    at K = 20 by max_iter."""
+    run = ChainRun(time_grid(10.0, 400))
+    run.tri = bilanczos(build_model_lindbladian(spec), uniform_seed(spec.dim),
+                        max_iter=20)
+    return run
+
+
+def tail_warning(tail):
+    return (f"truncation tail |phi_K-1|^2 reached {tail} (cutoff 1.0e-10); "
+            "results beyond that time are affected by the finite chain")
+
+
 def test_chain_run_warns_where_the_chain_end_shows():
     # An N = 3 chain cut at K = 20 is not complete, and its last-site mass
-    # passes TAIL_CUTOFF on [0, 10]: each request warns, of its own chain.
-    run = ChainRun(time_grid(10.0, 400))
-    run.tri = bilanczos(build_model_lindbladian(PAPER_N3),
-                        uniform_seed(PAPER_N3.dim), max_iter=20)
+    # passes TAIL_CUTOFF on [0, 10]: each trajectory warns, of its own chain.
+    run = cut_run(PAPER_N3)
     for bound, tail in ((False, "1.427e-02"), (True, "1.151e-02")):
         with pytest.warns(RuntimeWarning) as caught:
             run.trajectory(bound=bound)
-        assert [str(w.message) for w in caught] == [
-            f"truncation tail |phi_K-1|^2 reached {tail} (cutoff 1.0e-10); "
-            "results beyond that time are affected by the finite chain"]
+        assert [str(w.message) for w in caught] == [tail_warning(tail)]
+
+
+@pytest.mark.parametrize("spec,requests,tail", [
+    (PAPER_N3, (False, False), "1.427e-02"),
+    (PAPER_N3, (True, True), "1.151e-02"),
+    (CLOSED_N3, (False, True), "7.680e-02")],
+    ids=["raw_twice", "bound_twice", "closed_raw_and_bound"])
+def test_chain_run_warns_once_per_trajectory(spec, requests, tail):
+    # A closed chain is its own bound chain: its two requests are one
+    # trajectory, so they warn once together.
+    run = cut_run(spec)
+    with pytest.warns(RuntimeWarning) as caught:
+        for bound in requests:
+            run.trajectory(bound=bound)
+    assert [str(w.message) for w in caught] == [tail_warning(tail)]
+
+
+def test_structure_report_states_the_prefix_it_judged():
+    # The complete open N = 3 chain has K = 40 < 50 coefficients; the N = 5
+    # chain grown to the grid depth has K = 128.
+    complete = bilanczos(build_model_lindbladian(PAPER_N3),
+                         uniform_seed(PAPER_N3.dim))
+    grid = grid_depth_run(PAPER_N5, 10.0).tri
+    for tri, K, n_coeffs in ((complete, 40, 40), (grid, 128, 50)):
+        assert tri.K == K
+        assert check_open_structure(tri, 50).n_coeffs == n_coeffs
+        assert check_open_structure(tri).n_coeffs == K
