@@ -39,7 +39,7 @@ TERM_GRID = "grid"     # cut by ChainRun.deep_enough; judged like max_iter
 
 STRUCTURE_TOL = 1e-6   # relative tolerance of the structure verdicts
 BREAKDOWN_TOL = 1e-10  # smallest c_j, relative to the running max of c_j
-DEPTH_BLOCK = 128      # steps per block: arrays grow, the depth hook is asked
+DEPTH_BLOCK = 128      # the depth hook is asked every DEPTH_BLOCK steps
 
 
 @dataclass
@@ -99,11 +99,11 @@ def bilanczos(L, seed, max_iter=None, deep_enough=None):
     When the seed is exactly even under site reversal and L commutes with
     it (``reflection_sector`` returns the isometry B), the recursion runs
     in B's range, otherwise in full space.  ``max_iter`` defaults to the
-    dimension of the space it runs in, the result's ``space_dim``.  The
-    chain grows by blocks of ``DEPTH_BLOCK`` steps; after each,
-    ``deep_enough(chain, |b_K|)``, when given, sees the coefficients so far
-    and the next hopping, and True ends the chain there, not ``complete``,
-    with termination ``TERM_GRID``.
+    dimension of the space it runs in, the result's ``space_dim``, and
+    sizes the bases once.  Every ``DEPTH_BLOCK`` steps before the chain's
+    end, ``deep_enough(chain, |b_K|)``, when given, sees the coefficients
+    so far and the next hopping, and True ends the chain there, not
+    ``complete``, with termination ``TERM_GRID``.
 
     The right seed is divided by |seed|^2 so that q_0' p_0 = 1; a zero seed
     raises ValueError.  Each new basis vector is purged twice against all
@@ -163,10 +163,9 @@ def _lanczos(A, seed, max_iter=None, B=None, deep_enough=None):
     v = p if one_sided else y / overlap
     # mu_n = 1 / (v_n^T J p_n): the J-dual of p_n is mu_n J v_n.  Its
     # modulus stays |seed|^2.
-    dtype = np.result_type(p, v)
-    mu = np.empty(min(max_iter, DEPTH_BLOCK), dtype=dtype)
+    mu = np.empty(max_iter, dtype=np.result_type(p, v))
     mu[0] = overlap
-    P = np.empty((mu.size, dim), dtype=dtype)
+    P = np.empty((max_iter, dim), dtype=mu.dtype)
     V = P if one_sided else np.empty_like(P)
     P[0], V[0] = p, v
     u = R @ p
@@ -192,15 +191,12 @@ def _lanczos(A, seed, max_iter=None, B=None, deep_enough=None):
                 termination = TERM_SERIOUS \
                     if rs > np.sqrt(BREAKDOWN_TOL) * scale else TERM_BREAKDOWN
                 break
-            if j == mu.size:   # a block end: stop, or grow by a block
-                if deep_enough is not None and deep_enough(_chain(
-                        alpha, beta, gamma, termination=TERM_GRID,
-                        space_dim=dim), gj):
-                    termination = TERM_GRID
-                    break
-                new = np.empty((min(DEPTH_BLOCK, max_iter - j), dim), dtype)
-                mu, P = np.append(mu, new[:, 0]), np.vstack([P, new])
-                V = P if one_sided else np.vstack([V, new])
+            if deep_enough is not None and j % DEPTH_BLOCK == 0 and \
+                    deep_enough(_chain(alpha, beta, gamma,
+                                       termination=TERM_GRID,
+                                       space_dim=dim), gj):
+                termination = TERM_GRID
+                break
             bj = w / abs(w) * gj   # exactly +-gj when w is real
             p = r / gj
             v = p if one_sided else s / gj

@@ -22,11 +22,13 @@ the Lanczos recursion and the direct-evolution oracle alike.
 import numpy as np
 import scipy.sparse as sp
 
-# The Lanczos bases, not L, bound the size: K vectors of up to 4^N real
-# coordinates each for a Hermitian seed, K * 4^N * 8 B per basis.  At full
-# depth K <= 4^N (134 MB at N = 6, 2.1 GB at N = 7); a chain cut at its
-# time grid's depth is far shorter (K = 256 of the 2,080-dimensional
-# reflection sector at N = 6: 4.3 MB).
+# The Lanczos bases, not L, bound the size.  Each is reserved at max_iter
+# rows (the space dimension unless given) of up to 4^N coordinates, 8 B
+# each for a Hermitian seed; only the rows written are touched.  At
+# full depth K <= 4^N (134 MB per basis at N = 6, 2.1 GB at N = 7), and a
+# complex two-sided full-space N = 6 run reserves 2 x 4096^2 x 16 B.  A
+# chain cut at its time grid's depth is far shorter (K = 256 of the
+# 2,080-dimensional reflection sector at N = 6: 4.3 MB written).
 MAX_QUBITS = 6
 MAX_DIM = 4 ** MAX_QUBITS
 HERM_TOL = 1e-10   # largest |H - H'| entry allowed, relative to max|H|

@@ -185,8 +185,7 @@ def test_closed_chain_diagonal_is_exactly_zero():
 def test_deep_enough_is_asked_at_each_block_end():
     # bilanczos asks at every DEPTH_BLOCK-th step, with the chain so far
     # and |b_K|, the hopping to the next site, and ends the chain where the
-    # answer is True: a prefix of the full chain, bases included, across
-    # the growth of its arrays.
+    # answer is True: a prefix of the full chain, bases included.
     spec = ModelSpec(N=5, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
     L = build_model_lindbladian(spec)
     seed = uniform_seed(spec.dim)
@@ -212,6 +211,32 @@ def test_deep_enough_is_asked_at_each_block_end():
         assert_array_equal(getattr(tri, name), getattr(asked[-1][0], name))
     assert_array_equal(tri.P, full.P[:256])
     assert_array_equal(tri.Q, full.Q[:256])
+
+
+@pytest.fixture(scope="module")
+def open_n5():
+    spec = ModelSpec(N=5, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
+    return build_model_lindbladian(spec), uniform_seed(spec.dim)
+
+
+@pytest.mark.parametrize("max_iter, asked_at", [
+    (None, [128, 256, 384, 512]),   # the 544-dimensional sector, in full
+    (300, [128, 256]),              # a partial last block of 44 steps
+])
+def test_deep_enough_is_asked_every_block_and_never_at_the_end(
+        open_n5, max_iter, asked_at):
+    # The hook is asked every DEPTH_BLOCK steps short of the chain's end;
+    # one that always declines leaves the chain it would have without it.
+    L, seed = open_n5
+    asked = []
+    tri = bilanczos(L, seed, max_iter, deep_enough=lambda chain, b_next:
+                    asked.append(chain.K) or False)
+    plain = bilanczos(L, seed, max_iter)
+    assert asked == asked_at
+    assert (tri.K, tri.termination) == (plain.K, plain.termination)
+    assert tri.K == (max_iter or 544)
+    for name in ("a", "b", "c"):
+        assert_array_equal(getattr(tri, name), getattr(plain, name))
 
 
 def test_deep_enough_keeps_the_callers_floating_point_rules():

@@ -26,9 +26,10 @@ def test_two_runs_of_tiny_have_no_difference(tmp_path):
     assert list(runs) == ["tiny"]
     assert runs["tiny"]["exit"] == 0 and runs["tiny"]["warnings"] == []
     # The raw N = 3 chain (complete at K = 40) and its projection, both
-    # short enough for the vector kernel.
-    assert [(k, kernel) for k, _, kernel in runs["tiny"]["propagations"]] \
-        == [(40, "vector"), (40, "vector")]
+    # short enough for the vector kernel, with their Taylor plans [s, r].
+    assert [(k, kernel, plan) for k, _, kernel, plan
+            in runs["tiny"]["propagations"]] \
+        == [(40, "vector", [2, 1]), (40, "vector", [6, 1])]
     proc = parity("diff", str(a), str(b))
     assert proc.returncode == 0, proc.stdout
     assert proc.stdout.splitlines()[-1].endswith(", 0 differ")

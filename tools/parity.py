@@ -11,8 +11,9 @@ process with 2 BLAS threads and writes its artifacts to
 ``<out-dir>/<config>/``.  ``<out-dir>/runs.json`` records, per config, the
 exit code, every warning as "<category>: <text>" (no source line, which
 moves with any edit), and the propagations: the K, a digest of the
-coefficients and the propagator kernel (null for a tree whose trajectories
-do not record one) of each chain ``evolve_chain`` evolved, in call order.
+coefficients, the propagator kernel and its Taylor plan [s, r] (each null
+for a tree whose trajectories do not record it) of each chain
+``evolve_chain`` evolved, in call order.
 
 ``diff`` compares two ``run`` outputs file by file: byte-identical or not;
 for a CSV the largest |delta| per column relative to the column's largest
@@ -52,7 +53,8 @@ def recording(tri, t):
                       for x in (tri.a, tri.b, tri.c))
     traj = evolve(tri, t)
     evolved.append([tri.K, hashlib.sha256(coeffs).hexdigest()[:16],
-                    getattr(traj, "kernel", None)])
+                    getattr(traj, "kernel", None),
+                    getattr(traj, "plan", None)])
     return traj
 
 krylov_chain.evolve_chain = recording
