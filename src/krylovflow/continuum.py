@@ -11,9 +11,9 @@ two cases are implemented:
 ``exact_characteristics`` evaluates the characteristics of both cases in
 closed form, and ``continuum_vs_paper_report`` tabulates the printed forms
 against it.  The LINEAR_A printed form is internally inconsistent, so the
-report shows the discrepancy instead of asserting agreement.
-``characteristics_solver`` integrates the characteristics numerically for
-any b and a; it is the independent cross-check of the closed form.
+report shows the discrepancy instead of asserting agreement.  The tests
+integrate the characteristics numerically (``tests/characteristics.py``),
+the independent cross-check of the closed form.
 """
 
 from dataclasses import dataclass
@@ -26,8 +26,6 @@ LINEAR_A = "linear_a"
 CONSTANT_A = "constant_a"
 
 EXP_GUARD = 300.0  # largest exponent fed to exp()
-SOLVER_RTOL = 1e-13  # DOP853 tolerances of the characteristics solver
-SOLVER_ATOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -46,14 +44,6 @@ class ContinuumSpec:
             raise ValueError("beta must be positive")
         if self.c <= 0:
             raise ValueError("c must be positive")
-
-    def a_of_x(self):
-        if self.case == LINEAR_A:
-            return lambda x: self.alpha * x
-        return lambda x: self.alpha + 0.0 * x   # keeps the shape of x
-
-    def b_of_x(self):
-        return lambda x: self.beta * x + self.c
 
 
 def _guarded_exp(z, exp=np.exp):
@@ -105,51 +95,13 @@ def analytic_C_P(spec, t):
     return C, P
 
 
-def characteristics_solver(b, a, t_grid):
-    """Solve the continuum transport problem by characteristics.
-
-    The initial packet is a delta at x = 0 transported along the
-    characteristic y(t) = 2t of the advected coordinate y defined by
-    dy/dx = 1/b(x).  Solving dx/dy = b(x) with x(0) = 0 and accumulating
-    J(y) = int_0^y a(x(y')) dy' gives
-
-        P(t) = exp(-J(2t)),   C(t) = x(2t) * P(t).
-
-    ``b`` must stay positive on the reached interval; ``a`` nonnegative.
-    """
-    from scipy.integrate import solve_ivp  # only this solver needs it
-
-    t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(t_grid < 0):
-        raise ValueError("t_grid must be nonnegative")
-    y_end = 2.0 * float(t_grid.max())
-
-    def rhs(y, state):
-        x = state[0]
-        bx = b(x)
-        if bx <= 0:
-            raise NumericalFailure(f"b(x) = {bx:.3g} <= 0 at x = {x:.6g}")
-        return [bx, a(x)]
-
-    if y_end == 0.0:
-        x_at = np.zeros_like(t_grid)
-        J_at = np.zeros_like(t_grid)
-    else:
-        sol = solve_ivp(rhs, (0.0, y_end), [0.0, 0.0], method="DOP853",
-                        t_eval=2.0 * t_grid, rtol=SOLVER_RTOL,
-                        atol=SOLVER_ATOL, dense_output=False)
-        if not sol.success:
-            raise NumericalFailure(
-                f"characteristic integration failed: {sol.message}")
-        x_at, J_at = sol.y
-    return _along_characteristic(x_at, J_at)
-
-
 def exact_characteristics(spec, t_grid):
     """(C(t), P(t)) of ``spec`` by the characteristics, in closed form.
 
-    The transport problem of :func:`characteristics_solver`, solved
-    exactly for b(x) = beta*x + c: along y = 2t,
+    The initial packet is a delta at x = 0 transported along the
+    characteristic y(t) = 2t of the coordinate y with dy/dx = 1/b(x),
+    decaying by J(y) = int_0^y a(x(y')) dy'.  For b(x) = beta*x + c, along
+    y = 2t,
 
         x(y) = (c/beta) * expm1(beta*y),
         J(y) = alpha*y                    (CONSTANT_A)

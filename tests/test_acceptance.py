@@ -17,12 +17,12 @@ from krylovflow.bound import (dispersion_bound_check, mandelstam_tamm_tau,
                               saturation_report)
 from krylovflow.cli import csv_table, main
 from krylovflow.continuum import (CONSTANT_A, LINEAR_A, ContinuumSpec,
-                                  analytic_C_P, characteristics_solver,
-                                  continuum_vs_paper_report)
+                                  analytic_C_P, continuum_vs_paper_report)
 from krylovflow.krylov_chain import (direct_evolution_oracle, evolve_chain,
                                      moments)
 from krylovflow.lindbladian import build_model_lindbladian, uniform_seed
 from krylovflow.spin_algebra import ModelSpec
+from tests.characteristics import a_of_x, b_of_x, characteristics_solver
 
 ARTIFACT_DIR = os.path.join(os.path.dirname(__file__), "artifacts")
 
@@ -169,7 +169,7 @@ def test_criterion_08_continuum_constant_dissipation():
         # whatever that form said.  Same relative-difference rule as
         # continuum_vs_paper_report.
         C, P = analytic_C_P(spec, t)
-        C_s, P_s = characteristics_solver(spec.b_of_x(), spec.a_of_x(), t)
+        C_s, P_s = characteristics_solver(b_of_x(spec), a_of_x(spec), t)
         zero = np.abs(C_s) < 1e-15
         relC = np.abs(C - C_s) / np.maximum(np.abs(C_s), 1e-300)
         relC[zero] = np.abs(C - C_s)[zero]
@@ -187,7 +187,7 @@ def test_criterion_09_continuum_linear_dissipation():
     t = np.linspace(0.0, 3.0, 301)
     # solver must reproduce the closed-form zero-dissipation limit
     spec0 = ContinuumSpec(case=LINEAR_A, alpha=0.0, beta=2.0)
-    C, P = characteristics_solver(spec0.b_of_x(), spec0.a_of_x(), t)
+    C, P = characteristics_solver(b_of_x(spec0), a_of_x(spec0), t)
     C_exact = (spec0.c / spec0.beta) * (np.exp(2 * spec0.beta * t) - 1)
     relC = (np.abs(C - C_exact)
             / np.maximum(np.abs(C_exact), 1e-12 * C_exact.max())).max()

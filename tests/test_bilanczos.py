@@ -102,10 +102,18 @@ def test_hermitian_eigenvector_seed():
     assert tri.a[0] == pytest.approx(2.0)
 
 
-def test_biorthogonality_and_tridiagonality_residuals():
+def test_biorthogonality_and_tridiagonality_residuals(open_n5):
+    # One reorthogonalization pass per step suffices, also on the full
+    # N = 5 sector (K = 544) and on the two-sided recursion of a complex
+    # seed; with no pass residual_biortho reads O(1) on both.
+    cases = []
     for N in (3, 4):
         spec = ModelSpec(N=N, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
-        tri = bilanczos(build_model_lindbladian(spec), uniform_seed(spec.dim))
+        cases.append((build_model_lindbladian(spec), uniform_seed(spec.dim)))
+    L4, seed4 = cases[-1]
+    cases += [open_n5, (L4, seed4 * np.exp(0.7j))]
+    for L, seed in cases:
+        tri = bilanczos(L, seed)
         assert tri.residual_biortho < 1e-10
         assert tri.residual_tridiag < 1e-8
 

@@ -9,10 +9,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from krylovflow.cli import EXIT_NUMERICAL, csv_table, main
 from krylovflow.continuum import (CONSTANT_A, LINEAR_A, ContinuumSpec,
-                                  analytic_C_P, characteristics_solver,
-                                  continuum_vs_paper_report,
+                                  analytic_C_P, continuum_vs_paper_report,
                                   exact_characteristics)
 from krylovflow.exceptions import NumericalFailure
+from tests.characteristics import a_of_x, b_of_x, characteristics_solver
 from tests.csv_tables import read_table
 
 
@@ -54,7 +54,7 @@ def test_solver_matches_constant_a(alpha, beta):
     spec = ContinuumSpec(case=CONSTANT_A, alpha=alpha, beta=beta)
     t = np.linspace(0, 3, 151)
     C_a, P_a = analytic_C_P(spec, t)
-    C_s, P_s = characteristics_solver(spec.b_of_x(), spec.a_of_x(), t)
+    C_s, P_s = characteristics_solver(b_of_x(spec), a_of_x(spec), t)
     assert (np.abs(C_s - C_a)
             / np.maximum(np.abs(C_a), 1e-30)).max() < 1e-10
     assert (np.abs(P_s - P_a) / P_a).max() < 1e-10
@@ -82,7 +82,7 @@ def test_exact_characteristics_match_the_solver(case, alpha, beta, c):
     spec = ContinuumSpec(case=case, alpha=alpha, beta=beta, c=c)
     t = np.linspace(0, 1, 101)
     exact = exact_characteristics(spec, t)
-    solved = characteristics_solver(spec.b_of_x(), spec.a_of_x(), t)
+    solved = characteristics_solver(b_of_x(spec), a_of_x(spec), t)
     for e, s in zip(exact, solved):
         assert np.abs(e - s).max() <= 1e-11 * np.abs(s).max()
 
@@ -188,7 +188,7 @@ def test_report_linear_a_discrepancy_documented():
 
 def test_solver_probability_non_increasing():
     spec = ContinuumSpec(case=LINEAR_A, alpha=0.5, beta=1.0)
-    _, P = characteristics_solver(spec.b_of_x(), spec.a_of_x(),
+    _, P = characteristics_solver(b_of_x(spec), a_of_x(spec),
                                   np.linspace(0, 2, 101))
     assert np.diff(P).max() <= 1e-14
 
@@ -201,8 +201,8 @@ def test_constant_a_factorization():
     C, P = analytic_C_P(spec, t)
     C0, _ = analytic_C_P(spec0, t)
     assert_allclose(C, C0 * P, rtol=1e-12)
-    C_s, P_s = characteristics_solver(spec.b_of_x(), spec.a_of_x(), t)
-    C0_s, _ = characteristics_solver(spec0.b_of_x(), spec0.a_of_x(), t)
+    C_s, P_s = characteristics_solver(b_of_x(spec), a_of_x(spec), t)
+    C0_s, _ = characteristics_solver(b_of_x(spec0), a_of_x(spec0), t)
     assert_allclose(C_s, C0_s * P_s, rtol=1e-9)
 
 
@@ -221,7 +221,7 @@ def test_negative_time_rejected():
     with pytest.raises(ValueError, match="nonnegative"):
         analytic_C_P(spec, [0.0, -0.1])
     with pytest.raises(ValueError, match="nonnegative"):
-        characteristics_solver(spec.b_of_x(), spec.a_of_x(), [0.0, -0.1])
+        characteristics_solver(b_of_x(spec), a_of_x(spec), [0.0, -0.1])
     with pytest.raises(ValueError, match="nonnegative"):
         exact_characteristics(spec, [0.0, -0.1])
 

@@ -61,8 +61,8 @@ assert "scipy.integrate" not in sys.modules, "scipy.integrate was imported"
 
 
 def test_full_pipeline_does_not_import_the_ode_solver(tmp_path):
-    # The continuum stage is closed-form; only characteristics_solver,
-    # the numerical cross-check, loads scipy.integrate.
+    # The continuum stage is closed-form, and no package module imports
+    # scipy.integrate: only the tests' numerical cross-check loads it.
     src = os.path.dirname(os.path.dirname(krylovflow.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", PIPELINE_WITHOUT_THE_SOLVER,
