@@ -19,6 +19,7 @@ in Taylor blocks of the amplitude vector; the block kernel sums exp(h
 A_phi) for one grid step h on the K x K identity and steps by
 matrix-vector products, which wins on short stiff chains such as the
 projected N = 5 one.  The trajectory records the kernel and the plan.
+Its Taylor sums, like the oracle's dense :func:`_expm`, need numpy alone.
 The Lanczos chain of a Lindbladian from a Hermitian seed has Re a = 0 and
 real b, c, so A_phi is real and the raw chain is propagated in real
 arithmetic, like the projected one; its D_n are +-1.  A chain end is
@@ -35,8 +36,6 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import expm
-from scipy.linalg.blas import idamax
 
 from .bilanczos import check_open_structure, project_dissipative_structure
 from .exceptions import NumericalFailure, require_integer
@@ -143,12 +142,8 @@ def _taylor_plan(A, t):
     return max(int(np.ceil(s)), 1)
 
 
-def _inf_norm(x):
-    return np.abs(x).max()
-
-
-def _real_inf_norm(x):
-    return abs(x[idamax(x)])   # BLAS; the same value as _inf_norm
+def _norm(x):   # the 2-norm of x, flattened: one BLAS dot, real or complex
+    return np.sqrt(np.vdot(x, x).real)
 
 
 class _TaylorSum:
@@ -174,7 +169,6 @@ class _TaylorSum:
         self.coefs = list(self.C)
         self.windows = list(np.moveaxis(
             sliding_window_view(self.T, 3, axis=1), -1, 1))
-        self.norm = (_real_inf_norm if Z.dtype == np.float64 else _inf_norm)
 
     def set_length(self, tau):
         """(tau / p) D for p = 1 .. m (real views: the same values)."""
@@ -186,7 +180,7 @@ class _TaylorSum:
     def __call__(self):
         """(p, F): the last term index and the flat sum of T_0 .. T_p, cut
         once two successive terms fall below unit roundoff of the sum."""
-        rows, norm = self.rows, self.norm
+        rows, norm = self.rows, _norm
         c1 = F_norm = norm(rows[0])
         p = 0
         for p in range(1, _DEGREE + 1):
@@ -203,6 +197,20 @@ class _TaylorSum:
                     return p, F
             c1 = c2
         return p, np.add.reduce(self.flat[:p + 1], axis=0)
+
+
+def _expm(M):
+    """exp(M), dense: F^s by products, F the Taylor sum of exp(M / s)."""
+    s = max(int(np.ceil(np.abs(M).sum(axis=0).max() / _THETA_55)), 1)
+    T = F = np.eye(M.shape[0], dtype=M.dtype)
+    c = [_norm(T)]   # term norms, for the cut-off rule of _TaylorSum
+    for p in range(1, _DEGREE + 1):
+        T = M @ T / (s * p)
+        F = F + T
+        c.append(_norm(T))
+        if c[-2] + c[-1] <= _TOL * _norm(F):
+            break
+    return np.linalg.matrix_power(F, s)
 
 
 def _kernel(n, q, r, d):
@@ -241,7 +249,7 @@ def _propagate(A, y0, h, q):
       substeps' terms, so it wins on short stiff chains, whose vector plan
       walks many substeps per grid step.
 
-    The arithmetic is real when A and y0 are (norms from idamax).
+    The arithmetic is real when A and y0 are (norms are one BLAS dot).
     """
     n = y0.size
     mu = A.diagonal().mean()
@@ -406,19 +414,21 @@ def moments(traj):
 def direct_evolution_oracle(L, seed, tri, t_grid):
     """Moments from direct evolution of the seed, bypassing the chain ODE.
 
-    The ket evolves as dv/dt = i L v and the dual vector as
-    dw/dt = -i L' w, from ``seed`` as in ``bilanczos(L, seed)``, in the
-    coordinates of the chain's Hermitian basis W = ``tri.W``: x = W' v as
-    exp(-t R) p~_0 with R = -i W' L W and p~_0 = x0 / |seed|^2, and y = W' w
-    as exp(-t R') x0, with x0 = W' seed; so no moment scales with the seed.
-    That is one dense ``expm`` of the dimension the recursion ran in: the
+    The ket evolves as dv/dt = i L v and the dual vector as dw/dt = -i L' w,
+    from ``seed`` as in ``bilanczos(L, seed)``, in the coordinates of the
+    chain's Hermitian basis W = ``tri.W``: x = W' v as exp(-t R) p~_0 with
+    R = -i W' L W and p~_0 = x0 / |seed|^2, and y = W' w as exp(-t R') x0,
+    with x0 = W' seed; so no moment scales with the seed.  That is one dense
+    exponential, :func:`_expm`, of the dimension the recursion ran in: the
     reflection-even sector's when the chain ran there, exactly, as L and L'
     commute with site reversal.  L is made CSR and R and x0 come from
-    ``hermitian_generator``, float64 for a Lindbladian and a Hermitian
-    seed.  Amplitudes are projections on the stored bases:
-    phi_n = (-1)^n q~_n x and psi*_n = p~_n' y.  The oracle shares only W
-    with the Lanczos recursion, never the recursion or its coefficients;
-    the moments come from the code path of chain trajectories.
+    ``hermitian_generator``, float64 for a Lindbladian and a Hermitian seed.
+    When L = L^T, a real R has R' = J R J for J = diag(W^T W), so where also
+    J x0 = x0, y = |seed|^2 J x and only x is stepped.  Amplitudes are
+    projections on the stored bases: phi_n = (-1)^n q~_n x and
+    psi*_n = p~_n' y.  The oracle shares only W with the Lanczos recursion,
+    never the recursion or its coefficients; the moments come from the code
+    path of chain trajectories.
     """
     A = as_matrix(L)
     if A.shape[0] > MAX_DIM:
@@ -427,17 +437,17 @@ def direct_evolution_oracle(L, seed, tri, t_grid):
         raise ValueError("direct evolution oracle requires stored bases")
     t, dt = _uniform_step(t_grid)
     R, x0 = hermitian_generator(A, tri.W, seed)
-
-    E = expm(-dt * R.toarray())
-    Eh = E.conj().T   # exp(-dt R'), propagates the dual coordinates
-
-    # Rows of X and Y are x and y at the grid points.
-    X = np.empty((t.size, x0.size), dtype=np.result_type(E, x0))
-    Y = np.empty_like(X)
-    X[0], Y[0] = x0 / np.vdot(seed, seed).real, x0
+    J = np.sign((tri.W.T @ tri.W).diagonal().real)
+    gauge = R.dtype == np.float64 and (A - A.T).count_nonzero() == 0 \
+        and np.array_equal(J * x0, x0)
+    E = _expm(-dt * R.toarray())
+    overlap = np.vdot(seed, seed).real
+    # Rows of X and Y are x and y at the grid points; E' = exp(-dt R').
+    X, Y = np.empty((2, t.size, x0.size), dtype=np.result_type(E, x0))
+    X[0], Y[0] = x0 / overlap, x0
     for k in range(1, t.size):
         X[k] = E @ X[k - 1]
-        Y[k] = Eh @ Y[k - 1]
+        Y[k] = overlap * J * X[k] if gauge else E.conj().T @ Y[k - 1]
     phi = (-1.0) ** np.arange(tri.K)[:, None] * (tri.Q @ X.T)
     traj = ChainTrajectory(t=t, phi=phi, psi=tri.P @ Y.T.conj(),
                            tail_mass=np.abs(phi[-1, :]) ** 2)

@@ -18,8 +18,8 @@ from krylovflow.krylov_chain import (STENCIL, TAIL_CUTOFF, ChainRun,
                                      ChainTrajectory, _propagate,
                                      direct_evolution_oracle, evolve_chain,
                                      finite_diff, moments, time_grid)
-from krylovflow.lindbladian import build_model_lindbladian, uniform_seed, \
-    vectorize
+from krylovflow.lindbladian import as_matrix, build_model_lindbladian, \
+    hermitian_basis, hermitian_generator, uniform_seed, vectorize
 from krylovflow.spin_algebra import PAULI_Y, ModelSpec, site_operator
 from tests.lanczos_bases import p_basis, q_basis
 from tests.su11_chain import SU11_CASES, su11_chain, su11_moments
@@ -585,10 +585,11 @@ def full_space_oracle(L, seed, tri, t):
 
 @pytest.fixture
 def expm_args(monkeypatch):
-    """(shape, dtype) of every matrix the oracle passes to expm."""
-    args = []
-    monkeypatch.setattr(krylov_chain, "expm",
-                        lambda M: args.append((M.shape, M.dtype)) or expm(M))
+    """(shape, dtype) of every matrix the oracle passes to its dense
+    exponential, krylov_chain._expm."""
+    args, dense_expm = [], krylov_chain._expm
+    monkeypatch.setattr(krylov_chain, "_expm", lambda M: args.append(
+        (M.shape, M.dtype)) or dense_expm(M))
     return args
 
 
@@ -649,6 +650,28 @@ def test_oracle_runs_one_real_expm_of_the_sector(expm_args):
     tri = bilanczos(L, seed)
     direct_evolution_oracle(L, seed, tri, np.linspace(0, 1, 11))
     assert expm_args == [((136, 136), np.float64)]
+
+
+@pytest.mark.parametrize("case", ["real", "complex"])
+def test_oracle_exponential_matches_scipy_expm(case):
+    # ||dt R||_1 of about 100, ten times theta_55: s = 10 substeps, so E is
+    # formed as F^10, a path the benchmark grids (||dt R||_1 < 1) never take.
+    # "real" is the dissipative N = 3 model's R, "complex" the R of a
+    # random complex L.
+    if case == "real":
+        L = build_model_lindbladian(
+            ModelSpec(N=3, g=-1.05, h=0.5, alpha=0.01, gamma=0.01))
+        dt = 8.0
+    else:
+        L = np.random.default_rng(5).normal(size=(16, 16, 2)) @ [1, 1j]
+        dt = 4.0
+    W, _ = hermitian_basis(L.shape[0])
+    R = hermitian_generator(as_matrix(L), W)[0].toarray()
+    assert R.dtype == (np.float64 if case == "real" else np.complex128)
+    M = -dt * R
+    assert np.abs(M).sum(axis=0).max() > 9 * 9.9
+    E, ref = krylov_chain._expm(M), expm(M)
+    assert np.abs(E - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_oracle_requires_stored_bases():

@@ -50,19 +50,28 @@ def test_readme_overview_indexes_the_public_api():
         assert sorted(listed) == sorted(public), name
 
 
-# Run in a fresh process, where no other test has imported scipy.integrate.
+# Run in a fresh process, where no other test has imported scipy.integrate
+# or scipy.linalg, and no library of scipy's wheel is mapped yet.
 PIPELINE_WITHOUT_THE_SOLVER = """
-import json, sys
+import json, os, sys
 from krylovflow import cli
 assert cli.run_pipeline(json.loads(sys.argv[1]), "full", sys.argv[2],
                         quiet=True) == 0
-assert "scipy.integrate" not in sys.modules, "scipy.integrate was imported"
+for name in ("scipy.integrate", "scipy.linalg"):
+    assert name not in sys.modules, f"{name} was imported"
+if os.path.exists("/proc/self/maps"):
+    with open("/proc/self/maps") as fh:
+        mapped = {line.split()[-1] for line in fh if "scipy.libs" in line}
+    assert not mapped, f"scipy's own libraries were mapped: {sorted(mapped)}"
 """
 
 
-def test_full_pipeline_does_not_import_the_ode_solver(tmp_path):
-    # The continuum stage is closed-form, and no package module imports
-    # scipy.integrate: only the tests' numerical cross-check loads it.
+def test_full_pipeline_loads_no_solver_and_one_blas(tmp_path):
+    # The continuum stage is closed-form, the oracle's exponential and the
+    # Taylor cut-off norm are numpy's, and no package module imports
+    # scipy.integrate or scipy.linalg: only the tests' cross-checks load
+    # them.  Nothing under scipy.libs is mapped, so the one OpenBLAS in the
+    # process is numpy's.
     src = os.path.dirname(os.path.dirname(krylovflow.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", PIPELINE_WITHOUT_THE_SOLVER,
