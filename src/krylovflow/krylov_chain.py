@@ -29,6 +29,7 @@ must be uniform, increase by a step no smaller than the smallest normal
 float and, to be propagated, start at 0.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -143,7 +144,7 @@ def _taylor_plan(A, t):
 
 
 def _norm(x):   # the 2-norm of x, flattened: one BLAS dot, real or complex
-    return np.sqrt(np.vdot(x, x).real)
+    return math.sqrt(np.vdot(x, x).real)   # a float: cheap to add, compare
 
 
 class _TaylorSum:
@@ -423,12 +424,11 @@ def direct_evolution_oracle(L, seed, tri, t_grid):
     reflection-even sector's when the chain ran there, exactly, as L and L'
     commute with site reversal.  L is made CSR and R and x0 come from
     ``hermitian_generator``, float64 for a Lindbladian and a Hermitian seed.
-    When L = L^T, a real R has R' = J R J for J = diag(W^T W), so where also
-    J x0 = x0, y = |seed|^2 J x and only x is stepped.  Amplitudes are
-    projections on the stored bases: phi_n = (-1)^n q~_n x and
-    psi*_n = p~_n' y.  The oracle shares only W with the Lanczos recursion,
-    never the recursion or its coefficients; the moments come from the code
-    path of chain trajectories.
+    A real R of L = L^T has R' = J R J, J = diag(W^T W), so y = |seed|^2 J x
+    where J x0 = x0, and only x is stepped.  Amplitudes are projections on
+    the stored bases: phi_n = (-1)^n q~_n x and psi*_n = p~_n' y.  The oracle
+    shares only W with the Lanczos recursion, never the recursion or its
+    coefficients; the moments come from the code path of chain trajectories.
     """
     A = as_matrix(L)
     if A.shape[0] > MAX_DIM:
