@@ -144,7 +144,7 @@ def _taylor_plan(A, t):
 
 
 def _norm(x):   # the 2-norm of x, flattened: one BLAS dot, real or complex
-    return math.sqrt(np.vdot(x, x).real)   # a float: cheap to add, compare
+    return math.sqrt(np.vdot(x, x).real)   # Python float: quicker sums
 
 
 class _TaylorSum:

@@ -52,7 +52,7 @@ def test_readme_overview_indexes_the_public_api():
 
 # Run in a fresh process, where no other test has imported scipy.integrate
 # or scipy.linalg, and no library of scipy's wheel is mapped yet.
-PIPELINE_WITHOUT_THE_SOLVER = """
+FRESH_FULL_PIPELINE = """
 import json, os, sys
 from krylovflow import cli
 assert cli.run_pipeline(json.loads(sys.argv[1]), "full", sys.argv[2],
@@ -74,7 +74,7 @@ def test_full_pipeline_loads_no_solver_and_one_blas(tmp_path):
     # process is numpy's.
     src = os.path.dirname(os.path.dirname(krylovflow.__file__))
     proc = subprocess.run(
-        [sys.executable, "-c", PIPELINE_WITHOUT_THE_SOLVER,
+        [sys.executable, "-c", FRESH_FULL_PIPELINE,
          json.dumps(tiny(0)[0]), str(tmp_path / "out")],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
         text=True, timeout=300)
