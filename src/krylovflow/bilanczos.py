@@ -25,11 +25,10 @@ sector.
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .exceptions import NumericalFailure
-from .lindbladian import as_matrix, hermitian_basis, hermitian_generator, \
-    reflection_sector
+from .lindbladian import CSR, as_matrix, hermitian_basis, \
+    hermitian_generator, is_symmetric, reflection_sector, transpose
 
 TERM_MAX_ITER = "max_iter"
 TERM_BREAKDOWN = "breakdown"
@@ -45,12 +44,13 @@ DEPTH_BLOCK = 128      # the depth hook is asked every DEPTH_BLOCK steps
 @dataclass
 class TridiagonalData:
     """Coefficients and (optionally) bases of a (bi-)Lanczos run, the
-    bases as coordinates in the recursion's sparse Hermitian basis W."""
+    bases as coordinates in the recursion's sparse Hermitian basis W, a
+    :class:`~krylovflow.lindbladian.CSR` matrix."""
 
     a: np.ndarray                  # length K, diagonal
     b: np.ndarray                  # length K-1, superdiagonal
     c: np.ndarray                  # length K-1, subdiagonal
-    W: sp.csr_array = None         # dim x space_dim
+    W: CSR = None                  # dim x space_dim
     P: np.ndarray = None           # K x space_dim
     Q: np.ndarray = None           # K x space_dim
     residual_biortho: float = None
@@ -89,10 +89,6 @@ def _check_finite(name, v):
         raise NumericalFailure(f"non-finite values encountered in {name}")
 
 
-def _is_symmetric(A):
-    return (A - A.T).count_nonzero() == 0
-
-
 def bilanczos(L, seed, max_iter=None, deep_enough=None):
     """Bi-Lanczos iteration on a (generally non-Hermitian) matrix.
 
@@ -110,7 +106,7 @@ def bilanczos(L, seed, max_iter=None, deep_enough=None):
     previous ones; both bases are returned, with c_n = sqrt|b_n c_n| > 0 and
     |b_n| = c_n.
 
-    Dense L is converted to CSR.  The recursion is that of the module
+    L is taken by :func:`~krylovflow.lindbladian.as_matrix`.  The recursion is that of the module
     docstring, on R = -i W' L W for W = ``hermitian_basis(dim, B)``.  It
     returns W, the p~_n as the rows of P, their J-duals
     q~_n = mu_n diag(J) v~_n as the rows of Q, and a = i alpha,
@@ -119,17 +115,6 @@ def bilanczos(L, seed, max_iter=None, deep_enough=None):
     A = as_matrix(L)
     return _lanczos(A, seed, max_iter, reflection_sector(A, seed),
                     deep_enough)
-
-
-def _tridiag_residual(A, P, a, b, c):
-    """max|A p_n - b_n p_{n-1} - a_n p_n - c_{n+1} p_{n+1}| over n < K - 1,
-    the rows of P being the p_n; the last one holds the residual r_K.
-    Row n of T^T P is column n of P T, so this costs K matvecs, not a
-    K x dim x K product."""
-    K = len(a)
-    Tt = sp.diags_array([c, a, b], offsets=[1, 0, -1], shape=(K, K))
-    defect = (A @ P.T).T - Tt @ P
-    return float(np.abs(defect[:-1]).max(initial=0.0))
 
 
 def _chain(alpha, beta, gamma, **fields):
@@ -141,7 +126,7 @@ def _chain(alpha, beta, gamma, **fields):
 
 def _lanczos(A, seed, max_iter=None, B=None, deep_enough=None):
     """The recursion of :func:`bilanczos`, as the module docstring states
-    it, on the CSR array A, in B's range when given."""
+    it, on the CSR matrix A, in B's range when given."""
     if max_iter is not None and max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     W, J = hermitian_basis(A.shape[0], B)
@@ -150,9 +135,13 @@ def _lanczos(A, seed, max_iter=None, B=None, deep_enough=None):
     # One-sided when then also y = x (a real seed): the left Krylov vectors
     # are the right ones, the dual basis aliases P and the left residual s
     # is r.
-    symmetric = _is_symmetric(A)
+    symmetric = is_symmetric(A)
     one_sided = symmetric and np.array_equal(x, y)
-    N = R if symmetric else sp.diags_array(J) @ R.T @ sp.diags_array(J)
+    Rt = None if symmetric else transpose(R)
+
+    def N(v):   # the left operator: J R^T J, or R when A^T = A
+        return R @ v if Rt is None else J * (Rt @ (J * v))
+
     dim = R.shape[0]
     max_iter = dim if max_iter is None else min(max_iter, dim)
 
@@ -171,9 +160,9 @@ def _lanczos(A, seed, max_iter=None, B=None, deep_enough=None):
     u = R @ p
     alpha, beta, gamma = [mu[0] * (v @ (J * u))], [], []
     r = u - alpha[0] * p
-    s = r if one_sided else N @ v - alpha[0] * v
+    s = r if one_sided else N(v) - alpha[0] * v
     termination = TERM_MAX_ITER
-    g_max = 0.0
+    g_max = residual = 0.0
 
     if deep_enough is not None:   # under the caller's floating-point rules
         deep_enough = np.errstate(**np.geterr())(deep_enough)
@@ -206,11 +195,18 @@ def _lanczos(A, seed, max_iter=None, B=None, deep_enough=None):
             if not one_sided:
                 v -= (mu[:j] * (P[:j] @ (J * v))) @ V[:j]
             mu[j] = mu[j - 1] * gj / bj
+            # With p_j final, row j - 1 of R P^T - T^T P: u = R p_{j-1}
+            # less g_j p_j, a_{j-1} p_{j-1} and b_{j-1} p_{j-2}, summed in
+            # that order, diagonal by diagonal as a banded product sums.
+            band = gj * p + alpha[-1] * P[j - 1]
+            if j > 1:
+                band += beta[-1] * P[j - 2]
+            residual = max(residual, np.abs(u - band).max())
             u = R @ p
             aj = mu[j] * (v @ (J * u))
             _check_finite("coefficients", np.array([aj, bj, gj]))
             r = u - aj * p - bj * P[j - 1]
-            s = r if one_sided else N @ v - aj * v - bj * V[j - 1]
+            s = r if one_sided else N(v) - aj * v - bj * V[j - 1]
             P[j], V[j] = p, v
             alpha.append(aj)
             beta.append(bj)
@@ -226,7 +222,7 @@ def _lanczos(A, seed, max_iter=None, B=None, deep_enough=None):
         space_dim=dim,
         residual_biortho=float(np.abs(
             mu[:, None] * (V @ (J * P).T) - np.eye(K)).max()),
-        residual_tridiag=_tridiag_residual(R, P, alpha, beta, gamma),
+        residual_tridiag=float(residual),
     )
 
 

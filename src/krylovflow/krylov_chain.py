@@ -35,12 +35,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .bilanczos import check_open_structure, project_dissipative_structure
 from .exceptions import NumericalFailure, require_integer
-from .lindbladian import MAX_DIM, as_matrix, hermitian_generator
+from .lindbladian import MAX_DIM, as_matrix, hermitian_generator, \
+    is_symmetric
 
 TAIL_CUTOFF = 1e-10   # last-site mass that signals chain truncation
 STRUCTURE_COEFFS = 50   # leading coefficients of the structure verdict
@@ -118,29 +118,62 @@ _MAX_SUBSTEPS = 10 ** 6   # over 100x the largest plan the test suite makes
 _CALL_COST = 200      # fixed cost of a Taylor term or a product, in entries
 
 
-def _taylor_plan(A, t):
-    """Substep count s for exp(tA) at degree _DEGREE, A sparse banded.
+def _taylor_plan(D, t):
+    """Substep count s for exp(tA) at degree _DEGREE, for the tridiagonal A
+    whose stacked diagonals D are those of :class:`_TaylorSum`.
 
     s = ceil(t min_p max(d_p, d_{p+1}) / theta_55) over p = 2 .. _P_MAX, at
     least 1 (t > 0 on every grid; A = 0 for one site), with exact
-    d_p = ||A^p||_1^(1/p): a tridiagonal A has a (2p + 1)-diagonal A^p, so
-    the powers stay cheap.  As d_p <= ||A||_1, a plan from ||A||_1 alone
-    would take no fewer substeps.  A plan past _MAX_SUBSTEPS raises
-    NumericalFailure, inf included: s is formed in Python floats, which
-    overflow to inf without a warning.
+    d_p = ||A^p||_1^(1/p) from :func:`_power_norms`.  As d_p <= ||A||_1, a
+    plan from ||A||_1 alone would take no fewer substeps.  A plan past
+    _MAX_SUBSTEPS raises NumericalFailure, inf included: s is formed in
+    Python floats, which overflow to inf without a warning.
     """
-    norms = np.empty(_P_MAX + 1)   # ||A^p||_1, p = 1 .. _P_MAX + 1
-    P = A
-    for p in range(_P_MAX + 1):
-        if p:
-            P = P @ A
-        norms[p] = abs(P).sum(axis=0).max()
-    d = norms ** (1.0 / np.arange(1, _P_MAX + 2))   # d_p from p = 1
+    d = _power_norms(D) ** (1.0 / np.arange(1, _P_MAX + 2))   # d_p, p >= 1
     s = float(t) * float(np.maximum(d[1:-1], d[2:]).min()) / _THETA_55
     if not s <= _MAX_SUBSTEPS:
         raise NumericalFailure(f"Taylor plan of exp(tA) for t = {t:.3e} needs "
                                f"{s:.3e} substeps (> {_MAX_SUBSTEPS:.0e})")
     return max(int(np.ceil(s)), 1)
+
+
+def _power_norms(D):
+    """||A^p||_1 for p = 1 .. _P_MAX + 1, A the tridiagonal matrix of the
+    stacked diagonals D.
+
+    A^p is (2p + 1)-diagonal, so the powers stay cheap.  They are kept by
+    columns, row E[r, k] = (A^p)_{k - p + r, k}, and each column sum runs
+    down the rows.  Entry (i, k) of A^(p+1) = A^p A sums A^p_ij A_jk over
+    j = k - 1, k, k + 1 in that order, as a row-by-row sparse product of
+    matrices with sorted rows does, so the norms are those of such sparse
+    powers bit for bit.
+    """
+    K = D.shape[1]
+    A = np.zeros((3, K), D.dtype)   # A[1 - e, k] = A_{k-e, k}
+    A[0, 1:], A[1], A[2, :-1] = D[2, :-1], D[1], D[0, 1:]
+    E, norms = A, [np.add.reduce(np.abs(A), axis=0).max()]
+    for p in range(1, _P_MAX + 1):   # E = A^p, to A^(p+1)
+        n = 2 * p + 3
+        pad = np.zeros((n + 2, K + 2), E.dtype)
+        pad[2:-2, 1:-1] = E
+        # the products with A_{k-1, k}, then A_{k, k}, then A_{k+1, k}
+        up, on, down = (_product(pad[1 + e:1 + e + n, 1 - e:1 - e + K],
+                                 A[1 - e]) for e in (1, 0, -1))
+        E = (up + on) + down
+        norms.append(np.add.reduce(np.abs(E), axis=0).max())
+    return np.array(norms)
+
+
+def _product(x, y):
+    """x y elementwise; for complex x and y each of the four real products
+    rounded on its own, as a compiled sparse kernel forms it (numpy's
+    complex product may fuse a multiply and an add)."""
+    if x.dtype.kind != "c" or y.dtype.kind != "c":
+        return x * y
+    z = np.empty(np.broadcast_shapes(x.shape, y.shape), complex)
+    z.real = x.real * y.real - x.imag * y.imag
+    z.imag = x.real * y.imag + x.imag * y.real
+    return z
 
 
 def _norm(x):   # the 2-norm of x, flattened: one BLAS dot, real or complex
@@ -225,11 +258,13 @@ def _kernel(n, q, r, d):
     return "block" if block < vector else "vector"
 
 
-def _propagate(A, y0, h, q):
+def _propagate(D, y0, h, q):
     """(X, kernel, (s, r)): exp(k h A) y0 for k = 0 .. q as the rows of a
     (q + 1) x n array, the kernel that made it and the plan it ran.
 
-    A is a sparse tridiagonal matrix.  This is algorithm 5.2 of Al-Mohy &
+    A is the tridiagonal matrix of the stacked diagonals D, (3, n), as
+    :class:`_TaylorSum` takes them: D[:, i] holds row i's entries in
+    columns i - 1, i and i + 1, and D[0, 0] = D[2, -1] = 0.  This is algorithm 5.2 of Al-Mohy &
     Higham, SIAM J. Sci. Comput. 33 (2011): A is shifted by its mean
     diagonal mu, and one plan for [0, q h], :func:`_taylor_plan` of the
     shifted A, sets the substep count s under its budget, at the one Taylor
@@ -250,18 +285,17 @@ def _propagate(A, y0, h, q):
       substeps' terms, so it wins on short stiff chains, whose vector plan
       walks many substeps per grid step.
 
-    The arithmetic is real when A and y0 are (norms are one BLAS dot).
+    The arithmetic is real when D and y0 are (norms are one BLAS dot).
     """
     n = y0.size
-    mu = A.diagonal().mean()
-    A = A - mu * sp.eye(n, dtype=A.dtype, format="csr")
-    s = _taylor_plan(A, q * h)
+    mu = D[1].mean()
+    X = np.empty((q + 1, n), dtype=np.result_type(D.dtype, y0.dtype))
+    X[0] = y0
+    D = D.astype(X.dtype)   # a copy, shifted: D[:, i] multiplies x[i-1:i+2]
+    D[1] -= mu
+    s = _taylor_plan(D, q * h)
     r, d = -(-s // q), max(q // s, 1)
     kernel = _kernel(n, q, r, d)
-    X = np.empty((q + 1, n), dtype=np.result_type(A.dtype, y0.dtype))
-    X[0] = y0
-    D = np.zeros((3, n), dtype=X.dtype)   # D[:, i] multiplies x[i-1:i+2]
-    D[0, 1:], D[1], D[2, :-1] = A.diagonal(-1), A.diagonal(), A.diagonal(1)
     if kernel == "block":
         taylor = _TaylorSum(D, np.eye(n, dtype=X.dtype))
         taylor.set_length(h / r)
@@ -291,8 +325,8 @@ def _propagate(A, y0, h, q):
 def evolve_chain(tri, t_grid):
     """Propagate the chain recursions on ``t_grid`` (uniform, rising from 0).
 
-    phi at every grid point is exp(t A_phi) e0 for the sparse generator of
-    the phi recursion, evaluated by :func:`_propagate`, which picks its own
+    phi at every grid point is exp(t A_phi) e0 for the tridiagonal
+    generator of the phi recursion, evaluated by :func:`_propagate`, which picks its own
     Taylor degree and substeps to double-precision accuracy, and its
     kernel, vector or block, by the predicted cost of that plan (the
     trajectory's ``kernel`` and ``plan``); a real generator is propagated
@@ -309,14 +343,14 @@ def evolve_chain(tri, t_grid):
     if np.any(c[gauged] == 0):
         raise ValueError("chain has c_n = 0 != b_n: psi is no gauge of phi")
     K = tri.K
-    A = sp.diags([1j * a, -b, c], offsets=[0, 1, -1], shape=(K, K),
-                 format="csr")
+    D = np.zeros((3, K), dtype=complex)   # the stacked diagonals of A_phi
+    D[0, 1:], D[1], D[2, :-1] = c, 1j * a, -b
     e0 = np.zeros(K, dtype=complex)
     e0[0] = 1.0
-    if not np.any(A.data.imag):   # every projected chain
-        A, e0 = A.real, e0.real
+    if not np.any(D.imag):   # every projected chain
+        D, e0 = D.real, e0.real
     q = t.size - 1
-    X, kernel, plan = _propagate(A, e0, t[-1] / q, q)
+    X, kernel, plan = _propagate(D, e0, t[-1] / q, q)
     phi = X.T
     psi = phi
     if np.any(gauged):
@@ -437,8 +471,9 @@ def direct_evolution_oracle(L, seed, tri, t_grid):
         raise ValueError("direct evolution oracle requires stored bases")
     t, dt = _uniform_step(t_grid)
     R, x0 = hermitian_generator(A, tri.W, seed)
-    J = np.sign((tri.W.T @ tri.W).diagonal().real)
-    gauge = R.dtype == np.float64 and (A - A.T).count_nonzero() == 0 \
+    W = tri.W   # J = diag(W^T W): the signs of its column sums of squares
+    J = np.sign(np.bincount(W.indices, (W.data ** 2).real, W.shape[1]))
+    gauge = R.dtype == np.float64 and is_symmetric(A) \
         and np.array_equal(J * x0, x0)
     E = _expm(-dt * R.toarray())
     overlap = np.vdot(seed, seed).real

@@ -2,7 +2,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from krylovflow.bilanczos import (TERM_BREAKDOWN, TERM_GRID, TERM_MAX_ITER,
@@ -14,12 +13,13 @@ from krylovflow.bound import saturating_coefficients
 from krylovflow.cli import _coefficient_table, csv_table
 from krylovflow.exceptions import NumericalFailure
 from krylovflow.krylov_chain import evolve_chain, moments
-from krylovflow.lindbladian import build_model_lindbladian, uniform_seed, \
-    vectorize
+from krylovflow.lindbladian import CSR, build_model_lindbladian, \
+    uniform_seed, vectorize
 from krylovflow.spin_algebra import PAULI_X, PAULI_Y, PAULI_Z, ModelSpec, \
     build_tfim, site_operator
 from tests.csv_tables import read_table
 from tests.lanczos_bases import p_basis, q_basis, tridiagonal_matrix
+from tests.scipy_csr import scipy_csr
 
 
 def test_symmetric_two_by_two():
@@ -133,6 +133,22 @@ def test_tridiagonal_residual_skips_last_column():
                                                  rel=1e-6)
     assert tri.residual_tridiag < 1e-13
     assert bilanczos(L, seed, max_iter=1).residual_tridiag == 0.0
+
+
+def test_dense_scipy_and_package_matrices_give_one_chain():
+    # as_matrix takes a dense L as complex and a scipy.sparse L through its
+    # tocoo(), without importing scipy itself: the N = 3 model's chain is
+    # the same bit for bit from the package's CSR L, its dense array and
+    # its scipy CSR twin.
+    spec = ModelSpec(N=3, g=-1.05, h=0.5, alpha=0.01, gamma=0.01)
+    L = build_model_lindbladian(spec)
+    seed = uniform_seed(spec.dim)
+    chains = [bilanczos(M, seed) for M in (L, L.toarray(), scipy_csr(L))]
+    assert chains[0].K == 40
+    for tri in chains[1:]:
+        for name in ("a", "b", "c"):
+            assert_array_equal(getattr(tri, name), getattr(chains[0], name))
+        assert tri.residual_tridiag == chains[0].residual_tridiag
 
 
 def test_krylov_dimension_bound():
@@ -423,7 +439,7 @@ def test_bases_are_stored_in_the_recursion_coordinates():
     tri = bilanczos(build_model_lindbladian(spec), uniform_seed(spec.dim))
     assert tri.P.shape == tri.Q.shape == (136, 136)
     assert tri.P.dtype == tri.Q.dtype == np.float64
-    assert sp.issparse(tri.W) and tri.W.shape == (256, 136)
+    assert isinstance(tri.W, CSR) and tri.W.shape == (256, 136)
     assert np.abs(tri.Q @ tri.P.T - np.eye(136)).max() < 1e-10
     for field in dataclasses.fields(tri):
         value = getattr(tri, field.name)

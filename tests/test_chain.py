@@ -249,11 +249,22 @@ def forced_kernels(monkeypatch):
         yield kernel
 
 
+def _diagonals(A):
+    """The stacked diagonals of the tridiagonal A, as _propagate and
+    _taylor_plan take them: D[:, i] holds row i's entries in columns
+    i - 1, i and i + 1."""
+    A = A.toarray() if sp.issparse(A) else np.asarray(A)
+    D = np.zeros((3, A.shape[0]), dtype=A.dtype)
+    D[0, 1:], D[1], D[2, :-1] = A.diagonal(-1), A.diagonal(), A.diagonal(1)
+    return D
+
+
 def _taylor_plan(A, t_end):
     """The substep count _propagate plans for exp(t_end A), A shifted as
     there."""
-    A = sp.csr_array(A - A.diagonal().mean() * sp.eye(A.shape[0]))
-    return krylov_chain._taylor_plan(A, t_end)
+    D = _diagonals(A)
+    D[1] -= D[1].mean()
+    return krylov_chain._taylor_plan(D, t_end)
 
 
 def _stiff_chain():
@@ -352,7 +363,7 @@ def test_grid_propagator_matches_dense_expm(chain, path, monkeypatch):
     y0[0] = 1.0
     A_dense = A.toarray()
     for kernel in forced_kernels(monkeypatch):
-        X, ran, plan = _propagate(A, y0, t[-1] / q, q)
+        X, ran, plan = _propagate(_diagonals(A), y0, t[-1] / q, q)
         assert ran == kernel and plan == (s, -(-s // q))
         if "real" in path:
             assert X.dtype == np.float64
@@ -369,7 +380,8 @@ def test_kernel_rule_picks_the_cheaper_kernel():
     A, t = _real_spiked_chain()
     y0 = np.eye(A.shape[0])[0]
     q = t.size - 1
-    assert _propagate(A, y0, t[-1] / q, q)[1:] == ("block", (39, 4))
+    assert _propagate(_diagonals(A), y0, t[-1] / q, q)[1:] == \
+        ("block", (39, 4))
     traj = evolve_chain(saturating_coefficients(1.0, 1.0, 400),
                         np.linspace(0, 6, 1201))
     assert (traj.kernel, traj.plan) == ("vector", (239, 1))
@@ -412,6 +424,34 @@ def test_nilpotent_generator_is_propagated(K):
     for k, tk in enumerate(t):
         ref = expm(tk * A.toarray()) @ e0
         assert np.linalg.norm(phi[:, k] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+@pytest.mark.parametrize("K", [1, 2, 3, 128, 544])
+def test_power_norms_are_those_of_sparse_powers(K, dtype):
+    # ||A^p||_1 for p = 1 .. 9 from the stacked diagonals, bit for bit
+    # against the powers of A as a scipy CSR array, formed and measured as
+    # the Taylor plan once formed them: P = P @ A, then
+    # abs(P).sum(axis=0).max().  K = 1, 2 and 3 are all boundary, 128 and
+    # 544 are the n5 chain at grid depth and the full N = 5 sector.
+    rng = np.random.default_rng(K)
+
+    def draw(n):
+        x = rng.normal(size=n)
+        return x + 1j * rng.normal(size=n) if dtype is complex else x
+
+    D = np.zeros((3, K), dtype=dtype)
+    D[0, 1:], D[1], D[2, :-1] = draw(K - 1), draw(K), draw(K - 1)
+    A = sp.csr_array(np.diag(D[1]) + np.diag(D[0, 1:], -1)
+                     + np.diag(D[2, :-1], 1))
+    P, ref = A, []
+    for p in range(krylov_chain._P_MAX + 1):
+        if p:
+            P = P @ A
+        ref.append(abs(P).sum(axis=0).max())
+    norms = krylov_chain._power_norms(D)
+    assert norms.shape == (9,)
+    assert_array_equal(norms, ref)
 
 
 def _assert_matches_expm_multiply(tri, t):
@@ -568,7 +608,8 @@ def full_space_oracle(L, seed, tri, t):
     """Reference for the oracle: the dense complex evolution of the ket by
     E = expm(i dt L) in full space, of the dual by E', and projection on the
     lifted bases, phi_n = (-i)^n q_n' v and psi*_n = i^n p_n' w."""
-    A = L.toarray() if sp.issparse(L) else np.asarray(L, dtype=complex)
+    A = L.toarray() if hasattr(L, "toarray") \
+        else np.asarray(L, dtype=complex)
     E = expm(1j * (t[1] - t[0]) * A)
     V = np.empty((t.size, A.shape[0]), dtype=complex)
     W = np.empty_like(V)

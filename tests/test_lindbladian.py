@@ -12,6 +12,7 @@ from krylovflow.lindbladian import (as_matrix, build_lindbladian,
 from krylovflow.spin_algebra import (PAULI_MINUS, PAULI_X, PAULI_Z,
                                      ModelSpec, build_jump_operators,
                                      build_tfim)
+from tests.scipy_csr import scipy_csr
 
 
 def test_vectorize_column_stacking():
@@ -175,6 +176,7 @@ def test_reflection_sector_of_paper_models(N, rate):
     seed = uniform_seed(spec.dim)
     B = reflection_sector(build_model_lindbladian(spec), seed)
     assert B is not None
+    B = scipy_csr(B)
     assert B.shape == (4 ** N, (4 ** N + 4 ** ((N + 1) // 2)) // 2)
     assert np.abs(B.T @ B - np.eye(B.shape[1])).max() < 1e-15
     assert_allclose(B @ (B.T @ seed), seed, rtol=0, atol=1e-15)
@@ -223,6 +225,7 @@ def test_hermitian_basis_makes_the_lindbladian_real(sector, rate):
     for w in Wd.T:
         X = devectorize(w)
         assert_allclose(X, X.conj().T, atol=0)
+    W, L = scipy_csr(W), scipy_csr(L)
     R = -1j * (W.conj().T @ L @ W).toarray()
     assert np.abs(R.imag).max() <= 1e-15 * np.abs(R).max()
     assert_allclose(R.real.T * J, J[:, None] * R.real, atol=1e-14)

@@ -50,15 +50,16 @@ def test_readme_overview_indexes_the_public_api():
         assert sorted(listed) == sorted(public), name
 
 
-# Run in a fresh process, where no other test has imported scipy.integrate
-# or scipy.linalg, and no library of scipy's wheel is mapped yet.
+# Run in a fresh process, where no other test has imported scipy, and no
+# library of scipy's wheel is mapped yet.
 FRESH_FULL_PIPELINE = """
 import json, os, sys
 from krylovflow import cli
 assert cli.run_pipeline(json.loads(sys.argv[1]), "full", sys.argv[2],
                         quiet=True) == 0
-for name in ("scipy.integrate", "scipy.linalg"):
-    assert name not in sys.modules, f"{name} was imported"
+loaded = sorted(name for name in sys.modules
+                if name == "scipy" or name.startswith("scipy."))
+assert not loaded, f"scipy modules were imported: {loaded}"
 if os.path.exists("/proc/self/maps"):
     with open("/proc/self/maps") as fh:
         mapped = {line.split()[-1] for line in fh if "scipy.libs" in line}
@@ -67,11 +68,11 @@ if os.path.exists("/proc/self/maps"):
 
 
 def test_full_pipeline_loads_no_solver_and_one_blas(tmp_path):
-    # The continuum stage is closed-form, the oracle's exponential and the
-    # Taylor cut-off norm are numpy's, and no package module imports
-    # scipy.integrate or scipy.linalg: only the tests' cross-checks load
-    # them.  Nothing under scipy.libs is mapped, so the one OpenBLAS in the
-    # process is numpy's.
+    # The continuum stage is closed-form, the oracle's exponential, the
+    # Taylor cut-off norm and the sparse assembly and products are numpy's,
+    # and no package module imports scipy: only the tests' cross-checks
+    # load it.  So no scipy module is loaded, nothing under scipy.libs is
+    # mapped, and the one OpenBLAS in the process is numpy's.
     src = os.path.dirname(os.path.dirname(krylovflow.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", FRESH_FULL_PIPELINE,

@@ -32,6 +32,7 @@ from krylovflow.bilanczos import bilanczos
 from krylovflow.lindbladian import build_model_lindbladian, devectorize, \
     reflection_sector, uniform_seed
 from krylovflow.spin_algebra import ModelSpec, build_tfim
+from tests.scipy_csr import scipy_csr
 
 REFERENCE_DPS = 50
 
@@ -69,6 +70,7 @@ def test_sector_chain_matches_extended_precision_reference():
     L = build_model_lindbladian(spec)
     seed = uniform_seed(spec.dim)
     B = reflection_sector(L, seed)
+    B, L = scipy_csr(B), scipy_csr(L)
     a_exact, bc_exact = reference_lanczos((B.T @ L @ B).toarray(),
                                           B.T @ seed)
     a_ref, bc_ref = (np.array([complex(x) for x in xs])
@@ -95,6 +97,7 @@ def _n4_reference(rate):
     L = build_model_lindbladian(spec)
     seed = uniform_seed(spec.dim)
     B = reflection_sector(L, seed)
+    B, L = scipy_csr(B), scipy_csr(L)
     a_exact, bc_exact = reference_lanczos((B.T @ L @ B).toarray(),
                                           B.T @ seed)
     return bilanczos(L, seed), a_exact, bc_exact
