@@ -106,11 +106,11 @@ def bilanczos(L, seed, max_iter=None, deep_enough=None):
     previous ones; both bases are returned, with c_n = sqrt|b_n c_n| > 0 and
     |b_n| = c_n.
 
-    L is taken by :func:`~krylovflow.lindbladian.as_matrix`.  The recursion is that of the module
-    docstring, on R = -i W' L W for W = ``hermitian_basis(dim, B)``.  It
-    returns W, the p~_n as the rows of P, their J-duals
-    q~_n = mu_n diag(J) v~_n as the rows of Q, and a = i alpha,
-    b = -beta, c = gamma.
+    L is taken by :func:`~krylovflow.lindbladian.as_matrix`.  The recursion
+    is that of the module docstring, on R = -i W' L W for W =
+    ``hermitian_basis(dim, B)``.  It returns W, the p~_n as the rows of P,
+    their J-duals q~_n = mu_n diag(J) v~_n as the rows of Q, and a = i
+    alpha, b = -beta, c = gamma.
     """
     A = as_matrix(L)
     return _lanczos(A, seed, max_iter, reflection_sector(A, seed),

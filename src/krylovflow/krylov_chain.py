@@ -264,14 +264,14 @@ def _propagate(D, y0, h, q):
 
     A is the tridiagonal matrix of the stacked diagonals D, (3, n), as
     :class:`_TaylorSum` takes them: D[:, i] holds row i's entries in
-    columns i - 1, i and i + 1, and D[0, 0] = D[2, -1] = 0.  This is algorithm 5.2 of Al-Mohy &
-    Higham, SIAM J. Sci. Comput. 33 (2011): A is shifted by its mean
-    diagonal mu, and one plan for [0, q h], :func:`_taylor_plan` of the
-    shifted A, sets the substep count s under its budget, at the one Taylor
-    degree m = _DEGREE, and r = ceil(s / q) substeps per grid step.  Each
-    substep of length tau sums the Taylor terms of :class:`_TaylorSum` and
-    multiplies by exp(tau mu).  Two kernels walk the grid, and
-    :func:`_kernel` picks one by predicted cost:
+    columns i - 1, i and i + 1, and D[0, 0] = D[2, -1] = 0.  This is
+    algorithm 5.2 of Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011): A
+    is shifted by its mean diagonal mu, and one plan for [0, q h],
+    :func:`_taylor_plan` of the shifted A, sets the substep count s under
+    its budget, at the one Taylor degree m = _DEGREE, and r = ceil(s / q)
+    substeps per grid step.  Each substep of length tau sums the Taylor
+    terms of :class:`_TaylorSum` and multiplies by exp(tau mu).  Two
+    kernels walk the grid, and :func:`_kernel` picks one by predicted cost:
 
     - "vector" walks [0, q h] in blocks of d = max(q // s, 1) grid steps:
       when s < q a block is d grid steps (the last one shorter when d does
@@ -326,11 +326,11 @@ def evolve_chain(tri, t_grid):
     """Propagate the chain recursions on ``t_grid`` (uniform, rising from 0).
 
     phi at every grid point is exp(t A_phi) e0 for the tridiagonal
-    generator of the phi recursion, evaluated by :func:`_propagate`, which picks its own
-    Taylor degree and substeps to double-precision accuracy, and its
-    kernel, vector or block, by the predicted cost of that plan (the
-    trajectory's ``kernel`` and ``plan``); a real generator is propagated
-    in real arithmetic and gives real amplitudes.
+    generator of the phi recursion, evaluated by :func:`_propagate`, which
+    picks its own Taylor degree and substeps to double-precision accuracy,
+    and its kernel, vector or block, by the predicted cost of that plan
+    (the trajectory's ``kernel`` and ``plan``); a real generator is
+    propagated in real arithmetic and gives real amplitudes.
     psi is not propagated: by the gauge identity of the module docstring,
     psi_n = conj(D_n) phi_n = phi_n prod_{j <= n} b_j / c_j, and psi is phi
     itself when b = c entry for entry.  Raises ValueError for a chain with

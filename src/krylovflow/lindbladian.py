@@ -47,9 +47,10 @@ SYMMETRY_TOL = 16 * np.finfo(float).eps
 
 class CSR:
     """A sparse matrix as compressed rows: ``data``, int32 ``indices`` and
-    ``indptr``, each row's columns sorted and distinct and no stored zero,
-    and ``shape``.  It multiplies dense vectors and matrices and converts
-    to a dense array; it has no sparse-sparse operators."""
+    ``indptr``, each row's columns sorted and distinct, and ``shape``.  It
+    multiplies dense vectors and matrices and converts to a dense array;
+    it has no sparse-sparse operators.  Only the real part of a complex
+    matrix (see :func:`hermitian_generator`) stores zeros."""
 
     def __init__(self, data, indices, indptr, shape):
         self.data, self.indices, self.indptr = data, indices, indptr
@@ -119,7 +120,10 @@ def _sums(vals, bounds):
     sums = vals[start] + 0
     at, r = np.flatnonzero(size > 1), 1
     while at.size:   # add the r-th value of the runs that have one
-        sums[at] += vals[start[at] + r]
+        if at.size == sums.size:
+            sums += vals[start + r]
+        else:
+            sums[at] += vals[start[at] + r]
         r += 1
         at = at[size[at] > r]
     return sums
@@ -139,16 +143,15 @@ def _csr(rows, cols, vals, shape):
     return CSR(sums, (keys % shape[1]).astype(np.int32), indptr, shape)
 
 
-def _times(rows, mid, vals, M, m_first=False):
+def _times(rows, mid, vals, M):
     """The terms of X M before they are summed, X given by its triplets
     (rows, mid, vals): each X entry times each entry of M's row ``mid``,
-    in X's order, X's factor first unless ``m_first``."""
+    X's factor first, in X's order."""
     start = M.indptr[mid]
     count = M.indptr[mid + 1] - start
     e = np.repeat(np.arange(start.size), count)
     f = np.repeat(start - np.cumsum(count) + count, count) + np.arange(e.size)
-    x, m = vals[e], M.data[f]
-    return rows[e], M.indices[f], m * x if m_first else x * m
+    return rows[e], M.indices[f], vals[e] * M.data[f]
 
 
 def _nonzeros(M):
@@ -182,7 +185,8 @@ def transpose(A):
 
 
 def is_symmetric(A):
-    """A^T = A exactly, for a :class:`CSR` A."""
+    """A^T = A exactly, for a :class:`CSR` A that stores no zero, as
+    :func:`as_matrix` gives it."""
     T = transpose(A)
     return all(np.array_equal(getattr(T, k), getattr(A, k))
                for k in ("indptr", "indices", "data"))
@@ -281,10 +285,10 @@ def reflection_sector(L, seed):
     if not np.array_equal(np.asarray(seed)[perm], seed):
         return None
     # R L R - L: L's entries moved by perm, less L's own
-    rows, cols = L.rows, L.indices
-    moved = _csr(np.r_[perm[rows], rows], np.r_[perm[cols], cols],
-                 np.r_[L.data, -L.data], L.shape)
-    if np.abs(moved.data).max(initial=0.0) \
+    rows, cols = np.r_[perm[L.rows], L.rows], np.r_[perm[L.indices], L.indices]
+    order, bounds, _ = _runs(rows * np.int64(d * d) + cols)
+    moved = _sums(np.r_[L.data, -L.data][order], bounds)
+    if np.abs(moved).max(initial=0.0) \
             > SYMMETRY_TOL * np.abs(L.data).max(initial=0.0):
         return None
     k = np.arange(perm.size)
@@ -327,10 +331,9 @@ def hermitian_generator(A, W, *vectors):
     (see :func:`as_matrix`) and the n-vectors in the coordinates of the
     basis W of :func:`hermitian_basis`.  R is a :class:`CSR` matrix.
 
-    Each entry sums its products in the order of the row-by-row sparse
-    product (W' A) W taken as C^T = A^T conj(W), C = W' A, then
-    (C W)^T = W^T C^T: over the rows of A in order, then over the rows of
-    W in order.
+    Each entry sums its products as the row-by-row sparse products
+    C^T = A^T conj(W), C = W' A, then (C W)^T = W^T C^T would: over the
+    rows of A in order, then over the rows of W in order.
 
     The one float64 rule of the Lanczos layer: R is cast to float64 when
     max|Im R| <= ``SYMMETRY_TOL`` max|R|, as for a Lindbladian up to the
