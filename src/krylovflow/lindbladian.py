@@ -354,22 +354,19 @@ def hermitian_generator(A, W, *vectors):
     # of k's orbit, ascending; A's rows are its entries' order.
     order, bounds, key = _runs(A.indices * np.int64(m) + orbit[A.rows])
     l, a = A.rows[order], A.data[order]
-    C = [_sums(a * wc[l].conj(), bounds) for wc in w]
-    j, o = np.divmod(key, m)   # C's row j and the orbit o of its column
+    C = [_sums(a * wc[l].conj(), bounds) for wc in w]   # by orbit column
+    j, o = np.divmod(key, m)   # C^T's row j and the orbit o of its columns
     # R = -i C W, entry (k, i) summing W_ji C_kj over the rows j of i's
     # orbit, ascending
     order, bounds, key = _runs(orbit[j] * np.int64(m) + o)
     j, C = j[order], [c[order] for c in C]
-    O, o = np.divmod(key, m)
-    ks, cs, vals = [], [], []
-    for wi, ci in zip(w, (O, second[O])):
-        for c, ck in zip(C, (o, second[o])):
-            ks.append(ck)
-            cs.append(ci)
-            vals.append(_sums(wi[j] * c, bounds))
-    k, i, v = (np.concatenate(x) for x in (ks, cs, vals))
-    valid = (k >= 0) & (i >= 0)
-    R = _csr(k[valid], i[valid], v[valid] * -1j, (m, m))
+    oi, ok = np.divmod(key, m)   # the orbits of R's columns i and rows k
+    parts = [(k, i, _sums(wi[j] * c, bounds))
+             for wi, i in zip(w, (oi, second[oi]))
+             for c, k in zip(C, (ok, second[ok]))]
+    k, i, vals = (np.concatenate(x) for x in zip(*parts))
+    valid = (k >= 0) & (i >= 0)   # orbits with a second column
+    R = _csr(k[valid], i[valid], vals[valid] * -1j, (m, m))
     Wc = W.data.conj()
     xs = []
     for v in vectors:   # W' v sums over the rows of W in order
