@@ -54,7 +54,7 @@ class CSR:
 
     def __init__(self, data, indices, indptr, shape):
         self.data, self.indices, self.indptr = data, indices, indptr
-        self.shape = tuple(shape)
+        self.shape = tuple(map(int, shape))
 
     @property
     def dtype(self):
@@ -274,7 +274,8 @@ def reflection_sector(L, seed):
     Lanczos can run on B^T L B from B^T seed.  B has one unit column per
     index R fixes and one (e_i + e_j)/sqrt(2) column per swapped pair,
     ordered by the pair's smaller index.  None also when L is not a
-    superoperator of N >= 2 qubits: one site has no reversal.
+    superoperator of N >= 2 qubits: one site has no reversal.  L is taken
+    by :func:`as_matrix`; B is a :class:`CSR` matrix.
     """
     d = int(round(np.sqrt(L.shape[0])))
     N = d.bit_length() - 1
@@ -284,7 +285,7 @@ def reflection_sector(L, seed):
     perm = np.add.outer(d * r, r).ravel()
     if not np.array_equal(np.asarray(seed)[perm], seed):
         return None
-    # R L R - L: L's entries moved by perm, less L's own
+    L = as_matrix(L)   # R L R - L: L's entries moved by perm, less L's own
     rows, cols = np.r_[perm[L.rows], L.rows], np.r_[perm[L.indices], L.indices]
     order, bounds, _ = _runs(rows * np.int64(d * d) + cols)
     moved = _sums(np.r_[L.data, -L.data][order], bounds)
