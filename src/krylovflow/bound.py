@@ -9,9 +9,12 @@ and holds when rhs - lhs >= -BOUND_TOL * max(rhs) (finite-difference noise).
 The renormalized form uses Ctilde = C/P and agrees to IDENTITY_TOL.  Each
 report has tau_K = DeltaK/|dC/dt|, NaN at turning points of C (|dC/dt| <=
 MT_NOISE_FLOOR max|dC/dt|), for the Mandelstam-Tamm-style limit of closed
-systems (MT_TOL).  Also: the synthetic chain that saturates the bound.
+systems (MT_TOL).  Also: the synthetic chain that saturates the bound,
+whose report propagates it by the singular value decomposition of its
+generator.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +22,8 @@ import numpy as np
 from .bilanczos import TERM_SYNTHETIC, TridiagonalData
 from .exceptions import InvariantViolation, NumericalFailure, \
     require_integer
-from .krylov_chain import STENCIL, evolve_chain, finite_diff, moments, \
-    time_grid
+from .krylov_chain import STENCIL, ChainTrajectory, MomentSeries, \
+    finite_diff, moments, time_grid
 
 BOUND_TOL = 1e-6          # relative noise floor for bound violations
 IDENTITY_TOL = 1e-8       # renormalized-vs-plain lhs agreement
@@ -164,27 +167,83 @@ def saturating_coefficients(alpha0, gamma0, K):
                            termination=TERM_SYNTHETIC)
 
 
+def _saturating_moments(tri, t):
+    """(m, horizon): the moment series of a chain with a = 0 and b = c
+    real, such as :func:`saturating_coefficients`' chain, on the grid ``t``
+    from 0 as far as the report's stencils read, 2 samples past the last
+    inside the horizon, and the horizon of its trajectory.
+
+    Its generator A_phi is skew-symmetric and couples each even site only
+    to odd ones: A = [[0, M], [-M^T, 0]] in even-odd order.  With the
+    singular value decomposition M = U diag(s) V^T, exp(tA) e0 is
+    phi_even = U cos(s t) U^T e0 and phi_odd = -V sin(s t) U^T e0, s padded
+    with zeros to U's size; M spans the sites up to the first b_n = 0, and
+    those past it stay at 0.  The grid is walked in blocks of w samples,
+    cos(s t) and sin(s t) formed by the angle sums from the block's start
+    and the grid's first w samples, and each block's amplitudes give its
+    samples of :func:`moments`, so no K x t.size array is formed.  The walk
+    stops at the end of the block that holds the last sample read.  The
+    amplitudes' error is absolute, near 1e-14 against :func:`evolve_chain`
+    at the default K = 400: ample for a cut at a last-site mass of
+    TAIL_CUTOFF, but amplitudes far below it are roundoff.  M is dense,
+    K^2 / 4 floats, and its decomposition's time grows as K^3: past K of
+    about 1,600, evolve_chain is the faster.
+    """
+    b = tri.b.real
+    n = int(np.argmin(np.append(b, 0.0) != 0)) + 1   # sites that can move
+    n_even, n_odd = (n + 1) // 2, n // 2
+    M = np.zeros((n_even, n_odd))   # M[i, j] = A[2i, 2j + 1]
+    np.fill_diagonal(M, -b[0:n - 1:2])
+    np.fill_diagonal(M[1:], b[1:n - 1:2])
+    U, s, Vt = np.linalg.svd(M)
+    s = np.concatenate((s, np.zeros(n_even - n_odd)))[:, None]
+    even, odd = U * U[0], Vt.T * -U[0, :n_odd]
+    w = math.isqrt(t.size - 1) + 1   # at most w blocks of w samples
+    cos_tau, sin_tau = np.cos(s * t[:w]), np.sin(s * t[:w])
+    series, horizon = [], t.size
+    for j in range(0, t.size, w):   # t[j + i] = t[j] + t[i]
+        cos_t, sin_t = np.cos(s * t[j]), np.sin(s * t[j])
+        cos = cos_t * cos_tau - sin_t * sin_tau
+        sin = sin_t * cos_tau + cos_t * sin_tau
+        end = min(j + w, t.size)
+        phi = np.zeros((tri.K, end - j))
+        phi[0:n:2] = even @ cos[:, :end - j]
+        phi[1:n:2] = odd @ sin[:n_odd, :end - j]
+        if j == 0:   # exactly e0 at t = 0, where moments take M2 = 0
+            phi[:, 0] = 0.0
+            phi[0, 0] = 1.0
+        traj = ChainTrajectory(t=t[j:end], phi=phi, psi=phi,
+                               tail_mass=phi[-1] ** 2)
+        series.append(moments(traj))
+        if traj.horizon < end - j:   # a tail mass past TAIL_CUTOFF here
+            horizon = min(horizon, j + traj.horizon)
+        if horizon + 2 <= end:
+            break
+    join = lambda name: np.concatenate([getattr(x, name) for x in series])
+    return MomentSeries(t=join("t"), C=join("C"), P=join("P"),
+                        M2=join("M2"), Ctilde=join("Ctilde")), horizon
+
+
 def saturation_report(alpha0=1.0, gamma0=1.0, K=400, t_max=6.0,
                       n_samples=1201):
     """Bound report for the saturating synthetic chain.
 
     The chain is evolved on ``time_grid(t_max, n_samples)``, which checks
-    both arguments; the report is restricted to the
-    trajectory's ``horizon``, the times where the packet has not reached
-    the finite chain end, and lists violations beyond
+    both arguments, by :func:`_saturating_moments`; the report is
+    restricted to the trajectory's ``horizon``, the times where the packet
+    has not reached the finite chain end, and lists violations beyond
     ``BOUND_TOL * max(rhs)`` of those times.  Because a_n = 0 makes C, P
     and M2 exactly even in t, the series is mirror-extended across t = 0
     so every reported derivative near t = 0 uses a central stencil; samples
     past the horizon stay available as stencil neighbours but are not
     reported.  Where the horizon spans the grid, the last two samples take
     the one-sided stencils of :func:`finite_diff`, and a ratio may exceed 1
-    by the truncation error: 1 + 5.9e-12 at alpha0 = 0.3, gamma0 = 2.0,
+    by the truncation error: 1 + 7.0e-12 at alpha0 = 0.3, gamma0 = 2.0,
     where the defaults stay in [1 - 1.6e-9, 1 - 4.1e-11].
     """
     tri = saturating_coefficients(alpha0, gamma0, K)
     t = time_grid(t_max, n_samples)
-    traj = evolve_chain(tri, t)
-    m = moments(traj)
+    m, horizon = _saturating_moments(tri, t)
 
     h = t[1] - t[0]
     mirror = lambda y: np.concatenate((y[2:0:-1], y))
@@ -192,9 +251,8 @@ def saturation_report(alpha0=1.0, gamma0=1.0, K=400, t_max=6.0,
                     P=mirror(m.P), M2=mirror(m.M2), Ctilde=mirror(m.Ctilde))
     lhs, dC, _ = _plain_lhs(m_ext)
 
-    stop = min(traj.horizon, m.t.size)
     # Drop the two ghost samples, then the tail.
-    return _report(m_ext, tri.b[0], lhs, dC, slice(2, 2 + stop))
+    return _report(m_ext, tri.b[0], lhs, dC, slice(2, 2 + horizon))
 
 
 def bound_summary(report):

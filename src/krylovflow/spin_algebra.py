@@ -70,8 +70,11 @@ def build_tfim(spec):
     """Open-boundary TFIM: H = -sum ZZ - g sum X - h sum Z."""
     d = spec.dim
     H = np.zeros((d, d), dtype=complex)
-    for j in range(1, spec.N):
-        H -= site_operator(PAULI_Z, j, spec.N) @ site_operator(PAULI_Z, j + 1, spec.N)
+    diagonal = np.diag_indices(d)
+    z = [site_operator(PAULI_Z, j, spec.N).diagonal().real
+         for j in range(1, spec.N + 1)]
+    for zj, zk in zip(z, z[1:]):
+        H[diagonal] -= zj * zk   # ZZ is diagonal: no matrix product
     for j in range(1, spec.N + 1):
         H -= spec.g * site_operator(PAULI_X, j, spec.N)
         H -= spec.h * site_operator(PAULI_Z, j, spec.N)

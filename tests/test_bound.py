@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import warnings
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from krylovflow import bound
+from krylovflow import bound, krylov_chain
 from krylovflow.bilanczos import bilanczos
 from krylovflow.bound import (dispersion_bound_check,
                               mandelstam_tamm_tau,
@@ -207,7 +208,7 @@ def test_saturation_report_ratio_near_one():
 def test_saturation_report_ratio_may_exceed_one_at_the_grid_end():
     # The horizon spans [0, 6] here, so the last two samples take the
     # one-sided stencils, and the second-to-last overestimates the slope:
-    # a ratio of 1 + 5.9e-12, no violation.  The ratio is not clipped.
+    # a ratio of 1 + 7.0e-12, no violation.  The ratio is not clipped.
     report = saturation_report(alpha0=0.3, gamma0=2.0)
     ratio = report.saturation_ratio
     ratio = ratio[np.isfinite(ratio)]
@@ -221,26 +222,88 @@ def test_saturation_report_ignores_only_the_truncation_tail(monkeypatch):
     # The report cuts at the trajectory's horizon and silences no warning:
     # an overflow inside the propagation reaches the caller, and no
     # truncation warning is raised, although the packet reaches K = 40.
+    propagate = bound._saturating_moments
+
     def evolve_with_overflow(tri, t):
         warnings.warn("overflow encountered in multiply", RuntimeWarning)
-        return evolve_chain(tri, t)
+        return propagate(tri, t)
 
-    monkeypatch.setattr(bound, "evolve_chain", evolve_with_overflow)
+    monkeypatch.setattr(bound, "_saturating_moments", evolve_with_overflow)
     with pytest.warns(RuntimeWarning, match="overflow") as caught:
         saturation_report(1.0, 1.0, K=40, t_max=2.0, n_samples=201)
     assert not any("truncation tail" in str(w.message) for w in caught)
 
 
-# Both reports stop at the tail cut-off: K = 40 at t = 1.79 of [0, 2], and
-# the default K = 400 at t = 4.165 of [0, 6].
-@pytest.mark.parametrize("kw", [dict(K=40, t_max=2.0, n_samples=201), {}],
-                         ids=["tail_cut", "default"])
-def test_saturation_report_is_the_plain_check_sliced(kw):
+# (alpha0, gamma0): the default, the grid-end case, each rate alone, and a
+# nearly free chain; then both rates 0, where every b_n is 0.
+SATURATING_RATES = [(1.0, 1.0), (0.3, 2.0), (0.0, 1.0), (1.0, 0.0),
+                    (1e-3, 5.0), (0.0, 0.0)]
+
+
+@pytest.mark.parametrize("K", [2, 3, 40, 401])
+@pytest.mark.parametrize("rates", SATURATING_RATES, ids=str)
+def test_saturating_moments_are_the_chain_propagation(K, rates):
+    # The singular-value moments agree with those of evolve_chain's Taylor
+    # propagator to 1e-13 of each series' maximum (measured: at most
+    # 6.2e-15), with the same horizon; they cover the grid, or stop within
+    # one block of 2 samples past the horizon.  At t = 0 the chain is e0
+    # exactly, and with gamma0 = 0 at every t: site 0 is then decoupled.
+    tri = saturating_coefficients(*rates, K)
+    t = np.linspace(0.0, 6.0, 1201)
+    m, horizon = bound._saturating_moments(tri, t)
+    traj = evolve_chain(tri, t)
+    ref = moments(traj)
+    size = m.t.size
+    assert_array_equal(m.t, t[:size])
+    for name in ("C", "P", "M2", "Ctilde"):
+        x, y = getattr(m, name), getattr(ref, name)[:size]
+        assert np.abs(x - y).max() <= 1e-13 * np.abs(y).max(), name
+    assert horizon == traj.horizon
+    w = math.isqrt(t.size - 1) + 1
+    assert size == t.size == horizon or horizon + 2 <= size < horizon + 2 + w
+    assert (m.C[0], m.P[0], m.M2[0]) == (0.0, 1.0, 0.0)
+    if rates[1] == 0.0:
+        assert not np.any(m.C) and not np.any(m.M2) and np.all(m.P == 1.0)
+
+
+def test_saturating_moments_of_two_sites_are_a_rotation(monkeypatch):
+    # b_1 = sqrt(gamma0 / 2) = 1: phi = (cos t, sin t), so C = M2 = sin^2 t
+    # and P = 1 to roundoff, on the whole grid when no tail mass stops the
+    # walk.
+    monkeypatch.setattr(krylov_chain, "TAIL_CUTOFF", 2.0)   # > any mass
+    tri = saturating_coefficients(0.3, 2.0, 2)
+    t = np.linspace(0.0, 6.0, 1201)
+    m, horizon = bound._saturating_moments(tri, t)
+    assert m.t.size == horizon == t.size
+    for x, y in ((m.C, np.sin(t) ** 2), (m.M2, np.sin(t) ** 2), (m.P, 1.0)):
+        assert np.abs(x - y).max() <= 1e-14
+
+
+def test_saturation_report_without_coupling_holds():
+    # gamma0 = 0 makes b_1 = 0: C, M2 and lhs are 0 at every sample, with no
+    # violation from roundoff, as with evolve_chain.
+    report = saturation_report(alpha0=1.0, gamma0=0.0)
+    assert report.holds
+    assert not np.any(report.lhs) and not np.any(report.rhs)
+    assert bound_summary(report)["saturation_ratio_range"] is None
+
+
+# Every report stops at the tail cut-off: K = 40 at t = 1.79 of [0, 2], the
+# default K = 400 at t = 4.165 of [0, 6], and K = 34 at sample 164 of 201,
+# where a block of 15 samples ends on sample 165, the last but one read.
+@pytest.mark.parametrize("kw", [dict(K=40, t_max=2.0, n_samples=201), {},
+                                dict(K=34, t_max=2.0, n_samples=201)],
+                         ids=["tail_cut", "default", "block_edge"])
+def test_saturation_report_is_the_plain_check_sliced(kw, monkeypatch):
     report = saturation_report(1.0, 1.0, **kw)
-    # The plain check on the mirror-extended series, built here anew.
+    # The plain check on the mirror-extended series, built here anew on the
+    # whole grid: the report's trajectory stops 2 samples past its horizon,
+    # which changes no reported value.
     tri = saturating_coefficients(1.0, 1.0, kw.get("K", 400))
     t = np.linspace(0.0, kw.get("t_max", 6.0), kw.get("n_samples", 1201))
-    m = moments(evolve_chain(tri, t))
+    monkeypatch.setattr(krylov_chain, "TAIL_CUTOFF", 2.0)   # > any mass
+    m, _ = bound._saturating_moments(tri, t)
+    assert m.t.size == t.size
     h = t[1] - t[0]
     mirror = lambda y: np.concatenate((y[2:0:-1], y))
     m_ext = type(m)(t=np.concatenate(([-2 * h, -h], m.t)), C=mirror(m.C),
